@@ -60,6 +60,19 @@ class TestReportPlumbing:
         raw = json.loads(path.read_text())
         assert set(raw) == {"quick", "full"}
 
+    def test_baseline_never_stores_comparison_flags(self, tmp_path):
+        """``matches_baseline`` compares a run with the baseline it is
+        about to replace; stored, it is stale at once."""
+        path = tmp_path / "baseline.json"
+        entry = {"trace_sha256": "t", "metrics_sha256": "m", "repeat_identical": True}
+        section = {
+            "schema": perf.SCHEMA_VERSION,
+            "determinism": {"chaos": {**entry, "matches_baseline": False}},
+        }
+        perf.save_baseline(path, quick=True, section=section)
+        assert perf.load_baseline(path, quick=True)["determinism"] == {"chaos": entry}
+        assert section["determinism"]["chaos"]["matches_baseline"] is False  # not mutated
+
     def test_load_baseline_rejects_schema_mismatch(self, tmp_path):
         path = tmp_path / "baseline.json"
         perf.save_baseline(path, quick=True, section={"schema": -1})
@@ -78,3 +91,5 @@ class TestReportPlumbing:
             assert section, f"baseline section unreadable (quick={quick})"
             assert "determinism" in section
             assert "social_macro" in section["scenarios"]
+            for entry in section["determinism"].values():
+                assert "matches_baseline" not in entry

@@ -399,8 +399,7 @@ class PaxosReplica(Actor):
         self.proposals[instance] = (self.ballot, value)
         self._proposal_time[instance] = self.now
         self._accept_votes[instance] = set()
-        for acceptor in self.acceptors:
-            self.send(acceptor, Accept(self.ballot, instance, value))
+        self.send_all(self.acceptors, Accept(self.ballot, instance, value))
 
     def _on_accepted(self, sender: str, msg: Accepted) -> None:
         if msg.ballot != self.ballot:
@@ -446,6 +445,8 @@ class PaxosReplica(Actor):
                 return
             self.delivered_uids.add(uid)
             self._pending_uids.discard(uid)
+            # delivered_uids answers every later dedup question first.
+            self.proposed_uids.discard(uid)
         self.deliver_value(value)
 
     def deliver_value(self, value: Any) -> None:
@@ -466,8 +467,7 @@ class PaxosReplica(Actor):
         for instance, (ballot, value) in self.proposals.items():
             if self._proposal_time.get(instance, self.now) <= stale_cutoff:
                 self._proposal_time[instance] = self.now
-                for acceptor in self.acceptors:
-                    self.send(acceptor, Accept(ballot, instance, value))
+                self.send_all(self.acceptors, Accept(ballot, instance, value))
 
     def _on_heartbeat(self, sender: str, msg: Heartbeat) -> None:
         if msg.ballot >= self.ballot:

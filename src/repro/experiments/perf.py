@@ -1,7 +1,10 @@
-"""Wall-clock benchmark harness: the repo's perf trajectory.
+"""Determinism gate plus single-shot wall-clock figures.
 
 Runs pinned, seeded scenarios and writes a ``BENCH_<date>.json`` with
-events/sec, wall-clock seconds, and peak RSS per scenario::
+events/sec, wall-clock seconds, and peak RSS per scenario.  Every scenario
+is timed once, so those figures are informational; performance claims are
+judged with the end-to-end benchmark in ``benchmarks/e2e``.  What this
+module gates is determinism (below).  Usage::
 
     python -m repro.experiments.perf            # full scale (~2 min)
     python -m repro.experiments.perf --quick    # CI smoke scale (~30 s)
@@ -38,8 +41,8 @@ JSONL and identical metric dumps.  The harness proves this two ways:
   digests are only comparable on the interpreter that recorded them).
 
 ``--rebaseline`` rewrites the current mode's section of the baseline
-file from this run.  Timing comparisons are only meaningful against a
-baseline recorded on the same machine.
+file from this run (digests and figures; never ``matches_baseline``
+flags, which describe the baseline being replaced).
 """
 
 from __future__ import annotations
@@ -543,9 +546,18 @@ def load_baseline(path: Path, quick: bool) -> dict:
 
 
 def save_baseline(path: Path, quick: bool, section: dict) -> None:
+    """Write ``section`` as this mode's baseline.  ``matches_baseline``
+    flags are dropped: they compare a run with the baseline it *replaces*
+    and would be stale the moment they are stored."""
     data = {}
     if path.is_file():
         data = json.loads(path.read_text())
+    if "determinism" in section:
+        section = dict(section)
+        section["determinism"] = {
+            name: {k: v for k, v in entry.items() if k != "matches_baseline"}
+            for name, entry in section["determinism"].items()
+        }
     data["quick" if quick else "full"] = section
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -704,7 +716,15 @@ def main(argv=None) -> int:
         "platform": platform.platform(),
         "scenarios": scenarios,
         "determinism": determinism,
-        "baseline": baseline or None,
+        # Which baseline the comparison and ``matches_baseline`` refer to
+        # (a stamp, not a copy: the file itself is in git), and whether
+        # this run then replaced it.
+        "baseline": (
+            {"recorded": baseline.get("recorded"), "python": baseline.get("python")}
+            if baseline
+            else None
+        ),
+        "rebaselined": args.rebaseline,
         "comparison": comparison,
         "peak_rss_kb": _peak_rss_kb(),
     }

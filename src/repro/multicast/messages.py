@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 
@@ -53,10 +53,12 @@ class OrderEvent:
     """Group-log event: locally order ``message`` and assign a timestamp."""
 
     message: MulticastMessage
+    #: Log-dedup key, built once: every dedup set of every replica that
+    #: sees this event stores the same string object.
+    uid: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def uid(self) -> str:
-        return f"ord:{self.message.uid}"
+    def __post_init__(self):
+        object.__setattr__(self, "uid", f"ord:{self.message.uid}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,10 +68,11 @@ class TsEvent:
     msg_uid: str
     from_group: str
     ts: int
+    #: Log-dedup key, built once (see :class:`OrderEvent`).
+    uid: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def uid(self) -> str:
-        return f"ts:{self.msg_uid}:{self.from_group}"
+    def __post_init__(self):
+        object.__setattr__(self, "uid", f"ts:{self.msg_uid}:{self.from_group}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,53 +18,64 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Timer:
-    """A cancellable, optionally periodic virtual-time timer."""
+    """A cancellable, optionally periodic virtual-time timer of one actor.
+
+    The timer is a handle on at most one pending :class:`Event`.  It is
+    *armed* while that event sits in the heap, and the owning actor tracks
+    it in ``Actor._timers`` exactly that long: once a one-shot timer fires
+    or any timer is cancelled, neither the actor nor the simulator refers
+    to it (see DESIGN.md §7, "Timer lifecycle").
+    """
+
+    __slots__ = ("_actor", "_delay", "_callback", "_periodic", "_event", "__weakref__")
 
     def __init__(
         self,
-        sim: Simulator,
+        actor: "Actor",
         delay: float,
         callback: Callable[[], Any],
         *,
         periodic: bool = False,
     ):
-        self._sim = sim
+        self._actor = actor
         self._delay = delay
         self._callback = callback
         self._periodic = periodic
         self._event: Optional[Event] = None
-        self._cancelled = False
-        self._fired = False
         self._arm()
 
     def _arm(self) -> None:
-        self._event = self._sim.schedule(self._delay, self._fire)
+        actor = self._actor
+        self._event = actor.sim.schedule(self._delay, self._fire)
+        actor._timers[self] = None
 
     def _fire(self) -> None:
-        if self._cancelled:
-            return
+        actor = self._actor
         if self._periodic:
             self._arm()
         else:
-            self._fired = True
-        self._callback()
+            self._event = None
+            del actor._timers[self]
+        # A timer armed on an already crashed actor is not in the set
+        # ``crash`` cancelled; it stays silent until the actor recovers.
+        if not actor.crashed:
+            self._callback()
 
     def cancel(self) -> None:
-        self._cancelled = True
-        if self._event is not None:
-            self._event.cancel()
+        event = self._event
+        if event is not None:
+            self._event = None
+            del self._actor._timers[self]
+            event.cancel()
 
     @property
     def active(self) -> bool:
         """True while the timer still has a future firing pending."""
-        return not self._cancelled and not self._fired
+        return self._event is not None
 
     def reset(self) -> None:
-        """Cancel the pending firing and re-arm from now."""
-        if self._event is not None:
-            self._event.cancel()
-        self._cancelled = False
-        self._fired = False
+        """Cancel the pending firing, if any, and re-arm from now."""
+        self.cancel()
         self._arm()
 
 
@@ -80,7 +91,8 @@ class Actor:
         self.name = name
         self.network: Optional["Network"] = None
         self.crashed = False
-        self._timers: list[Timer] = []
+        #: Armed timers only, in arming order (a dict used as an ordered set).
+        self._timers: dict[Timer, None] = {}
 
     # -- wiring -----------------------------------------------------------
 
@@ -124,31 +136,19 @@ class Actor:
 
     def set_timer(self, delay: float, callback: Callable[[], Any]) -> Timer:
         """Run ``callback`` once after ``delay`` virtual seconds."""
-        timer = Timer(self.sim, delay, self._guard(callback))
-        self._timers.append(timer)
-        return timer
+        return Timer(self, delay, callback)
 
     def set_periodic_timer(self, period: float, callback: Callable[[], Any]) -> Timer:
         """Run ``callback`` every ``period`` virtual seconds."""
-        timer = Timer(self.sim, period, self._guard(callback), periodic=True)
-        self._timers.append(timer)
-        return timer
-
-    def _guard(self, callback: Callable[[], Any]) -> Callable[[], Any]:
-        def guarded() -> None:
-            if not self.crashed:
-                callback()
-
-        return guarded
+        return Timer(self, period, callback, periodic=True)
 
     # -- fault injection ----------------------------------------------------
 
     def crash(self) -> None:
         """Crash-stop this actor: drop all future messages and timers."""
         self.crashed = True
-        for timer in self._timers:
+        for timer in list(self._timers):
             timer.cancel()
-        self._timers.clear()
 
     def recover(self) -> None:
         """Clear the crashed flag and invoke :meth:`on_recover`.

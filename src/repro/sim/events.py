@@ -32,7 +32,8 @@ class Event:
     Events are created through :meth:`Simulator.schedule` and can be
     cancelled with :meth:`Simulator.cancel` (or :meth:`Event.cancel`).
     Cancelled events stay in the heap but are skipped when popped (and
-    reclaimed in bulk by lazy compaction).
+    reclaimed in bulk by lazy compaction); they drop their callback and
+    arguments at once, so what those captured is not kept until then.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
@@ -60,6 +61,8 @@ class Event:
         if self.cancelled:
             return
         self.cancelled = True
+        self.fn = None
+        self.args = ()
         sim = self._sim
         if sim is not None:
             sim._note_cancelled()

@@ -1,0 +1,139 @@
+"""Retained memory per completed command, budgeted.
+
+Memory must grow with what is in flight, not with every command ever run
+(ROADMAP aim 1 counts peak RSS as half of performance).  Each test runs a
+short seeded deployment, takes ``tracemalloc`` snapshots at two virtual
+times and divides what ``repro`` allocated in between and still holds by
+the commands completed in between.
+
+What legitimately still grows per command is listed in CHANGES.md (PR 12):
+application state, the exactly-once result tables, and — with
+``checkpoint_interval=0`` as here — the Paxos logs.  Measured when the
+budgets were set: key-value 241 B/cmd, Chirper 4 546 B/cmd (the same on
+every ``PYTHONHASHSEED`` tried); on the commit before, which kept every timer
+ever armed, 2 380 and 7 119.  A budget is at most 1.3x the measured figure
+and under half (key-value) or three quarters (Chirper) of the old one;
+raising one needs a reason in the same change.
+"""
+
+import gc
+import random
+import tracemalloc
+
+import pytest
+
+from repro.compartment import CompartmentConfig
+from repro.core import DynaStarSystem, SystemConfig
+from repro.core.client import Workload
+from repro.sim import LogNormalLatency
+from repro.smr import Command, KeyValueApp
+from repro.workloads.social import ChirperApp, ChirperWorkload, generate_social_graph
+
+SEED = 7
+N_CLIENTS = 8
+#: Virtual times of the two snapshots; the first second is warm-up (lazily
+#: built tables, the first repartitioning plan).
+T_FIRST, T_SECOND = 1.0, 2.5
+
+
+class _ReadMostly(Workload):
+    """One client's endless seeded stream of 90 % reads / 10 % writes."""
+
+    def __init__(self, keys, seed, tag):
+        self.keys, self.rng, self.tag, self.seq = keys, random.Random(seed), tag, 0
+
+    def next_command(self, client):
+        i = self.seq
+        self.seq += 1
+        key = self.rng.choice(self.keys)
+        if self.rng.random() < 0.9:
+            return Command(f"{self.tag}:{i}", "read", (key,))
+        return Command(f"{self.tag}:{i}", "write", (key, i))
+
+
+def build_key_value():
+    """Compartmentalized key-value store: most reads are served by lease
+    holding learners, so timers (service gate, client timeout, learner
+    pump) are most of what a command touches."""
+    keys = [f"k{i:02d}" for i in range(16)]
+    system = DynaStarSystem(
+        KeyValueApp({key: i for i, key in enumerate(keys)}),
+        SystemConfig(
+            n_partitions=2, n_replicas=2, n_acceptors=3, seed=SEED,
+            latency=LogNormalLatency(median=0.001, sigma=0.35, floor=0.0002),
+            placement={key: i % 2 for i, key in enumerate(keys)},
+            repartition_enabled=False, service_time=0.002,
+            client_timeout=0.25, client_timeout_cap=2.0, idempotency_keys=True,
+            compartment=CompartmentConfig(
+                enabled=True, n_proxy_leaders=2, n_learners=3, lease_enabled=True
+            ),
+        ),
+    )
+    for i in range(N_CLIENTS):
+        system.add_client(_ReadMostly(keys, SEED + i, f"c{i}"))
+    return system
+
+
+def build_chirper():
+    """The paper's Chirper mix with repartitioning on: every command goes
+    through Paxos and the multicast layer."""
+    graph = generate_social_graph(300, avg_follows=12.0, reciprocity=0.25, seed=SEED)
+    system = DynaStarSystem(
+        ChirperApp(graph),
+        SystemConfig(
+            n_partitions=2, n_replicas=2, n_acceptors=3, seed=SEED,
+            latency=LogNormalLatency(median=0.00035, sigma=0.35, floor=0.00008),
+            repartition_enabled=True, repartition_threshold=4000, service_time=0.002,
+        ),
+    )
+    workload = ChirperWorkload(
+        graph, mix="mix", rho=0.95, seed=SEED, post_fraction=0.15, follow_fraction=0.0
+    )
+    for _ in range(N_CLIENTS):
+        system.add_client(workload)
+    return system
+
+
+def retained_per_command(system):
+    """(bytes per command, {file under repro/: bytes per command}) that
+    ``repro`` allocated between the two snapshots and still holds."""
+    only_repro = [tracemalloc.Filter(True, "*/repro/*")]
+    # Traced from the start: a block allocated before tracing began and
+    # replaced later (a periodic timer's next event) would count as growth.
+    tracemalloc.start()
+    try:
+        system.run(until=T_FIRST)
+        gc.collect()
+        first = tracemalloc.take_snapshot().filter_traces(only_repro)
+        completed = system.total_completed()
+        system.run(until=T_SECOND)
+        gc.collect()
+        second = tracemalloc.take_snapshot().filter_traces(only_repro)
+    finally:
+        tracemalloc.stop()
+    commands = system.total_completed() - completed
+    assert commands > 300, "deployment too idle to measure"
+    by_file = {
+        stat.traceback[0].filename.rsplit("/repro/", 1)[-1]: stat.size_diff / commands
+        for stat in second.compare_to(first, "filename")
+        if stat.size_diff
+    }
+    return sum(by_file.values()), by_file
+
+
+@pytest.mark.parametrize(
+    "build, budget",
+    [(build_key_value, 310), (build_chirper, 5300)],
+    ids=["key_value", "chirper"],
+)
+def test_retained_bytes_per_command_within_budget(build, budget):
+    total, by_file = retained_per_command(build())
+    top = sorted(by_file.items(), key=lambda item: -item[1])[:8]
+    assert total <= budget, f"{total:.0f} B/cmd retained > {budget}; top: {top}"
+    # A fired or cancelled timer leaves nothing behind, and neither does the
+    # event that carried it: what the kernel holds is what is armed or queued
+    # at the instant of the snapshot, a few blocks more or fewer (measured:
+    # actors 0.0 and -0.1 B/cmd, events -2.0 and +2.6; before: 1 344 / 1 554
+    # and 366 / 429).
+    assert by_file.get("sim/actors.py", 0.0) <= 1.0, top
+    assert by_file.get("sim/events.py", 0.0) <= 20.0, top
