@@ -28,7 +28,8 @@ class CompartmentConfig:
     enabled: bool = False
 
     #: Proxy-leader stage: how many ingress proxies per partition group,
-    #: and how long/large they batch before forwarding to the core.
+    #: the longest a submission waits behind the proxy's previous forward
+    #: (a quiet proxy forwards at once), and the largest batch.
     n_proxy_leaders: int = 2
     proxy_batch_delay: float = 0.0005
     proxy_max_batch: int = 64

@@ -3,7 +3,8 @@
 Clients (and the oracle redirect path) multicast ordering submissions;
 with compartmentalization on, the group directory routes each
 submission to *one* proxy leader instead of fanning it out to every
-core replica.  The proxy dedups by message uid, batches, and forwards
+core replica.  The proxy dedups by message uid, batches what arrives
+within ``batch_delay`` of its last forward, and forwards
 :class:`~repro.compartment.messages.ProxyBatch` to the core replicas —
 so per-command ingress fan-in lands on a horizontally scalable stage
 and the Paxos leader receives pre-batched work.
@@ -49,6 +50,7 @@ class ProxyLeader(Actor):
         self._buffer: list = []
         self._seen: OrderedDict = OrderedDict()
         self._batch_timer: Optional[Any] = None
+        self._last_forward = float("-inf")
 
     def _count(self, name: str, **labels) -> None:
         if self.monitor is not None:
@@ -76,16 +78,21 @@ class ProxyLeader(Actor):
             self._seen.popitem(last=False)
         self._count("proxy", event="submit")
         self._buffer.append(event)
-        if len(self._buffer) >= self.max_batch:
+        # Self-clocked batching: after a quiet ``batch_delay`` a submission
+        # is forwarded in this tick; one that follows a forward more
+        # closely waits (and batches) until ``batch_delay`` after it.
+        wait = self._last_forward + self.batch_delay - self.now
+        if wait <= 0 or len(self._buffer) >= self.max_batch:
             self._flush()
         elif self._batch_timer is None or not self._batch_timer.active:
-            self._batch_timer = self.set_timer(self.batch_delay, self._flush)
+            self._batch_timer = self.set_timer(wait, self._flush)
 
     def _flush(self) -> None:
         if not self._buffer:
             return
         batch = ProxyBatch(tuple(self._buffer))
         self._buffer.clear()
+        self._last_forward = self.now
         self._count("proxy", event="batch")
         self.send_all(self.replicas, batch)
 

@@ -63,6 +63,8 @@ class ReplicaConfig:
 
     heartbeat_period: float = 0.1
     leader_timeout: float = 0.5
+    #: Longest a value waits behind an instance in flight before it is
+    #: proposed anyway; an idle leader proposes at once.
     batch_delay: float = 0.0005
     max_batch: int = 64
     window: int = 32
@@ -213,6 +215,8 @@ class PaxosReplica(Actor):
         self.next_deliver = 0
         self.delivered_uids: set = set()
         self._peer_max_decided = -1
+        #: Frontier for which a gap repair was already requested.
+        self._gap_requested = -1
 
         # Failure detection
         self._last_leader_contact = 0.0
@@ -274,11 +278,7 @@ class PaxosReplica(Actor):
         reset.  The replica then re-syncs decided instances from the
         acceptors before relying on peer catch-up for the rest.
         """
-        self.phase1_done = False
-        self._promises.clear()
-        self.proposals.clear()
-        self._proposal_time.clear()
-        self._accept_votes.clear()
+        self._abandon_proposals()
         self._batch_timer = None
         self._started = False
         self._recovery_attempts = 0
@@ -324,6 +324,7 @@ class PaxosReplica(Actor):
             self._on_accepted(sender, message)
         elif isinstance(message, Decision):
             self._on_decision(message.instance, message.value)
+            self._repair_gap(sender, message.instance)
         elif isinstance(message, Nack):
             self._on_nack(message)
         elif isinstance(message, Heartbeat):
@@ -369,7 +370,10 @@ class PaxosReplica(Actor):
             self._schedule_flush()
 
     def _schedule_flush(self) -> None:
-        if len(self.pending) >= self.config.max_batch:
+        """Self-clocked batching: an idle leader proposes in this tick;
+        behind an instance in flight a value waits for the next decision
+        (``_on_accepted``) or ``batch_delay``, whichever comes first."""
+        if not self.proposals or len(self.pending) >= self.config.max_batch:
             self._flush_pending()
         elif self._batch_timer is None or not self._batch_timer.active:
             self._batch_timer = self.set_timer(
@@ -436,6 +440,15 @@ class PaxosReplica(Actor):
                 self._deliver_once(v)
             self._maybe_checkpoint()
 
+    def _repair_gap(self, sender: str, instance: int) -> None:
+        """A Decision beyond the delivery frontier means an earlier one was
+        lost (or overtaken): ask its sender for the gap at once, once per
+        gap, instead of lagging until the next catch-up tick."""
+        low = self.next_deliver
+        if low < instance and low != self._gap_requested and self._fetching is None:
+            self._gap_requested = low
+            self.send(sender, LearnRequest(low, instance - 1))
+
     def _deliver_once(self, value: Any) -> None:
         if isinstance(value, NoOp):
             return
@@ -490,11 +503,28 @@ class PaxosReplica(Actor):
     def _adopt_ballot(self, ballot: int) -> None:
         """Step down to follower state under a higher ballot."""
         self.ballot = ballot
+        self._abandon_proposals()
+
+    def _abandon_proposals(self) -> None:
+        """Leadership ends (higher ballot, crash, new phase 1): drop the
+        proposer bookkeeping.  In-flight values this replica never saw
+        chosen may not have reached a quorum, so they go back to the head
+        of ``pending`` for the next reign or ``_forward_pending``; if a new
+        leader also recovers them from the acceptors, delivery-time uid
+        dedup absorbs the double proposal (values without a uid cannot be
+        deduplicated and are left to the acceptors' copy alone)."""
         self.phase1_done = False
         self._promises.clear()
-        # In-flight proposals from the old ballot may or may not be chosen;
-        # the values stay in proposed_uids so we do not double-propose, and
-        # a future leader recovers them from the acceptors.
+        for instance in sorted(self.proposals, reverse=True):
+            batch = self.proposals[instance][1]
+            for value in reversed(batch.values):
+                uid = getattr(value, "uid", None)
+                if uid is None or isinstance(value, NoOp) or uid in self.delivered_uids:
+                    continue
+                self.proposed_uids.discard(uid)
+                if uid not in self._pending_uids:
+                    self._pending_uids.add(uid)
+                    self.pending.appendleft(value)
         self.proposals.clear()
         self._proposal_time.clear()
         self._accept_votes.clear()
@@ -508,11 +538,7 @@ class PaxosReplica(Actor):
 
     def _start_phase1(self, ballot: int) -> None:
         self.ballot = ballot
-        self.phase1_done = False
-        self._promises.clear()
-        self.proposals.clear()
-        self._proposal_time.clear()
-        self._accept_votes.clear()
+        self._abandon_proposals()
         self._last_leader_contact = self.now
         for acceptor in self.acceptors:
             self.send(acceptor, Prepare(ballot, self.next_deliver))
@@ -543,17 +569,18 @@ class PaxosReplica(Actor):
                 current = merged.get(instance)
                 if current is None or vballot > current[0]:
                     merged[instance] = (vballot, value)
-        if merged:
-            top = max(merged)
-            for instance in range(self.next_deliver, top + 1):
-                if instance in self.decided:
-                    continue
-                if instance in merged:
-                    self._propose(instance, merged[instance][1])
-                else:
-                    self._propose(instance, Batch((NoOp(),)))
-            self.next_instance = max(self.next_instance, top + 1)
-        self.next_instance = max(self.next_instance, self.next_deliver)
+        top = max(max(merged, default=-1), self.max_decided)
+        for instance in range(self.next_deliver, top + 1):
+            if instance in self.decided:
+                continue
+            if instance in merged:
+                self._propose(instance, merged[instance][1])
+            else:
+                self._propose(instance, Batch((NoOp(),)))
+        # Not max(old, ...): instances an earlier reign of this replica
+        # numbered but no acceptor of the quorum remembers are free again,
+        # and skipping them would leave a hole nothing ever fills.
+        self.next_instance = top + 1
 
     # -- crash recovery ---------------------------------------------------------------
 

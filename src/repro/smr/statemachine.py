@@ -191,8 +191,10 @@ class VariableStore:
             self._note_remove(var)
 
     def take(self, var: Hashable) -> Any:
-        """Remove and return a deep copy (used when lending variables)."""
-        value = copy_value(self._data.pop(var))
+        """Remove and return the value itself (used when lending
+        variables): the store keeps no reference, and every receiver
+        installs it with :meth:`insert_copy`."""
+        value = self._data.pop(var)
         self._note_remove(var)
         return value
 

@@ -166,6 +166,58 @@ class TestRecoveredValues:
         assert "noop" not in uids
 
 
+class TestLeadsTwice:
+    """A value whose Accepts never reached a quorum must not stay marked
+    "proposed" at a replica that lost the leadership: its next reign (or
+    ``_forward_pending``) has to submit it again."""
+
+    def lose_the_accepts(self, sim, net, group, leader):
+        for acc in group.acceptor_names:
+            net.cut(leader.name, acc)
+        leader.submit(Cmd("orphan"))
+        sim.run(until=0.001)
+        assert list(leader.proposals) == [0]  # in flight, Accepts dropped
+
+    def second_reign(self, sim, group):
+        """Crash rep1 and let rep0 lead ballot 2, then retransmit."""
+        first, second = group.replicas
+        second.crash()
+        sim.run(until=sim.now + 2.0)
+        assert first.is_leader and first.ballot == 2
+        first.submit(Cmd("orphan"))  # the sender's retransmission
+        first.submit(Cmd("later"))
+        sim.run(until=sim.now + 2.0)
+        assert group.delivered_log(0) == [Cmd("orphan"), Cmd("later")]
+
+    def test_crashed_with_accepts_in_flight(self):
+        sim, net, group = make_group(n_replicas=2)
+        first, second = group.replicas
+        self.lose_the_accepts(sim, net, group, first)
+        first.crash()
+        sim.run(until=2.0)
+        assert second.is_leader and not second.decided
+        net.heal_all()
+        first.recover()
+        assert "orphan" not in first.proposed_uids
+        assert list(first.pending) == [Cmd("orphan")]
+        self.second_reign(sim, group)
+
+    def test_deposed_with_accepts_in_flight(self):
+        sim, net, group = make_group(n_replicas=2)
+        first, second = group.replicas
+        self.lose_the_accepts(sim, net, group, first)
+        net.cut(first.name, second.name)
+        sim.run(until=2.0)
+        assert second.is_leader and not second.decided
+        # Healed, the heartbeat of ballot 1 deposes rep0; rep1 dies before
+        # rep0's catch-up tick could forward the value to it.
+        net.heal_all()
+        sim.run(until=sim.now + 0.15)
+        assert first.ballot == 1 and not first.proposals
+        assert "orphan" not in first.proposed_uids
+        self.second_reign(sim, group)
+
+
 class TestChaosAgreement:
     @pytest.mark.parametrize("seed", [2, 4, 6])
     def test_message_storm_with_lossy_network(self, seed):

@@ -36,14 +36,13 @@ class TestVariableStore:
     def test_get_or_none(self):
         assert VariableStore().get_or_none("x") is None
 
-    def test_take_removes_and_copies(self):
+    def test_take_removes_and_moves(self):
         s = VariableStore()
         value = {"n": 1}
         s.put("x", value)
         taken = s.take("x")
-        assert "x" not in s
-        taken["n"] = 99
-        assert value["n"] == 1  # deep copy
+        assert "x" not in s and s.get_or_none("x") is None
+        assert taken is value  # moved out, not copied: receivers insert_copy
 
     def test_insert_copy_isolates(self):
         s = VariableStore()

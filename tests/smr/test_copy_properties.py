@@ -129,3 +129,35 @@ class TestStoreRoundTrip:
             elif isinstance(data[var], set):
                 data[var].add("extra")
         assert dict(store.items()) == pristine
+
+    @given(st.dictionaries(st.text(max_size=6), values, min_size=1, max_size=6))
+    @settings(max_examples=100)
+    def test_lent_variables_alias_no_store(self, data):
+        """The lend path: ``take`` moves the values out of the sender's
+        store into one message that both target replicas ``insert_copy``.
+        The sender keeps nothing, and neither receiver's store shares
+        mutable structure with the message or with the other receiver."""
+        pristine = {var: copy_value(value) for var, value in data.items()}
+        sender = VariableStore()
+        for var, value in data.items():
+            sender.put(var, value)
+        pairs = tuple((var, sender.take(var)) for var in data)
+        assert sender.variables() == []
+
+        receivers = [VariableStore(), VariableStore()]
+        for store in receivers:
+            for var, value in pairs:
+                store.insert_copy(var, value)
+
+        def part_ids(values):
+            return {id(part) for value in values for part in mutable_parts(value)}
+
+        in_flight = part_ids(value for _, value in pairs)
+        first, second = (
+            part_ids(store.get(var) for var in data) for store in receivers
+        )
+        assert not in_flight & first
+        assert not in_flight & second
+        assert not first & second
+        for store in receivers:
+            assert dict(store.items()) == pristine
