@@ -10,11 +10,19 @@
 * **DS-SMR** (Le et al., DSN 2016): dynamic migration without a workload
   graph — every multi-partition command permanently migrates the
   involved variables to the target partition, which thrashes when the
-  workload cannot be perfectly partitioned.  Implemented as
-  ``mode="dssmr"`` of the core system.
+  workload cannot be perfectly partitioned.
+
+Each baseline is a :class:`~repro.core.server.PartitionServer` subclass
+that its system class names as ``server_class``.
 """
 
 from repro.baselines.ssmr import SSMRServer, SSMRSystem, optimized_placement
-from repro.baselines.dssmr import DSSMRSystem
+from repro.baselines.dssmr import DSSMRServer, DSSMRSystem
 
-__all__ = ["SSMRServer", "SSMRSystem", "optimized_placement", "DSSMRSystem"]
+__all__ = [
+    "SSMRServer",
+    "SSMRSystem",
+    "optimized_placement",
+    "DSSMRServer",
+    "DSSMRSystem",
+]

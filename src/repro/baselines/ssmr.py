@@ -29,6 +29,8 @@ from repro.smr.statemachine import VariableStore
 class SSMRServer(PartitionServer):
     """Partition server implementing the S-SMR execution model."""
 
+    sends_hints = False
+
     def _try_global(self, payload: GlobalCommand) -> bool:
         command = payload.command
         key = (command.uid, payload.attempt)
@@ -37,7 +39,7 @@ class SSMRServer(PartitionServer):
 
         if not state.get("checked"):
             if any(node not in self.owned_nodes for node in claimed):
-                self._abort_global(payload, notify=True)
+                self._abort_global(payload)
                 return True
             state["checked"] = True
         if any(node in self.in_transit for node in claimed):
@@ -145,24 +147,13 @@ class SSMRSystem(DynaStarSystem):
     Pass ``placement=optimized_placement(graph, k)`` for S-SMR\\*.
     """
 
+    server_class = SSMRServer
+
     def __init__(self, app, config: Optional[SystemConfig] = None, monitor=None):
         config = config or SystemConfig()
         config.mode = "ssmr"
         config.repartition_enabled = False
         super().__init__(app, config, monitor)
-
-    def _make_server(self, **kwargs) -> SSMRServer:
-        cfg = self.config
-        return SSMRServer(
-            app=self.app,
-            monitor=self.monitor,
-            mode="ssmr",
-            oracle_group=self.oracle_group,
-            hint_period=cfg.hint_period,
-            service_time=cfg.service_time,
-            lanes=cfg.execution_lanes,
-            **kwargs,
-        )
 
 
 def optimized_placement(

@@ -2,8 +2,8 @@
 
 A :class:`PartitionServer` is a multicast replica hosting the application
 state machine for one partition.  A-delivered payloads enter an execution
-queue processed strictly in delivery order (the SMR contract).  The head
-of the queue may block while
+queue that one scheduler (:meth:`PartitionServer._pump`) runs in delivery
+order (the SMR contract).  A command cannot finish while
 
 * borrowed variables for a multi-partition command are in flight
   (target side),
@@ -12,10 +12,14 @@ of the queue may block while
 * a node this partition now owns is still in transit under a
   repartitioning plan.
 
-Everything behind the head waits — multi-partition commands really are
+With one execution lane nothing passes an unfinished command, so
+everything behind it waits — multi-partition commands really are
 expensive here, which is precisely the cost DynaStar's repartitioning
-optimizes away.  Plan-driven relocation itself does **not** block the
-queue: only commands touching a still-in-transit node wait.
+optimizes away.  With more lanes a command behind it may run iff it
+conflicts with no unfinished command ahead, where a multi-partition
+command — it *moves* the variables it names — counts as a writer of all
+of them.  Plan-driven relocation itself does **not** block the queue:
+only commands touching a still-in-transit node wait.
 
 Staleness: if a command's believed locations disagree with the current
 plan, the server answers ``RETRY`` and aborts the gather (notifying the
@@ -69,8 +73,8 @@ from repro.smr.fastcopy import copy_value
 from repro.smr.statemachine import (
     AppStateMachine,
     VariableStore,
-    footprint_of,
     footprints_conflict,
+    scheduling_footprints,
 )
 
 #: Commands touching more nodes than this record a star instead of a
@@ -86,15 +90,17 @@ RETIRED_RETRY_AFTER = 0.05
 class PartitionServer(MulticastReplica):
     """One replica of a data partition."""
 
+    #: Workload-graph hints feed the oracle's repartitioning; the static
+    #: and naive-migration baselines (``repro.baselines``) send none.
+    sends_hints = True
+
     def __init__(
         self,
         *args,
         app: Optional[AppStateMachine] = None,
         monitor: Optional[Monitor] = None,
-        mode: str = "dynastar",
         oracle_group: str = "oracle",
         hint_period: float = 1.0,
-        hints_enabled: bool = True,
         service_time: float = 0.0,
         lanes: int = 1,
         retransmit_period: float = 0.5,
@@ -113,31 +119,31 @@ class PartitionServer(MulticastReplica):
         #: Shared decision audit log; replica 0 records relocation /
         #: quiesce events (metrics convention).
         self.audit = audit if audit is not None else NULL_AUDIT
-        self.mode = mode
         self.oracle_group = oracle_group
         self.hint_period = hint_period
-        self.hints_enabled = hints_enabled and mode == "dynastar"
-        #: Virtual CPU time one command execution occupies the partition
-        #: for.  0 disables the model (protocol tests); benchmarks set it
-        #: so throughput saturates like a real server.
+        #: Virtual CPU time one command execution occupies a lane for.
+        #: 0 disables the model (protocol tests); benchmarks set it so
+        #: throughput saturates like a real server.
         self.service_time = service_time
-        self._next_free = 0.0
         self._service_timer = None
-        #: Virtual execution lanes (dependency-aware parallel execution,
-        #: P-SMR-style).  ``lanes=1`` keeps the legacy strictly serial
-        #: pump byte-for-byte; ``lanes>1`` lets non-conflicting decided
-        #: commands overlap in simulated service time and bypass a head
-        #: stalled on in-transit borrowed variables.
+        #: Virtual execution lanes: how many commands may overlap in
+        #: simulated service time (see :meth:`_pump`), and when each is
+        #: free again (volatile: this replica's CPU).
         self.lanes = max(1, int(lanes))
         self._lane_free = [0.0] * self.lanes
-        self._last_lane = 0
-        #: Per-payload protocol state, keyed (uid, attempt) — the lanes
-        #: equivalent of ``_head_state`` (which is head-coupled and so
-        #: only sound for the serial pump).  Stable: checkpointed.
+        #: Lane of the last execution; stays None with one lane, where
+        #: neither the ``lane`` span tag nor the occupancy series exists.
+        self._last_lane: Optional[int] = None
+        #: Set when the service gate refuses: the current scan ends.
+        self._gate_refused = False
+        #: Per-command protocol state ("checked"/"sent"), keyed
+        #: (uid, attempt) so several unfinished multi-partition commands
+        #: track their own progress.  Stable: checkpointed.
         self._cmd_states: dict[tuple, dict] = {}
-        #: Conflict-footprint cache, derivable from app + command:
-        #: volatile by design.
-        self._fp_cache: dict[tuple, Any] = {}
+        #: Node sets and scheduling footprints of queued commands,
+        #: derivable from app + command: volatile by design.
+        self._nodes_cache: dict[tuple, frozenset] = {}
+        self._fp_cache: dict[tuple, tuple] = {}
 
         #: Ingress admission control (queue-based load leveling); None
         #: disables it.  Volatile by design — not checkpointed; the TTL
@@ -207,7 +213,6 @@ class PartitionServer(MulticastReplica):
         self.drain_period = 0.5
 
         self.queue: deque = deque()
-        self._head_state: dict = {}
 
         self.recv_transfers: dict[str, dict[str, tuple]] = {}
         self.transfer_failures: dict[str, set] = {}
@@ -256,7 +261,7 @@ class PartitionServer(MulticastReplica):
 
     def start(self) -> None:
         super().start()
-        if self.hints_enabled:
+        if self.sends_hints:
             self.set_periodic_timer(self.hint_period, self._flush_hints)
         if self.retransmit_period > 0:
             self.set_periodic_timer(self.retransmit_period, self._retransmit_outbox)
@@ -267,7 +272,6 @@ class PartitionServer(MulticastReplica):
 
     def on_recover(self) -> None:
         self._service_timer = None
-        self._next_free = 0.0
         self._lane_free = [0.0] * self.lanes
         self._drain_timer_armed = False
         self._feed_timer = None
@@ -776,146 +780,109 @@ class PartitionServer(MulticastReplica):
     # -- the execution queue -------------------------------------------------------
 
     def _pump(self) -> None:
-        if self.lanes <= 1:
-            self._pump_serial()
-        else:
-            self._pump_lanes()
+        """The one scheduler: scan the decided prefix front to back and
+        run what may run now.
 
-    def _pump_serial(self) -> None:
-        """The legacy strictly serial executor (``lanes=1``): the queue
-        head blocks everything behind it."""
-        while self.queue:
-            head = self.queue[0]
-            if isinstance(head, ExecCommand):
-                done = self._try_exec(head)
-            elif isinstance(head, GlobalCommand):
-                done = self._try_global(head)
-            elif isinstance(head, CreateVar):
-                done = self._apply_create(head)
-            elif isinstance(head, DeleteVar):
-                done = self._apply_delete(head)
-            elif isinstance(head, PartitionPlan):
-                done = self._apply_plan(head)
-            elif isinstance(head, DrainComplete):
-                done = self._apply_drain_complete(head)
-            else:
-                done = True  # unknown payloads are skipped
-            if not done:
-                return
-            self.queue.popleft()
-            self._head_state = {}
-
-    def _pump_lanes(self) -> None:
-        """Dependency-aware scheduler (``lanes>1``).
-
-        Scans the decided prefix front-to-back.  A command may dispatch
-        out of log order iff its conflict footprint (read/write variable
-        sets, wildcards at node granularity) is disjoint from every
-        not-yet-executed command ahead of it — so conflicting commands
-        retain log order, and a head stalled on in-transit borrowed
-        variables no longer blocks independent commands behind it.
+        A command that cannot finish yet (borrowed variables in flight,
+        lent ones not home, a node in transit) becomes a *blocker*; a
+        command behind it dispatches iff it conflicts with no blocker
+        (:meth:`_footprints`), so conflicting commands keep log order.
+        With one lane nothing passes an unfinished command — the scan
+        ends at it, which is strict delivery-order execution.  With
+        more, it ends at the first command the service gate refuses:
+        every lane is busy, and the gate's timer re-pumps.  Footprints
+        are computed only against a blocker or to become one; a queue
+        whose commands finish in order never computes any.
 
         Ownership-changing payloads (create/delete/plan/drain) are
         barriers: they run only at the very front of the queue and
         nothing may pass them — they are the only payloads that change
-        node ownership, which is what makes the bypassing commands'
+        node ownership, which is what makes the passing commands'
         ownership/RETRY checks order-insensitive.
         """
-        progressed = True
-        while progressed:
-            progressed = False
-            blockers: list = []
-            idx = 0
-            while idx < len(self.queue):
-                payload = self.queue[idx]
-                if isinstance(payload, (ExecCommand, GlobalCommand)):
-                    fp = self._footprint(payload)
-                    if any(footprints_conflict(fp, b) for b in blockers):
-                        blockers.append(fp)
+        queue = self.queue
+        blockers: list = []
+        self._gate_refused = False
+        idx = 0
+        while idx < len(queue):
+            payload = queue[idx]
+            if isinstance(payload, (ExecCommand, GlobalCommand)):
+                if blockers:
+                    fps = self._footprints(payload)
+                    if any(
+                        footprints_conflict(fps[1 + b[0]], b[1 + fps[0]])
+                        for b in blockers
+                    ):
+                        blockers.append(fps)
                         idx += 1
                         continue
-                    if not self._lanes_gate():
-                        return  # every lane busy; re-pump when one frees
-                    if isinstance(payload, ExecCommand):
-                        done = self._try_exec(payload)
-                    else:
-                        done = self._try_global(payload)
-                    if done:
-                        del self.queue[idx]
-                        self._drop_cmd_state(payload)
-                        progressed = True
-                        break  # restart the scan: lanes/state changed
-                    blockers.append(fp)
-                    idx += 1
+                if isinstance(payload, ExecCommand):
+                    done = self._try_exec(payload)
                 else:
-                    if idx > 0:
-                        return  # barrier: nothing behind it may run
-                    if isinstance(payload, CreateVar):
-                        done = self._apply_create(payload)
-                    elif isinstance(payload, DeleteVar):
-                        done = self._apply_delete(payload)
-                    elif isinstance(payload, PartitionPlan):
-                        done = self._apply_plan(payload)
-                    elif isinstance(payload, DrainComplete):
-                        done = self._apply_drain_complete(payload)
-                    else:
-                        done = True  # unknown payloads are skipped
-                    if not done:
-                        return
-                    self.queue.popleft()
-                    progressed = True
-                    break
+                    done = self._try_global(payload)
+                if done:
+                    del queue[idx]
+                    self._drop_cmd_state(payload)
+                elif self.lanes == 1 or self._gate_refused:
+                    return
+                else:
+                    blockers.append(self._footprints(payload))
+                    idx += 1
+                continue
+            if idx > 0:
+                return  # barrier: nothing behind it may run
+            if isinstance(payload, CreateVar):
+                self._apply_create(payload)
+            elif isinstance(payload, DeleteVar):
+                self._apply_delete(payload)
+            elif isinstance(payload, PartitionPlan):
+                self._apply_plan(payload)
+            elif isinstance(payload, DrainComplete):
+                self._apply_drain_complete(payload)
+            queue.popleft()  # unknown payloads are skipped
 
-    def _footprint(self, payload):
-        """Cached conflict footprint of a queued command payload."""
+    def _footprints(self, payload) -> tuple:
+        """Cached ``(moves, footprint against a command that leaves its
+        variables in place, footprint against one that moves them)`` of
+        a queued command; a multi-partition command is the kind that
+        moves (see :func:`scheduling_footprints`).  Two commands keep
+        log order iff each one's footprint against the other's kind
+        conflicts."""
         key = (payload.command.uid, payload.attempt)
-        fp = self._fp_cache.get(key)
-        if fp is None:
-            fp = footprint_of(self.app, payload.command)
-            self._fp_cache[key] = fp
-        return fp
+        fps = self._fp_cache.get(key)
+        if fps is None:
+            moves = isinstance(payload, GlobalCommand)
+            fps = self._fp_cache[key] = (
+                moves,
+                *scheduling_footprints(self.app, payload.command, moves),
+            )
+        return fps
 
     def _cmd_state(self, payload) -> dict:
-        """Per-command protocol state ("checked"/"sent" flags).
-
-        Serial mode uses the head-coupled ``_head_state`` (reset when the
-        head pops) — byte-identical legacy behavior.  Lanes mode keys the
-        state by (uid, attempt) so several in-flight multi-partition
-        commands track their own progress."""
-        if self.lanes <= 1:
-            return self._head_state
+        """Per-command protocol state ("checked"/"sent" flags), dropped
+        when the command leaves the queue."""
         key = (payload.command.uid, payload.attempt)
-        state = self._cmd_states.get(key)
-        if state is None:
-            state = self._cmd_states[key] = {}
-        return state
+        return self._cmd_states.setdefault(key, {})
 
     def _drop_cmd_state(self, payload) -> None:
         key = (payload.command.uid, payload.attempt)
         self._cmd_states.pop(key, None)
+        self._nodes_cache.pop(key, None)
         self._fp_cache.pop(key, None)
 
     # -- single-partition commands -----------------------------------------------------
 
     def _gate_service(self) -> bool:
-        """True when a simulated CPU lane is free; otherwise re-pumps
-        once the earliest busy lane's service time has elapsed."""
-        if self.lanes > 1:
-            return self._lanes_gate()
-        if self.service_time <= 0 or self.now >= self._next_free:
-            return True
-        if self._service_timer is None or not self._service_timer.active:
-            self._service_timer = self.set_timer(
-                self._next_free - self.now, self._pump
-            )
-        return False
-
-    def _lanes_gate(self) -> bool:
+        """The service gate, asked where a lane is about to be consumed:
+        True when a simulated CPU lane is free; otherwise ends the
+        current scan and re-pumps once the earliest busy lane's service
+        time has elapsed."""
         if self.service_time <= 0:
             return True
         free_at = min(self._lane_free)
         if self.now >= free_at:
             return True
+        self._gate_refused = True
         if self._service_timer is None or not self._service_timer.active:
             self._service_timer = self.set_timer(free_at - self.now, self._pump)
         return False
@@ -923,16 +890,13 @@ class PartitionServer(MulticastReplica):
     def _consume_service(self) -> None:
         if self.service_time <= 0:
             return
-        if self.lanes <= 1:
-            self._next_free = max(self._next_free, self.now) + self.service_time
-            return
-        lane = min(range(self.lanes), key=self._lane_free.__getitem__)
-        self._lane_free[lane] = (
-            max(self._lane_free[lane], self.now) + self.service_time
-        )
-        self._last_lane = lane
-        if self._records_metrics:
-            self._lane_series(lane).record(self.now)
+        free = self._lane_free
+        lane = free.index(min(free))
+        free[lane] = max(free[lane], self.now) + self.service_time
+        if self.lanes > 1:
+            self._last_lane = lane
+            if self._records_metrics:
+                self._lane_series(lane).record(self.now)
 
     def _lane_series(self, lane: int):
         series = self._partition_series.get(f"lane{lane}")
@@ -947,7 +911,12 @@ class PartitionServer(MulticastReplica):
         command = payload.command
         if self._reply_cached(payload):
             return True
-        nodes = self.app.nodes_of(command)
+        # Cached: a command the service gate refuses is tried again at
+        # every pump until a lane frees.
+        key = (command.uid, payload.attempt)
+        nodes = self._nodes_cache.get(key)
+        if nodes is None:
+            nodes = self._nodes_cache[key] = self.app.nodes_of(command)
         if any(node not in self.owned_nodes for node in nodes):
             if self.tracer.enabled:
                 self.tracer.finish(
@@ -989,17 +958,11 @@ class PartitionServer(MulticastReplica):
             return
         uid = payload.command.uid
         self.tracer.finish(uid, "queue", self.now, disc=payload.attempt)
-        if self.lanes > 1:
-            self.tracer.begin(
-                uid, "execute", self.now, disc=payload.attempt,
-                partition=self.partition, service_time=self.service_time,
-                lane=self._last_lane,
-            )
-        else:
-            self.tracer.begin(
-                uid, "execute", self.now, disc=payload.attempt,
-                partition=self.partition, service_time=self.service_time,
-            )
+        tags = {} if self._last_lane is None else {"lane": self._last_lane}
+        self.tracer.begin(
+            uid, "execute", self.now, disc=payload.attempt,
+            partition=self.partition, service_time=self.service_time, **tags,
+        )
 
     def _trace_execute_end(self, payload, status) -> None:
         if not self.tracer.enabled:
@@ -1116,16 +1079,12 @@ class PartitionServer(MulticastReplica):
 
         if not state.get("checked"):
             if any(node not in self.owned_nodes for node in claimed):
-                self._abort_global(payload, notify=True)
+                self._abort_global(payload)
                 return True
             state["checked"] = True
         if any(node in self.in_transit for node in claimed):
             return False
 
-        if self.mode == "dssmr":
-            if payload.target == self.partition:
-                return self._dssmr_as_target(payload)
-            return self._dssmr_as_source(payload)
         if payload.target == self.partition:
             return self._global_as_target(payload)
         return self._global_as_source(payload)
@@ -1144,18 +1103,27 @@ class PartitionServer(MulticastReplica):
         else:
             # As a source we will not ship — tell the others so a target
             # without the cached result aborts instead of gathering forever.
-            for partition in payload.involved():
-                if partition != self.partition:
-                    self._send_to_partition(
-                        partition,
-                        TransferFailed(
-                            payload.command.uid, self.partition, payload.attempt
-                        ),
-                        uid=f"tf:{payload.command.uid}:{payload.attempt}:{self.partition}",
-                    )
+            self._notify_transfer_failed(payload)
         return True
 
-    def _global_as_target(self, payload: GlobalCommand) -> bool:
+    def _notify_transfer_failed(self, payload: GlobalCommand) -> None:
+        for partition in payload.involved():
+            if partition != self.partition:
+                self._send_to_partition(
+                    partition,
+                    TransferFailed(
+                        payload.command.uid, self.partition, payload.attempt
+                    ),
+                    uid=f"tf:{payload.command.uid}:{payload.attempt}:{self.partition}",
+                )
+
+    def _gather(self, payload: GlobalCommand, **borrow_tags) -> tuple:
+        """Target side, before executing: ``(finished, received)``.
+
+        ``received`` maps each source to the variables it shipped once
+        every source has shipped and a lane was taken for the execution;
+        until then it is None and ``finished`` says whether the command
+        is over (aborted: some source was stale) or must wait."""
         command = payload.command
         key = (command.uid, payload.attempt)
         needed = {p for p in payload.involved() if p != self.partition}
@@ -1164,15 +1132,15 @@ class PartitionServer(MulticastReplica):
             self.tracer.begin(
                 command.uid, "borrow", self.now, disc=payload.attempt,
                 target=self.partition, sources=len(needed),
-                attempt=payload.attempt,
+                attempt=payload.attempt, **borrow_tags,
             )
         if self.transfer_failures.get(key):
             # Some source is stale; abort and bounce whatever arrived.
-            self._abort_global(payload, notify=True)
-            return True
+            self._abort_global(payload)
+            return True, None
         received = self.recv_transfers.get(key, {})
         if not needed <= set(received):
-            return False  # still gathering
+            return False, None  # still gathering
         # Gather complete: service-gate wait from here on belongs to the
         # still-open queue span, not the borrow.
         if self.tracer.enabled:
@@ -1180,8 +1148,16 @@ class PartitionServer(MulticastReplica):
                 command.uid, "borrow", self.now, disc=payload.attempt
             )
         if not self._gate_service():
-            return False
+            return False, None
         self._consume_service()
+        return False, received
+
+    def _global_as_target(self, payload: GlobalCommand) -> bool:
+        command = payload.command
+        key = (command.uid, payload.attempt)
+        finished, received = self._gather(payload)
+        if received is None:
+            return finished
 
         # Insert the borrowed variables.
         borrowed: list = []
@@ -1299,87 +1275,7 @@ class PartitionServer(MulticastReplica):
         self._cleanup_cmd(key)
         return True
 
-    # -- DS-SMR mode: moves are permanent, nothing comes back -------------------------
-
-    def _dssmr_as_source(self, payload: GlobalCommand) -> bool:
-        """DS-SMR source: ship every variable of the claimed nodes to the
-        target and relinquish ownership — the naive permanent migration
-        the paper's baseline performs on every multi-partition command."""
-        claimed = payload.nodes_at(self.partition)
-        pairs = []
-        for node in claimed:
-            for var in list(self.node_vars.get(node, ())):
-                pairs.append((var, self.store.get(var)))
-                self.store.discard(var)
-                self._unindex_var(var)
-            self.owned_nodes.discard(node)
-            self.last_plan[node] = payload.target
-        if self.tracer.enabled:
-            self.tracer.event_on(
-                payload.command.uid, "borrow", payload.attempt,
-                "var-transfer-sent", self.now,
-                source=self.partition, variables=len(pairs), permanent=True,
-            )
-        self._send_to_partition(
-            payload.target,
-            VarTransfer(
-                payload.command.uid,
-                self.partition,
-                tuple(pairs),
-                payload.attempt,
-                self._exec_entries_for(claimed),
-            ),
-            uid=f"vt:{payload.command.uid}:{payload.attempt}:{self.partition}",
-        )
-        if self._records_metrics:
-            self._pseries("objects").record(
-                self.now, len(pairs)
-            )
-            self.monitor.counter("objects_exchanged").inc(len(pairs))
-        self._admission_release(payload.command.uid)
-        return True
-
-    def _dssmr_as_target(self, payload: GlobalCommand) -> bool:
-        command = payload.command
-        key = (command.uid, payload.attempt)
-        needed = {p for p in payload.involved() if p != self.partition}
-        if self.tracer.enabled:
-            self.tracer.begin(
-                command.uid, "borrow", self.now, disc=payload.attempt,
-                target=self.partition, sources=len(needed),
-                attempt=payload.attempt, permanent=True,
-            )
-        if self.transfer_failures.get(key):
-            self._abort_global(payload, notify=True)
-            return True
-        received = self.recv_transfers.get(key, {})
-        if not needed <= set(received):
-            return False
-        if self.tracer.enabled:
-            self.tracer.finish(
-                command.uid, "borrow", self.now, disc=payload.attempt
-            )
-        if not self._gate_service():
-            return False
-        self._consume_service()
-        for source, pairs in received.items():
-            for var, value in pairs:
-                self.store.insert_copy(var, value)
-                self._index_var(var)
-        for node, _ in payload.locations:
-            self.owned_nodes.add(node)
-            self.last_plan[node] = self.partition
-        self._execute_and_reply(
-            payload, record_hint_nodes={n for n, _ in payload.locations}
-        )
-        self.multi_partition_count += 1
-        self._cleanup_cmd(key)
-        if self._records_metrics:
-            self._pseries("multipart").record(self.now)
-            self.monitor.counter("multi_partition_commands").inc()
-        return True
-
-    def _abort_global(self, payload: GlobalCommand, notify: bool) -> None:
+    def _abort_global(self, payload: GlobalCommand) -> None:
         """This partition cannot honor the command's location map: tell
         the client to retry and unwind the gather."""
         key = (payload.command.uid, payload.attempt)
@@ -1398,16 +1294,7 @@ class PartitionServer(MulticastReplica):
         self._reply(payload, ReplyStatus.RETRY)
         if self._records_metrics:
             self.monitor.counter("retries_sent").inc()
-        if notify:
-            for partition in payload.involved():
-                if partition != self.partition:
-                    self._send_to_partition(
-                        partition,
-                        TransferFailed(
-                            payload.command.uid, self.partition, payload.attempt
-                        ),
-                        uid=f"tf:{payload.command.uid}:{payload.attempt}:{self.partition}",
-                    )
+        self._notify_transfer_failed(payload)
         if payload.target == self.partition:
             self.aborted_cmds.add(key)
             self._bounce_received(key)
@@ -1467,36 +1354,30 @@ class PartitionServer(MulticastReplica):
 
     # -- create / delete -----------------------------------------------------------------------
 
-    def _apply_create(self, payload: CreateVar) -> bool:
-        if payload.partition != self.partition:
-            return True
-        if self._reply_cached(payload):
-            return True
+    def _apply_create(self, payload: CreateVar) -> None:
+        if payload.partition != self.partition or self._reply_cached(payload):
+            return
         self.store.put(payload.var, self.app.initial_value_of(payload.var))
         self._index_var(payload.var)
         self.owned_nodes.add(payload.node)
         self.last_plan[payload.node] = self.partition
         self._cache_exec_result(payload, ReplyStatus.OK, True, (payload.node,))
         self._reply(payload, ReplyStatus.OK, True)
-        return True
 
-    def _apply_delete(self, payload: DeleteVar) -> bool:
-        if payload.partition != self.partition:
-            return True
-        if self._reply_cached(payload):
-            return True
+    def _apply_delete(self, payload: DeleteVar) -> None:
+        if payload.partition != self.partition or self._reply_cached(payload):
+            return
         self.store.discard(payload.var)
         self._unindex_var(payload.var)
         self.owned_nodes.discard(payload.node)
         self._cache_exec_result(payload, ReplyStatus.OK, True, (payload.node,))
         self._reply(payload, ReplyStatus.OK, True)
-        return True
 
     # -- repartitioning (Task 3) -------------------------------------------------------------------
 
-    def _apply_plan(self, plan: PartitionPlan) -> bool:
+    def _apply_plan(self, plan: PartitionPlan) -> None:
         if plan.version <= self.version:
-            return True
+            return
         self.version = plan.version
         assignment = plan.as_dict()
         self.last_plan = dict(assignment)
@@ -1570,7 +1451,6 @@ class PartitionServer(MulticastReplica):
                     )
         if self.draining:
             self._maybe_announce_drain()
-        return True
 
     # -- elastic retirement (merge drain) ---------------------------------------------
 
@@ -1599,18 +1479,17 @@ class PartitionServer(MulticastReplica):
         )
         self._directory.amcast_local(self, message)
 
-    def _apply_drain_complete(self, done: DrainComplete) -> bool:
+    def _apply_drain_complete(self, done: DrainComplete) -> None:
         """Our own DrainComplete a-delivered: the retire point.  Every
         replica of the group passes this at the same log position."""
         if done.partition != self.partition or self.retired:
-            return True
+            return
         self.retired = True
         if self.audit.enabled and self._records_metrics:
             self.audit.record(
                 audit_mod.RECONFIG_DRAIN, self.now,
                 version=done.version, partition=self.partition,
             )
-        return True
 
     def _install_node_vars(self, node: Any, pairs: tuple) -> None:
         for var, value in pairs:
@@ -1663,7 +1542,7 @@ class PartitionServer(MulticastReplica):
     # -- workload hints ---------------------------------------------------------------------------------
 
     def _record_hint(self, nodes) -> None:
-        if not self.hints_enabled:
+        if not self.sends_hints:
             return
         nodes = sorted(nodes, key=repr)
         for node in nodes:
@@ -1774,7 +1653,6 @@ class PartitionServer(MulticastReplica):
             # dataclasses (and value copies made at lend time) — shipping
             # references is safe; installers re-copy on store insertion.
             "queue": tuple(self.queue),
-            "head_state": dict(self._head_state),
             "cmd_states": sorted(
                 ((key, dict(state)) for key, state in self._cmd_states.items()),
                 key=repr,
@@ -1862,10 +1740,10 @@ class PartitionServer(MulticastReplica):
         self.version = state.get("version", 0)
         self.last_plan = dict(state.get("last_plan", ()))
         self.queue = deque(state.get("queue", ()))
-        self._head_state = dict(state.get("head_state", {}))
         self._cmd_states = {
             key: dict(s) for key, s in state.get("cmd_states", ())
         }
+        self._nodes_cache = {}
         self._fp_cache = {}
         self._lane_free = [0.0] * self.lanes
         self.recv_transfers = {

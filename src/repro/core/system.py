@@ -10,10 +10,12 @@
     client = system.add_client(ScriptedWorkload([...]))
     system.run(until=10.0)
 
-Modes: ``dynastar`` (default), ``ssmr`` (static partitioning, S-SMR
-execution model), ``dssmr`` (naive dynamic migration).  The initial
-placement may be ``"random"``, ``"hash"``, or an explicit node ->
-partition mapping (e.g. a METIS-optimized one for S-SMR*).
+The baselines (S-SMR: static partitioning; DS-SMR: naive dynamic
+migration) are the subclasses in ``repro.baselines``: each names its
+partition-server class and sets ``SystemConfig.mode``, which the oracle
+reads.  The initial placement may be ``"random"``, ``"hash"``, or an
+explicit node -> partition mapping (e.g. a METIS-optimized one for
+S-SMR*).
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ class SystemConfig:
     #: saturates with the number of partitions as on real hardware).
     service_time: float = 0.0
     #: Virtual execution lanes per partition replica (dependency-aware
-    #: parallel execution).  1 = the legacy strictly serial executor,
-    #: byte-identical traces; >1 lets commands with disjoint read/write
-    #: footprints overlap in service time and bypass a stalled head.
+    #: parallel execution).  1 = strict delivery order, nothing passes an
+    #: unfinished command; >1 lets commands that conflict with no
+    #: unfinished command ahead overlap in service time and pass it.
     execution_lanes: int = 1
     latency: Optional[LatencyModel] = None
     oracle_dispatch: bool = False  # base protocol: oracle forwards commands
@@ -165,6 +167,9 @@ class SystemConfig:
 
 class DynaStarSystem:
     """A complete simulated deployment of DynaStar (or a baseline)."""
+
+    #: The partition-server class; baselines substitute their own.
+    server_class = PartitionServer
 
     def __init__(
         self,
@@ -365,40 +370,33 @@ class DynaStarSystem:
         return (proxies[_stable_hash(message.uid) % len(proxies)],)
 
     def _server_factory(self):
+        """Builds one replica of ``server_class``; the one construction
+        path of DynaStar and the baselines, pre-start and mid-run."""
         cfg = self.config
-        system = self
 
         def factory(**kwargs):
             kwargs.pop("on_deliver", None)
             kwargs.pop("on_adeliver", None)
-            # Injected here (not in _make_server) so baseline subclasses
-            # inherit tracing/auditing without repeating the wiring.
-            kwargs.setdefault("tracer", system.tracer)
-            kwargs.setdefault("audit", system.audit)
-            return system._make_server(**kwargs)
+            kwargs.setdefault("tracer", self.tracer)
+            kwargs.setdefault("audit", self.audit)
+            return self.server_class(
+                app=self.app,
+                monitor=self.monitor,
+                oracle_group=self.oracle_group,
+                hint_period=cfg.hint_period,
+                service_time=cfg.service_time,
+                lanes=cfg.execution_lanes,
+                retransmit_period=cfg.retransmit_period,
+                admission_bound=cfg.admission_bound,
+                admission_headroom=cfg.admission_headroom,
+                admission_retry_after=cfg.admission_retry_after,
+                admission_ttl=cfg.admission_ttl,
+                compartment=cfg.compartment if cfg.compartment.enabled else None,
+                learner_names=self._learner_names_of(kwargs["group"]),
+                **kwargs,
+            )
 
         return factory
-
-    def _make_server(self, **kwargs) -> PartitionServer:
-        """Subclass hook: baselines substitute their server class here."""
-        cfg = self.config
-        return PartitionServer(
-            app=self.app,
-            monitor=self.monitor,
-            mode=cfg.mode,
-            oracle_group=self.oracle_group,
-            hint_period=cfg.hint_period,
-            service_time=cfg.service_time,
-            lanes=cfg.execution_lanes,
-            retransmit_period=cfg.retransmit_period,
-            admission_bound=cfg.admission_bound,
-            admission_headroom=cfg.admission_headroom,
-            admission_retry_after=cfg.admission_retry_after,
-            admission_ttl=cfg.admission_ttl,
-            compartment=cfg.compartment if cfg.compartment.enabled else None,
-            learner_names=self._learner_names_of(kwargs["group"]),
-            **kwargs,
-        )
 
     def _resolve_placement(self) -> dict:
         """node -> partition-name map for the initial state."""

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from repro.compartment import CompartmentConfig
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import Workload
-from repro.experiments.harness import export_run_artifacts
+from repro.experiments.harness import export_run_artifacts, verify_consistency
 from repro.faults import FaultSchedule
 from repro.faults.injector import ChaosInjector
 from repro.sim.latency import ConstantLatency
@@ -215,35 +215,6 @@ def fingerprint(scenario: CompartmentScenario) -> tuple[str, str]:
     system.tracer.export_jsonl(buf)
     metrics = json.dumps(system.monitor.snapshot(), sort_keys=True)
     return buf.getvalue(), metrics
-
-
-def verify_consistency(system) -> list[str]:
-    """Replica agreement within every partition, variable conservation
-    across them, and learner-mirror convergence to the replica state."""
-    problems = []
-    for partition in system.partition_names:
-        replicas = system.servers(partition)
-        baseline = dict(replicas[0].store.items())
-        for replica in replicas[1:]:
-            if dict(replica.store.items()) != baseline:
-                problems.append(f"replica state divergence in {partition}")
-                break
-        for learner in system.directory.groups[partition].learners:
-            mirror = dict(learner.store.items())
-            if mirror != baseline:
-                problems.append(
-                    f"learner {learner.name} diverged from {partition} state"
-                )
-    merged = system.all_store_variables()
-    expected = set(system.app.initial_variables())
-    if set(merged) != expected:
-        missing = expected - set(merged)
-        extra = set(merged) - expected
-        problems.append(
-            f"variable conservation violated (missing={sorted(missing)}, "
-            f"extra={sorted(extra)})"
-        )
-    return problems
 
 
 def check_determinism(scenario: CompartmentScenario) -> list[str]:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import Workload
-from repro.experiments.harness import export_run_artifacts
+from repro.experiments.harness import export_run_artifacts, verify_consistency
 from repro.faults import FaultSchedule
 from repro.faults.injector import ChaosInjector
 from repro.obs import audit as audit_mod
@@ -281,39 +281,6 @@ def fingerprint(scenario: ElasticScenario) -> tuple[str, str]:
     system.tracer.export_jsonl(buf)
     metrics = json.dumps(system.monitor.snapshot(), sort_keys=True)
     return buf.getvalue(), metrics
-
-
-def verify_consistency(system) -> list[str]:
-    """Replica agreement within every live partition, variable
-    conservation across them, and emptiness of retired stores."""
-    problems = []
-    for partition in system.partition_names:
-        replicas = system.servers(partition)
-        baseline = dict(replicas[0].store.items())
-        for replica in replicas[1:]:
-            if dict(replica.store.items()) != baseline:
-                problems.append(f"replica state divergence in {partition}")
-                break
-    merged = system.all_store_variables()
-    expected = set(system.app.initial_variables())
-    if set(merged) != expected:
-        missing = expected - set(merged)
-        extra = set(merged) - expected
-        problems.append(
-            f"variable conservation violated (missing={sorted(missing)}, "
-            f"extra={sorted(extra)})"
-        )
-    elastic = getattr(system, "elastic", None)
-    if elastic is not None:
-        for name in elastic.retired:
-            group = system.directory.groups.get(name)
-            if group is None:
-                continue
-            for replica in group.replicas:
-                if not replica.crashed and dict(replica.store.items()):
-                    problems.append(f"retired partition {name} still owns state")
-                    break
-    return problems
 
 
 def check_determinism(scenario: ElasticScenario) -> list[str]:

@@ -138,6 +138,44 @@ def export_run_artifacts(system, directory: str) -> dict:
     return written
 
 
+def verify_consistency(system) -> list[str]:
+    """Cheap safety invariants of a drained run (full linearizability
+    checking is exponential in history length and lives in the test
+    suite over short scripted histories): the replicas of every live
+    partition agree, learner mirrors equal their partition's state,
+    retired partitions hold nothing, and no initial variable is lost or
+    owned twice.  Returns violation descriptions; empty means clean."""
+    problems = []
+    for partition in system.partition_names:
+        replicas = system.servers(partition)
+        baseline = dict(replicas[0].store.items())
+        if any(dict(r.store.items()) != baseline for r in replicas[1:]):
+            problems.append(f"replica state divergence in {partition}")
+        for learner in system.directory.groups[partition].learners:
+            if dict(learner.store.items()) != baseline:
+                problems.append(
+                    f"learner {learner.name} diverged from {partition} state"
+                )
+    if system.elastic is not None:
+        for name in sorted(system.elastic.retired):
+            group = system.directory.groups.get(name)
+            if group is not None and any(
+                not r.crashed and len(r.store) for r in group.replicas
+            ):
+                problems.append(f"retired partition {name} still owns state")
+    try:
+        merged = system.all_store_variables()
+    except AssertionError as exc:
+        problems.append(str(exc))
+    else:
+        lost = set(system.app.initial_variables()) - set(merged)
+        if lost:
+            problems.append(
+                f"initial variables owned by no partition: {sorted(lost, key=repr)}"
+            )
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # TPC-C builders
 # ---------------------------------------------------------------------------

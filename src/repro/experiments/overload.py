@@ -32,6 +32,7 @@ from typing import Optional
 
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import Workload
+from repro.experiments.harness import verify_consistency
 from repro.faults import FaultSchedule
 from repro.faults.injector import ChaosInjector
 from repro.sim.latency import ConstantLatency
@@ -171,25 +172,6 @@ def fingerprint(config: FlashCrowdConfig) -> tuple[str, str]:
     system.tracer.export_jsonl(buf)
     metrics = json.dumps(system.monitor.snapshot(), sort_keys=True)
     return buf.getvalue(), metrics
-
-
-def verify_consistency(system) -> list[str]:
-    """Cheap safety invariants that scale to open-ended runs (full
-    linearizability checking is exponential in history length and lives
-    in the test suite over short scripted histories).  Returns a list of
-    violation descriptions; empty means clean."""
-    problems = []
-    for partition in system.partition_names:
-        replicas = system.servers(partition)
-        baseline = dict(replicas[0].store.items())
-        for replica in replicas[1:]:
-            if dict(replica.store.items()) != baseline:
-                problems.append(f"replica state divergence in {partition}")
-                break
-    merged = system.all_store_variables()
-    if len(merged) != len(set(merged)):
-        problems.append("variable owned by more than one partition")
-    return problems
 
 
 #: Ablation base: harsher than the default scenario (twice the clients,

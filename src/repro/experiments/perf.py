@@ -63,6 +63,7 @@ from repro.experiments.harness import (
     build_tpcc_system,
     make_social_graph,
     tpcc_workload,
+    verify_consistency,
     warehouse_aligned_placement,
 )
 from repro.faults import ChaosConfig, ChaosInjector, generate_for_system
@@ -159,6 +160,10 @@ LANES_SERVICE_TIME = 0.004
 #: Lane counts compared by the ablation (1 = the serial baseline).
 LANE_COUNTS = (1, 2, 4)
 
+#: Virtual seconds the ablation runs on after its clients stop, so every
+#: command in flight resolves before the consistency check.
+LANES_DRAIN = 2.0
+
 
 def _lanes_tpcc_system(lanes: int, quick: bool):
     """Warehouse-aligned TPC-C (minimal multi-partition traffic) with a
@@ -232,7 +237,10 @@ def run_lanes_ablation(quick: bool) -> dict:
     """Commands completed in a fixed virtual duration at each lane
     count, on identical seeded offered load.  Virtual-time completion
     counts are deterministic (unlike wall clock), so the speedup ratios
-    are exact and replayable — this is what ``--check-lanes`` gates on.
+    are exact and replayable — this is what ``--check-lanes`` gates on,
+    together with ``problems``: each run is drained after the clients
+    stop and must then pass :func:`verify_consistency`, so a ratio is
+    never quoted from a run whose replicas diverged.
     """
     duration = 4.0 if quick else 8.0
     n_clients = 12 if quick else 24
@@ -243,9 +251,13 @@ def run_lanes_ablation(quick: bool) -> dict:
         for _ in range(n_clients):
             system.add_client(workload, stop_at=duration)
         _, wall = _timed(lambda: system.run(until=duration))
+        completed = system.total_completed()
+        system.run(until=duration + LANES_DRAIN)
         results[f"lanes{lanes}"] = {
-            "commands_completed": system.total_completed(),
+            "commands_completed": completed,
             "wall_clock_s": wall,
+            "problems": verify_consistency(system)
+            + [f"{c.name} hung" for c in system.clients if not c.done],
         }
     base = results["lanes1"]["commands_completed"]
     for lanes in LANE_COUNTS[1:]:
@@ -626,7 +638,8 @@ def main(argv=None) -> int:
         action="store_true",
         help=(
             "fail unless the 4-lane TPC-C ablation completes >= 1.5x the "
-            "serial baseline's commands (deterministic virtual-time ratio)"
+            "one-lane commands (deterministic virtual-time ratio) and every "
+            "lane count's drained run passes verify_consistency"
         ),
     )
     parser.add_argument(
@@ -761,6 +774,14 @@ def main(argv=None) -> int:
             args.quick
         )
         scenarios.setdefault("lanes_ablation", ablation)
+        diverged = {
+            name: entry["problems"]
+            for name, entry in ablation.items()
+            if entry.get("problems")
+        }
+        if diverged:
+            print(f"[perf] LANES GATE FAILED: {diverged}", file=sys.stderr)
+            return 1
         ratio = (ablation.get("lanes4") or {}).get("speedup_vs_serial")
         if ratio is None or ratio < 1.5:
             print(

@@ -61,16 +61,11 @@ class CommandFootprint:
     write_wildcards: frozenset  # nodes with a write NodeWildcard
 
 
-def footprint_of(app: "AppStateMachine", command: Command) -> CommandFootprint:
-    """Compute ``command``'s conflict footprint under ``app``'s signature."""
+def _footprint(app: "AppStateMachine", entries, reads) -> CommandFootprint:
     read_vars, write_vars = set(), set()
     read_nodes, write_nodes = set(), set()
     read_wild, write_wild = set(), set()
-    reads = frozenset(app.read_variables_of(command))
-    exempt = frozenset(app.conflict_free_variables_of(command))
-    for entry in app.variables_of(command):
-        if entry in exempt:
-            continue
+    for entry in entries:
         is_read = entry in reads
         if isinstance(entry, NodeWildcard):
             (read_wild if is_read else write_wild).add(entry.node)
@@ -86,6 +81,43 @@ def footprint_of(app: "AppStateMachine", command: Command) -> CommandFootprint:
         write_nodes=frozenset(write_nodes),
         read_wildcards=frozenset(read_wild),
         write_wildcards=frozenset(write_wild),
+    )
+
+
+def footprint_of(app: "AppStateMachine", command: Command) -> CommandFootprint:
+    """Compute ``command``'s conflict footprint under ``app``'s signature."""
+    return scheduling_footprints(app, command, moves=False)[0]
+
+
+def scheduling_footprints(
+    app: "AppStateMachine", command: Command, moves: bool
+) -> tuple[CommandFootprint, CommandFootprint]:
+    """The footprints a partition's scheduler compares ``command`` by:
+    ``(against a command that leaves variables in place, against one that
+    moves them)``.
+
+    Letting read/read overlaps pass, and dropping the entries of
+    ``conflict_free_variables_of`` altogether, is sound only while the
+    variable stays in the store.  A multi-partition command (``moves``)
+    takes every variable it declares at a source partition out of that
+    store until the target returns it, declared read-only or not — so it
+    is a writer of everything it declares, exemptions ignored, against
+    either kind.  A command that leaves its variables in place keeps its
+    declared footprint against its like; against one that moves them its
+    exempt entries count as reads.
+    """
+    entries = app.variables_of(command)
+    if moves:
+        moving = _footprint(app, entries, reads=())
+        return moving, moving
+    reads = frozenset(app.read_variables_of(command))
+    exempt = frozenset(app.conflict_free_variables_of(command))
+    if not exempt:
+        declared = _footprint(app, entries, reads)
+        return declared, declared
+    return (
+        _footprint(app, (e for e in entries if e not in exempt), reads),
+        _footprint(app, entries, reads | exempt),
     )
 
 
@@ -230,10 +262,13 @@ class AppStateMachine:
         Entries may be concrete variable ids or :class:`NodeWildcard`
         markers, and must be a subset of ``variables_of(command)``.
         Two commands whose footprints only overlap on read entries
-        commute, which the parallel intra-partition scheduler exploits
-        (P-SMR-style).  The safe default is the empty set — everything
-        is treated as a write, so applications that do not declare read
-        sets keep strictly serial conflict semantics.
+        commute while both leave the variable in place, which the
+        intra-partition scheduler exploits (P-SMR-style); a
+        multi-partition command moves what it names and is scheduled as
+        a writer of all of it (:func:`scheduling_footprints`).  The safe
+        default is the empty set — everything is treated as a write, so
+        applications that do not declare read sets keep strictly serial
+        conflict semantics.
         """
         return frozenset()
 
@@ -257,8 +292,11 @@ class AppStateMachine:
         New-Order reads the warehouse row only for its immutable tax
         rate, while Payment's writes to the same row touch only the ytd
         counter New-Order never looks at.  Routing and borrowing still
-        use the full ``variables_of``.  Default: none (every declared
-        variable participates in conflict detection)."""
+        use the full ``variables_of``, and the exemption holds between
+        single-partition commands only: against a multi-partition
+        command, which may lend the variable away, exempt entries count
+        as reads.  Default: none (every declared variable participates
+        in conflict detection)."""
         return frozenset()
 
     def graph_node_of(self, var: Hashable) -> Hashable:

@@ -4,9 +4,17 @@ import random
 
 import pytest
 
-from repro.baselines import DSSMRSystem, SSMRSystem, optimized_placement
+from repro.baselines import (
+    DSSMRServer,
+    DSSMRSystem,
+    SSMRServer,
+    SSMRSystem,
+    optimized_placement,
+)
 from repro.core import SystemConfig
 from repro.core.client import CallbackWorkload, ScriptedWorkload
+from repro.core.messages import GlobalCommand
+from repro.multicast.messages import MulticastMessage
 from repro.partitioning import WorkloadGraph
 from repro.sim import ConstantLatency
 from repro.smr import Command, KeyValueApp
@@ -43,6 +51,35 @@ def split_keys(system):
     ka = keys[0]
     kb = next(k for k in keys if loc[k] != loc[ka])
     return ka, kb
+
+
+class TestOneConstructionPath:
+    @pytest.mark.parametrize(
+        "system_class, server_class",
+        [(SSMRSystem, SSMRServer), (DSSMRSystem, DSSMRServer)],
+    )
+    def test_baseline_servers_get_every_setting(self, system_class, server_class):
+        """The baselines build their servers through the system's one
+        factory: nothing a ``SystemConfig`` sets is dropped on the way."""
+        system = system_class(
+            kv_app(4),
+            SystemConfig(
+                n_partitions=2,
+                retransmit_period=0,
+                admission_bound=8,
+                admission_headroom=3,
+                service_time=0.002,
+                execution_lanes=2,
+            ),
+        )
+        for partition in system.partition_names:
+            for server in system.servers(partition):
+                assert type(server) is server_class
+                assert server.retransmit_period == 0
+                assert server.admission.bound == 8
+                assert server.admission.headroom == 3
+                assert server.service_time == 0.002 and server.lanes == 2
+                assert not server.sends_hints
 
 
 class TestSSMR:
@@ -230,3 +267,48 @@ class TestDSSMR:
         merged = system.all_store_variables()
         assert set(merged) == {f"k{i}" for i in range(12)}
         assert sum(merged.values()) == sum(range(12))
+
+    def test_replica_recovers_mid_gather_from_peer_checkpoint(self):
+        """A target replica crashes while the gather is open, comes back
+        on its peer's checkpoint — taken mid-gather — and finishes the
+        command as a :class:`DSSMRServer`: same store, same ownership as
+        the replica that never crashed.  Payloads are a-delivered by hand
+        so the gather is provably open at the crash."""
+        system = DSSMRSystem(
+            KeyValueApp({"x": 7, "y": 1, "z": 2}),
+            SystemConfig(
+                n_partitions=2,
+                seed=1,
+                latency=ConstantLatency(0.001),
+                placement={"x": 0, "y": 1, "z": 1},
+            ),
+        )
+        system.run(until=1.0)
+        assert all(type(s) is DSSMRServer for s in system.servers("p1"))
+        move = GlobalCommand(
+            Command("sum:0", "sum", ("x", "y", "z")), "nobody", 0, "p1",
+            (("x", "p0"), ("y", "p1"), ("z", "p1")),
+        )
+        message = MulticastMessage("m:sum", ("p0", "p1"), move)
+        survivor, victim = system.servers("p1")
+        for server in (survivor, victim):
+            server.adeliver(message)
+            assert list(server.queue) == [move]  # gathering
+        victim.crash()
+        checkpoint = survivor.capture_app_state()
+
+        for server in system.servers("p0"):
+            server.adeliver(message)
+        system.run(until=2.0)
+        assert not survivor.queue and survivor.store.get("x") == 7
+
+        victim.recover()
+        victim.install_app_state(checkpoint)
+        assert list(victim.queue) == [move]
+        system.run(until=4.0)  # p0 retransmits the transfer the crash dropped
+        assert not victim.queue
+        assert dict(victim.store.items()) == dict(survivor.store.items())
+        assert victim.owned_nodes == survivor.owned_nodes == {"x", "y", "z"}
+        assert victim.executed_count == survivor.executed_count == 1
+        for server in system.servers("p0"):
+            assert not server.owned_nodes and not len(server.store)

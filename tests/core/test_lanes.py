@@ -1,36 +1,55 @@
-"""The dependency-aware parallel executor (``execution_lanes > 1``).
+"""The partition scheduler across lane counts (``execution_lanes``).
 
-Three guarantees under test:
+Guarantees under test:
 
-1. ``execution_lanes=1`` is *byte-identical* to the pre-lanes executor —
-   same events, messages, stores, results for the same seed;
-2. with lanes enabled, an independent command bypasses a head-of-line
-   command stalled on in-transit borrowed variables, while conflicting
-   commands retain log order (histories stay linearizable, replicas
-   agree);
-3. ownership-changing payloads (repartition plans et al.) act as
+1. ``execution_lanes=1`` is the default — same events, messages, stores,
+   results for the same seed;
+2. with more lanes, an independent command passes a command stalled on
+   in-transit borrowed variables, while conflicting commands retain log
+   order (histories stay linearizable, replicas agree);
+3. a multi-partition command *moves* the variables it declares, so it is
+   a writer of all of them: nothing that touches a lent variable —
+   declared read-only or exempted from conflicts — runs until it is home;
+4. ownership-changing payloads (repartition plans et al.) act as
    barriers, so relocation under lanes stays deterministic and correct.
 """
 
 import pytest
 
-from repro.core import SystemConfig
+from repro.consensus.paxos import ReplicaConfig
+from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import ScriptedWorkload
-from repro.smr import Command, History, check_linearizable
+from repro.core.messages import ExecCommand, GlobalCommand
+from repro.experiments.harness import (
+    verify_consistency,
+    warehouse_aligned_placement,
+)
+from repro.multicast.messages import MulticastMessage
+from repro.sim import Actor, ConstantLatency, LogNormalLatency
+from repro.smr import Command, History, KeyValueApp, check_linearizable
+from repro.smr.command import Reply, ReplyStatus
+from repro.workloads.tpcc import TPCCApp, TPCCConfig, TPCCWorkload
 
 from tests.core.conftest import assert_replicas_agree, build_system, kv_app
 
 
 def mixed_scripts(n_clients=3, n_cmds=10, n_keys=8):
+    """Writes, reads, transfers and — the one kind that lends a variable
+    it declares read-only — ``sum``s over two keys, which random placement
+    puts on different partitions about half the time."""
     scripts = []
     for c in range(n_clients):
         cmds = []
         for i in range(n_cmds):
             k = (c * 3 + i) % n_keys
-            if i % 3 == 0:
+            if i % 4 == 0:
                 cmds.append(Command(f"c{c}:{i}", "write", (f"k{k}", c * 100 + i)))
-            elif i % 3 == 1:
+            elif i % 4 == 1:
                 cmds.append(Command(f"c{c}:{i}", "read", (f"k{k}",)))
+            elif i % 4 == 3:
+                cmds.append(
+                    Command(f"c{c}:{i}", "sum", (f"k{k}", f"k{(k + 3) % n_keys}"))
+                )
             else:
                 cmds.append(
                     Command(
@@ -60,8 +79,6 @@ def fingerprint(system, scripts, until=60.0):
 
 class TestConfig:
     def test_zero_lanes_rejected(self):
-        from repro.core import DynaStarSystem
-
         with pytest.raises(ValueError):
             DynaStarSystem(
                 kv_app(), SystemConfig(n_partitions=2, execution_lanes=0)
@@ -70,8 +87,8 @@ class TestConfig:
 
 class TestSerialEquivalence:
     def test_lanes1_is_byte_identical_to_default(self):
-        """``execution_lanes=1`` must take the legacy code path exactly:
-        the knob's mere presence cannot perturb a serial run."""
+        """``execution_lanes=1`` is the default: naming it cannot perturb
+        a run."""
         scripts = mixed_scripts()
         base = fingerprint(
             build_system(n_keys=8, n_partitions=2, seed=9, service_time=0.001),
@@ -108,16 +125,27 @@ class TestSerialEquivalence:
 
 
 class TestParallelExecution:
-    def test_lanes_linearizable_with_service_time(self):
+    @pytest.mark.parametrize("execution_lanes", [1, 2, 4])
+    def test_lanes_linearizable_with_service_time(self, execution_lanes):
+        """The whole-system form of "a conflict-respecting schedule is
+        equivalent to the serial one": at every lane count the history is
+        linearizable, replicas agree and every command is answered."""
         system = build_system(
             n_keys=8,
             n_partitions=2,
             seed=7,
             service_time=0.002,
-            execution_lanes=4,
+            execution_lanes=execution_lanes,
         )
         history = History()
         scripts = mixed_scripts()
+        home = system.initial_assignment
+        assert any(
+            home[cmd.args[0]] != home[cmd.args[1]]
+            for cmds in scripts
+            for cmd in cmds
+            if cmd.op == "sum"
+        ), "no two-partition sum in the script"
         clients = [
             system.add_client(ScriptedWorkload(cmds), history=history)
             for cmds in scripts
@@ -188,6 +216,126 @@ class TestParallelExecution:
         assert all(c.completed == 8 for c in clients)
         assert check_linearizable(history, system.app)
         assert_replicas_agree(system)
+
+
+class ExemptingKeyValueApp(KeyValueApp):
+    """Declares ``x`` conflict-free for reads, the way TPC-C's New-Order
+    exempts the warehouse row it reads only for its tax rate."""
+
+    def conflict_free_variables_of(self, command):
+        if command.op == "read":
+            return self.variables_of(command)
+        return frozenset()
+
+
+class ReplyProbe(Actor):
+    """Stands in for the client: collects the servers' replies."""
+
+    def __init__(self):
+        super().__init__("probe")
+        self.replies = []
+
+    def on_message(self, sender, message):
+        if isinstance(message, Reply):
+            self.replies.append(message)
+
+
+class TestMovesAreWrites:
+    """p0 lends ``x`` as a source of the two-partition ``sum(x, y, z)``
+    (target p1, which holds two of the three); a single-partition
+    ``read x`` is delivered behind it.  Payloads are a-delivered by hand —
+    p1 gets the sum only later — so ``x`` is provably away while the read
+    sits in p0's queue."""
+
+    @pytest.mark.parametrize("app_class", [KeyValueApp, ExemptingKeyValueApp])
+    def test_read_waits_until_lent_variable_is_home(self, app_class):
+        system = DynaStarSystem(
+            app_class({"x": 7, "y": 1, "z": 2}),
+            SystemConfig(
+                n_partitions=2,
+                seed=1,
+                latency=ConstantLatency(0.001),
+                placement={"x": 0, "y": 1, "z": 1},
+                repartition_enabled=False,
+                execution_lanes=4,
+            ),
+        )
+        probe = system.net.register(ReplyProbe())
+        system.run(until=1.0)  # leaders elected, nothing in flight
+
+        total = GlobalCommand(
+            Command("sum:0", "sum", ("x", "y", "z")), "probe", 0, "p1",
+            (("x", "p0"), ("y", "p1"), ("z", "p1")),
+        )
+        read = ExecCommand(Command("read:0", "read", ("x",)), "probe", 0)
+        for server in system.servers("p0"):
+            server.adeliver(MulticastMessage("m:sum", ("p0", "p1"), total))
+            server.adeliver(MulticastMessage("m:read", ("p0",), read))
+        system.run(until=2.0)
+        for server in system.servers("p0"):
+            assert "x" not in server.store  # lent, and p1 has not run yet
+            assert list(server.queue) == [total, read]
+        assert probe.replies == []
+
+        for server in system.servers("p1"):
+            server.adeliver(MulticastMessage("m:sum", ("p0", "p1"), total))
+        system.run(until=3.0)
+        answers = {(r.uid, r.status, r.result) for r in probe.replies}
+        assert answers == {
+            ("sum:0", ReplyStatus.OK, 10),
+            ("read:0", ReplyStatus.OK, 7),
+        }
+        for server in system.servers("p0"):
+            assert server.store.get("x") == 7 and not server.queue
+        assert verify_consistency(system) == []
+
+
+class TestMultiPartitionTPCC:
+    """The deployment that diverged: TPC-C, two warehouse-aligned
+    partitions, 4 ms service time, 4 lanes, 3 closed-loop clients — few
+    enough that commands wait in line behind lent-out warehouse rows.
+    (system seed, workload seed) pairs are those of ``benchmarks/e2e``
+    ``tpcc_lanes`` at ``--seed`` 1 (clients hung, a variable lost) and
+    4 (replica stores differ)."""
+
+    @pytest.mark.parametrize(
+        "system_seed, workload_seed",
+        [(1442518696, 582025290), (1074157177, 1605946630)],
+    )
+    def test_three_clients_drain_consistent(self, system_seed, workload_seed):
+        tpcc = TPCCConfig(
+            n_warehouses=2,
+            districts_per_warehouse=10,
+            customers_per_district=30,
+            n_items=200,
+            initial_stock=1000,
+            remote_order_line_prob=0.01,
+            remote_payment_prob=0.15,
+            invalid_item_prob=0.01,
+        )
+        system = DynaStarSystem(
+            TPCCApp(tpcc),
+            SystemConfig(
+                n_partitions=2,
+                seed=system_seed,
+                placement=warehouse_aligned_placement(tpcc),
+                repartition_threshold=4000,
+                service_time=0.004,
+                execution_lanes=4,
+                latency=LogNormalLatency(median=0.00035, sigma=0.35, floor=0.00008),
+                replica=ReplicaConfig(
+                    heartbeat_period=0.1, leader_timeout=0.5,
+                    batch_delay=0.0005, max_batch=64, window=32,
+                ),
+            ),
+        )
+        workload = TPCCWorkload(tpcc, seed=workload_seed)
+        for _ in range(3):
+            system.add_client(workload, stop_at=2.5)
+        system.run(until=4.5)
+        assert verify_consistency(system) == []
+        assert all(client.done for client in system.clients)
+        assert system.total_completed() > 3000
 
 
 class TestRelocationBarrier:

@@ -161,11 +161,8 @@ class TestCompartmentChaosSlow:
         # check (exponential), so this asserts the cheap invariants:
         # progress, no stuck clients, replica agreement, and learner
         # mirrors converged to the replica state.
-        from repro.experiments.compartment import (
-            CompartmentScenario,
-            run_scenario,
-            verify_consistency,
-        )
+        from repro.experiments.compartment import CompartmentScenario, run_scenario
+        from repro.experiments.harness import verify_consistency
 
         summary, system = run_scenario(
             CompartmentScenario(duration=4.0, chaos=True)

@@ -199,11 +199,8 @@ class TestElasticChaosSlow:
         # firing.  Open-loop history is too long to linearizability-check
         # (exponential), so this asserts the cheap invariants: progress,
         # replica agreement, conservation, retired-store emptiness.
-        from repro.experiments.elastic import (
-            ElasticScenario,
-            run_scenario,
-            verify_consistency,
-        )
+        from repro.experiments.elastic import ElasticScenario, run_scenario
+        from repro.experiments.harness import verify_consistency
 
         summary, system = run_scenario(
             ElasticScenario(duration=8.0, shift_at=4.0, chaos=True)

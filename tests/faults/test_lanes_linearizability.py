@@ -9,29 +9,12 @@ from repro.faults import ChaosConfig, ChaosInjector, generate_for_system
 from repro.smr import Command, History, check_linearizable
 
 from tests.core.conftest import assert_replicas_agree
+from tests.core.test_lanes import mixed_scripts as core_mixed_scripts
 from tests.faults.conftest import assert_no_stuck_clients, build_chaos_system
 
 
-def mixed_scripts(n_clients=3, n_cmds=8, n_keys=8):
-    scripts = []
-    for c in range(n_clients):
-        cmds = []
-        for i in range(n_cmds):
-            k = (c * 3 + i) % n_keys
-            if i % 3 == 0:
-                cmds.append(Command(f"c{c}:{i}", "write", (f"k{k}", c * 100 + i)))
-            elif i % 3 == 1:
-                cmds.append(Command(f"c{c}:{i}", "read", (f"k{k}",)))
-            else:
-                cmds.append(
-                    Command(
-                        f"c{c}:{i}",
-                        "transfer",
-                        (f"k{k}", f"k{(k + 1) % n_keys}", 1),
-                    )
-                )
-        scripts.append(cmds)
-    return scripts
+def mixed_scripts():
+    return core_mixed_scripts(n_cmds=8)
 
 
 def build_lanes_chaos_system(**kwargs):

@@ -71,3 +71,15 @@ def test_no_pycache_only_package_dirs():
         if not entries:
             stale.append(str(path.relative_to(REPO_ROOT)))
     assert not stale, f"stale __pycache__-only package dirs: {stale}"
+
+
+def test_partition_server_has_one_pump_and_no_baseline_fork():
+    """``core/server.py`` runs one scheduler with one per-command state
+    table and one service clock, and knows no baseline: the names of the
+    forks it used to carry must not come back."""
+    source = (SRC_REPRO / "core" / "server.py").read_text()
+    banned = (
+        "_pump_serial", "_pump_lanes", "_head_state", "_next_free",
+        "_dssmr_", "self.mode",
+    )
+    assert [name for name in banned if name in source] == []
