@@ -6,8 +6,10 @@ starts DynaStar with a *random* placement, drives a mixed 85/15
 timeline/post workload, and shows the multi-partition command rate
 collapsing once the oracle repartitions the workload graph.
 
-Run:  python examples/social_network.py
+Run:  python examples/social_network.py [--duration SECONDS]
 """
+
+import argparse
 
 from repro.core import DynaStarSystem, SystemConfig
 from repro.sim import ConstantLatency
@@ -24,6 +26,11 @@ def rate_in(series, t0, t1):
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--duration", type=float, default=60.0, help="virtual seconds to run"
+    )
+    duration = parser.parse_args().duration
     graph = generate_social_graph(n_users=800, avg_follows=10, seed=7)
     ranked = graph.users_by_popularity()
     print(
@@ -46,8 +53,8 @@ def main() -> None:
 
     workload = ChirperWorkload(graph, mix="mix", seed=11)
     for _ in range(12):
-        system.add_client(workload, stop_at=60.0)
-    system.run(until=60.0)
+        system.add_client(workload, stop_at=duration)
+    system.run(until=duration)
 
     completed = system.monitor.series("completed").buckets()
     multi = system.monitor.counters().get("multi_partition_commands", 0)
@@ -61,7 +68,7 @@ def main() -> None:
 
     if plans:
         before = rate_in(completed, 0, plans[0])
-        after = rate_in(completed, plans[0] + 5, 60.0)
+        after = rate_in(completed, plans[0] + 5, duration)
         print(f"throughput before first plan: {before:7.1f} cmds/s")
         print(f"throughput after  first plan: {after:7.1f} cmds/s")
 

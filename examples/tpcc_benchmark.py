@@ -10,8 +10,10 @@ systems and compares throughput and cross-partition traffic:
 * S-SMR (random)  — static random placement: what static partitioning
                     costs you when you guess wrong.
 
-Run:  python examples/tpcc_benchmark.py
+Run:  python examples/tpcc_benchmark.py [--duration SECONDS]
 """
+
+import argparse
 
 from repro.baselines import SSMRSystem
 from repro.core import DynaStarSystem, SystemConfig
@@ -23,7 +25,7 @@ DURATION = 60.0
 CLIENTS = 24
 
 
-def run(mode: str, placement):
+def run(mode: str, placement, duration: float):
     tpcc = TPCCConfig(n_warehouses=4, customers_per_district=10, n_items=60)
     app = TPCCApp(tpcc)
     config = SystemConfig(
@@ -42,14 +44,14 @@ def run(mode: str, placement):
         system = DynaStarSystem(app, config)
     workload = TPCCWorkload(tpcc, seed=9)
     for _ in range(CLIENTS):
-        system.add_client(workload, stop_at=DURATION)
-    system.run(until=DURATION)
+        system.add_client(workload, stop_at=duration)
+    system.run(until=duration)
 
     counters = system.monitor.counters()
     completed = counters.get("commands_completed", 0)
     # steady state: second half of the run
     series = system.monitor.series("completed").buckets()
-    steady = [v for t, v in series if t >= DURATION / 2]
+    steady = [v for t, v in series if t >= duration / 2]
     return {
         "tput": sum(steady) / max(1, len(steady)),
         "completed": completed,
@@ -60,11 +62,19 @@ def run(mode: str, placement):
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--duration", type=float, default=DURATION,
+        help="virtual seconds per system",
+    )
+    duration = parser.parse_args().duration
+    aligned = warehouse_aligned_placement(
+        TPCCConfig(n_warehouses=4, customers_per_district=10, n_items=60)
+    )
     rows = [
-        ("DynaStar (random start)", run("dynastar", "random")),
-        ("S-SMR* (aligned)", run("ssmr_star", warehouse_aligned_placement(
-            TPCCConfig(n_warehouses=4, customers_per_district=10, n_items=60)))),
-        ("S-SMR (random)", run("ssmr_random", "random")),
+        ("DynaStar (random start)", run("dynastar", "random", duration)),
+        ("S-SMR* (aligned)", run("ssmr_star", aligned, duration)),
+        ("S-SMR (random)", run("ssmr_random", "random", duration)),
     ]
     print(f"{'system':<26} {'steady tput':>12} {'completed':>10} "
           f"{'multi-part':>10} {'objects':>9} {'aborts':>7}")

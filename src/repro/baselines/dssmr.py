@@ -53,7 +53,7 @@ class DSSMRServer(PartitionServer):
                 self.partition,
                 tuple(pairs),
                 payload.attempt,
-                self._exec_entries_for(claimed),
+                self.clients.export_nodes(claimed),
             ),
             uid=f"vt:{payload.command.uid}:{payload.attempt}:{self.partition}",
         )
@@ -67,10 +67,8 @@ class DSSMRServer(PartitionServer):
         finished, received = self._gather(payload, permanent=True)
         if received is None:
             return finished
-        for pairs in received.values():
-            for var, value in pairs:
-                self.store.insert_copy(var, value)
-                self._index_var(var)
+        for transfer in received.values():
+            self._install_node_vars(transfer.vars, transfer.table)
         for node, _ in payload.locations:
             self.owned_nodes.add(node)
             self.last_plan[node] = self.partition

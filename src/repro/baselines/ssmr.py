@@ -105,8 +105,8 @@ class SSMRServer(PartitionServer):
         overlay = VariableStore()
         for var in self._borrowable_vars(command, claimed):
             overlay.insert_copy(var, self.store.get(var))
-        for pairs in received.values():
-            for var, value in pairs:
+        for transfer in received.values():
+            for var, value in transfer.vars:
                 overlay.insert_copy(var, value)
         overlay.begin_tracking()
         try:

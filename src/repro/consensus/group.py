@@ -62,6 +62,10 @@ class PaxosGroup:
         ]
 
         factory = replica_factory or PaxosReplica
+        #: What each replica delivered, in order — recorded for bare
+        #: groups only: a ``replica_factory`` builds replicas that consume
+        #: their deliveries themselves, and a record would grow with the run.
+        self._delivered: list[list] = []
         self.replicas = []
         for i, rep_name in enumerate(self.replica_names):
             replica = factory(
@@ -71,7 +75,9 @@ class PaxosGroup:
                 replicas=self.replica_names,
                 acceptors=self.acceptor_names,
                 config=self.config.replica,
-                on_deliver=on_deliver,
+                on_deliver=(
+                    on_deliver if replica_factory else self._recorder(on_deliver)
+                ),
                 rng=random.Random(rng.getrandbits(64)),
             )
             network.register(replica)
@@ -130,28 +136,23 @@ class PaxosGroup:
                 return replica
         return None
 
+    def _recorder(self, on_deliver):
+        """A delivery callback that appends to a fresh per-replica record
+        before handing the value to ``on_deliver``."""
+        log: list = []
+        self._delivered.append(log)
+        if on_deliver is None:
+            return log.append
+
+        def record(value):
+            log.append(value)
+            on_deliver(value)
+
+        return record
+
     def delivered_log(self, replica_index: int = 0) -> list:
-        """Ordered values a replica has delivered so far (test helper).
-
-        Starts at the replica's ``log_floor``: instances below it were
-        delivered but compacted away with the last checkpoint.
-        """
-        replica = self.replicas[replica_index]
-        out = []
-        from repro.consensus.paxos import Batch
-        from repro.consensus.messages import NoOp
-
-        seen = set()
-        for instance in range(replica.log_floor, replica.next_deliver):
-            batch = replica.decided[instance]
-            values = batch.values if isinstance(batch, Batch) else (batch,)
-            for value in values:
-                if isinstance(value, NoOp):
-                    continue
-                uid = getattr(value, "uid", None)
-                if uid is not None:
-                    if uid in seen:
-                        continue
-                    seen.add(uid)
-                out.append(value)
-        return out
+        """Ordered values a replica has delivered so far (test helper for
+        bare groups).  It records deliveries, not the log: ``decided`` is
+        truncated at the group-stable prefix, and a prefix adopted from a
+        snapshot was never delivered here."""
+        return list(self._delivered[replica_index])

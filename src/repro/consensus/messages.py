@@ -38,11 +38,13 @@ class Promise:
     """Phase 1b: acceptor's promise plus previously accepted values.
 
     ``accepted`` maps instance -> (vballot, value) for every instance >= low
-    the acceptor has accepted a value in.
+    the acceptor still holds a value in; everything below
+    ``truncated_below`` was chosen and discarded.
     """
 
     ballot: int
     accepted: dict
+    truncated_below: int = 0
 
     def __hash__(self):  # pragma: no cover - only identity needed
         return id(self)
@@ -50,11 +52,15 @@ class Promise:
 
 @dataclass(frozen=True, slots=True)
 class Accept:
-    """Phase 2a: leader asks acceptors to accept ``value`` in ``instance``."""
+    """Phase 2a: leader asks acceptors to accept ``value`` in ``instance``.
+
+    ``floor`` is the leader's group-stable watermark: every replica has
+    delivered the instances below it, so the acceptor discards them."""
 
     ballot: int
     instance: int
     value: Any
+    floor: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,10 +81,24 @@ class Decision:
 
 @dataclass(frozen=True, slots=True)
 class Heartbeat:
-    """Leader liveness beacon carrying the highest decided instance."""
+    """Leader liveness beacon carrying the highest decided instance, the
+    leader's delivery frontier (see :class:`Frontier`) and its
+    group-stable ``floor`` — for the acceptors, which get the beacon only
+    when no :class:`Accept` has told them that floor yet."""
 
     ballot: int
     max_decided: int
+    frontier: int = 0
+    floor: int = 0
+
+
+@dataclass(frozen=True, slots=True)
+class Frontier:
+    """Follower -> group peers, once per heartbeat period: "I have
+    delivered every instance below ``next_deliver``".  The minimum over
+    the group's reports is the stable prefix nobody will ask for again."""
+
+    next_deliver: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,26 +148,7 @@ class RecoverInfo:
         return id(self)
 
 
-# -- checkpointing / log compaction / snapshot transfer ---------------------
-
-
-@dataclass(frozen=True, slots=True)
-class WatermarkNotice:
-    """Replica -> group peers: "I hold a checkpoint at ``watermark``".
-
-    The group truncation point is the minimum over the *fresh* watermarks
-    (peers silent longer than the TTL are presumed crashed and excluded,
-    or one dead replica would pin the whole group's memory forever).
-    """
-
-    watermark: int
-
-
-@dataclass(frozen=True, slots=True)
-class TruncateLog:
-    """Replica -> acceptor: discard accepted state below ``watermark``."""
-
-    watermark: int
+# -- snapshot transfer ------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)

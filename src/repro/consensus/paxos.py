@@ -31,6 +31,7 @@ from repro.consensus.messages import (
     Accept,
     Accepted,
     Decision,
+    Frontier,
     Heartbeat,
     LearnRequest,
     LogTruncated,
@@ -45,8 +46,6 @@ from repro.consensus.messages import (
     SnapshotMeta,
     SnapshotRequest,
     Submit,
-    TruncateLog,
-    WatermarkNotice,
 )
 
 
@@ -72,11 +71,13 @@ class ReplicaConfig:
     recovery_retry: float = 0.3
     #: Upper bound on the exponentially backed-off recovery retry delay.
     recovery_retry_cap: float = 5.0
-    #: Checkpoint every N delivered instances (0 disables checkpointing,
-    #: log compaction, and snapshot transfer entirely).
+    #: Checkpoint every N delivered instances (0 disables checkpoints and
+    #: with them snapshot transfer; the logs are bounded either way — see
+    #: :meth:`PaxosReplica._stable_floor`).
     checkpoint_interval: int = 0
-    #: A peer watermark older than this is presumed crashed and excluded
-    #: from the group truncation minimum.
+    #: A peer whose last frontier report is older than this stops holding
+    #: the log above this replica's newest checkpoint (it comes back
+    #: through a snapshot).  Without checkpoints it holds the log forever.
     watermark_ttl: float = 2.0
     #: Snapshot transfer: per-request retransmission timeout, consecutive
     #: timeouts before the provider is presumed dead, and chunk sizing.
@@ -118,7 +119,8 @@ class Acceptor(Actor):
         super().__init__(name)
         self.promised = 0
         self.accepted: dict[int, tuple[int, Any]] = {}
-        #: Log-compaction floor: accepted state below it was discarded.
+        #: Group-stable floor last seen on an Accept: every replica has
+        #: delivered the instances below it, their state was discarded.
         self.truncated_below = 0
 
     def on_message(self, sender: str, message: Any) -> None:
@@ -128,24 +130,35 @@ class Acceptor(Actor):
             self._on_accept(sender, message)
         elif isinstance(message, RecoverQuery):
             self._on_recover_query(sender, message)
-        elif isinstance(message, TruncateLog):
-            self._on_truncate(message)
+        elif isinstance(message, Heartbeat) and message.floor > self.truncated_below:
+            self._forget_below(message.floor)
 
     def _on_prepare(self, sender: str, msg: Prepare) -> None:
         if msg.ballot >= self.promised:
             self.promised = msg.ballot
             accepted = {i: va for i, va in self.accepted.items() if i >= msg.low}
-            self.send(sender, Promise(msg.ballot, accepted))
+            self.send(sender, Promise(msg.ballot, accepted, self.truncated_below))
         else:
             self.send(sender, Nack(self.promised))
 
     def _on_accept(self, sender: str, msg: Accept) -> None:
+        if msg.instance < self.truncated_below:
+            return  # chosen and forgotten: only a leader behind the group asks
         if msg.ballot >= self.promised:
             self.promised = msg.ballot
             self.accepted[msg.instance] = (msg.ballot, msg.value)
             self.send(sender, Accepted(msg.ballot, msg.instance))
+            if msg.floor > self.truncated_below:
+                self._forget_below(msg.floor)
         else:
             self.send(sender, Nack(self.promised, msg.instance))
+
+    def _forget_below(self, floor: int) -> None:
+        """Every replica has delivered the instances below the leader's
+        ``floor``: their accepted state can never be asked for again."""
+        for instance in range(self.truncated_below, floor):
+            self.accepted.pop(instance, None)
+        self.truncated_below = floor
 
     def _on_recover_query(self, sender: str, msg: RecoverQuery) -> None:
         """Read-only reply for replica recovery: report accepted values
@@ -153,16 +166,6 @@ class Acceptor(Actor):
         the current leader)."""
         accepted = {i: va for i, va in self.accepted.items() if i >= msg.low}
         self.send(sender, RecoverInfo(msg.epoch, accepted, self.truncated_below))
-
-    def _on_truncate(self, msg: TruncateLog) -> None:
-        """Log compaction: the replicas checkpointed through ``watermark``,
-        so accepted state below it can never be needed again."""
-        if msg.watermark <= self.truncated_below:
-            return
-        self.truncated_below = msg.watermark
-        self.accepted = {
-            i: va for i, va in self.accepted.items() if i >= msg.watermark
-        }
 
 
 class PaxosReplica(Actor):
@@ -188,6 +191,7 @@ class PaxosReplica(Actor):
         self.group = group
         self.index = index
         self.replicas = list(replicas)
+        self.peers = [replica for replica in self.replicas if replica != name]
         self.acceptors = list(acceptors)
         self.config = config or ReplicaConfig()
         self.on_deliver = on_deliver
@@ -213,6 +217,9 @@ class PaxosReplica(Actor):
         # Learner state
         self.decided: dict[int, Any] = {}
         self.next_deliver = 0
+        #: Running count of the values in delivered instances (``decided``
+        #: is only the untruncated suffix, so it cannot be counted there).
+        self.values_delivered = 0
         self.delivered_uids: set = set()
         self._peer_max_decided = -1
         #: Frontier for which a gap repair was already requested.
@@ -228,9 +235,13 @@ class PaxosReplica(Actor):
         self._recovering = False
         self._recovery_attempts = 0
 
-        # Checkpointing / log compaction (stable across crashes).
+        # Log truncation / checkpointing (stable across crashes).
         #: First instance still present in ``decided``.
         self.log_floor = 0
+        #: peer replica -> (delivery frontier it last reported, when).
+        self._peer_frontiers: dict[str, tuple[int, float]] = {}
+        #: Highest floor this replica has sent the acceptors.
+        self._floor_told = 0
         #: Watermark of the newest local checkpoint (0 = none yet).
         self.checkpoint_watermark = 0
         self.last_checkpoint: Optional[CheckpointRecord] = None
@@ -238,8 +249,6 @@ class PaxosReplica(Actor):
         #: checkpoints stay servable so a transfer survives one turnover.
         self._served_snapshots: dict[str, tuple[int, list]] = {}
         self._checkpoint_id = ""
-        #: peer replica -> (watermark, virtual time last heard).
-        self._peer_watermarks: dict[str, tuple[int, float]] = {}
 
         # Snapshot download (volatile; reset by on_recover).
         self._snapshot_epoch = 0
@@ -258,6 +267,9 @@ class PaxosReplica(Actor):
             return
         self._started = True
         self._last_leader_contact = self.now
+        for peer in self.peers:
+            # A peer not heard from yet holds the floor at 0, as of now.
+            self._peer_frontiers.setdefault(peer, (0, self.now))
         self.set_periodic_timer(self.config.heartbeat_period, self._heartbeat_tick)
         jitter = self.rng.uniform(0, 0.1 * self.config.leader_timeout)
         self.set_periodic_timer(
@@ -333,8 +345,8 @@ class PaxosReplica(Actor):
             self._on_learn_request(sender, message)
         elif isinstance(message, RecoverInfo):
             self._on_recover_info(sender, message)
-        elif isinstance(message, WatermarkNotice):
-            self._on_watermark_notice(sender, message)
+        elif isinstance(message, Frontier):
+            self._on_frontier(sender, message.next_deliver)
         elif isinstance(message, LogTruncated):
             self._on_log_truncated(sender, message)
         elif isinstance(message, SnapshotRequest):
@@ -403,7 +415,12 @@ class PaxosReplica(Actor):
         self.proposals[instance] = (self.ballot, value)
         self._proposal_time[instance] = self.now
         self._accept_votes[instance] = set()
-        self.send_all(self.acceptors, Accept(self.ballot, instance, value))
+        self._send_accept(self.ballot, instance, value)
+
+    def _send_accept(self, ballot: int, instance: int, value: Any) -> None:
+        """Every Accept tells the acceptors the current floor."""
+        self._floor_told = self.log_floor
+        self.send_all(self.acceptors, Accept(ballot, instance, value, self.log_floor))
 
     def _on_accepted(self, sender: str, msg: Accepted) -> None:
         if msg.ballot != self.ballot:
@@ -418,9 +435,7 @@ class PaxosReplica(Actor):
             del self.proposals[msg.instance]
             self._proposal_time.pop(msg.instance, None)
             del self._accept_votes[msg.instance]
-            for replica in self.replicas:
-                if replica != self.name:
-                    self.send(replica, Decision(msg.instance, value))
+            self.send_all(self.peers, Decision(msg.instance, value))
             self._on_decision(msg.instance, value)
             self._flush_pending()
 
@@ -432,10 +447,14 @@ class PaxosReplica(Actor):
             # re-proposal from a behind leader must not resurrect it.
             return
         self.decided[instance] = value
+        self._deliver_ready()
+
+    def _deliver_ready(self) -> None:
         while self.next_deliver in self.decided:
             batch = self.decided[self.next_deliver]
             self.next_deliver += 1
             values = batch.values if isinstance(batch, Batch) else (batch,)
+            self.values_delivered += len(values)
             for v in values:
                 self._deliver_once(v)
             self._maybe_checkpoint()
@@ -470,19 +489,31 @@ class PaxosReplica(Actor):
     # -- heartbeats & failure detection ----------------------------------------------
 
     def _heartbeat_tick(self) -> None:
+        """Every replica drops the group-stable prefix and reports its
+        delivery frontier to its peers, the leader inside its heartbeat.
+        The acceptors learn the floor from the Accepts; an idle leader,
+        with no Accept to carry a floor that moved, sends them the
+        heartbeat too."""
+        self._truncate_stable_prefix()
         if not self.is_leader:
+            self.send_all(self.peers, Frontier(self.next_deliver))
             return
-        for replica in self.replicas:
-            if replica != self.name:
-                self.send(replica, Heartbeat(self.ballot, self.max_decided))
+        beat = Heartbeat(
+            self.ballot, self.max_decided, self.next_deliver, self.log_floor
+        )
+        if self.log_floor > self._floor_told:
+            self._floor_told = self.log_floor
+            self.send_all(self.acceptors, beat)
+        self.send_all(self.peers, beat)
         # Retransmit stalled proposals (Accepts lost to partitions/drops).
         stale_cutoff = self.now - self.config.leader_timeout / 2
         for instance, (ballot, value) in self.proposals.items():
             if self._proposal_time.get(instance, self.now) <= stale_cutoff:
                 self._proposal_time[instance] = self.now
-                self.send_all(self.acceptors, Accept(ballot, instance, value))
+                self._send_accept(ballot, instance, value)
 
     def _on_heartbeat(self, sender: str, msg: Heartbeat) -> None:
+        self._on_frontier(sender, msg.frontier)
         if msg.ballot >= self.ballot:
             if msg.ballot > self.ballot:
                 self._adopt_ballot(msg.ballot)
@@ -569,8 +600,12 @@ class PaxosReplica(Actor):
                 current = merged.get(instance)
                 if current is None or vballot > current[0]:
                     merged[instance] = (vballot, value)
-        top = max(max(merged, default=-1), self.max_decided)
-        for instance in range(self.next_deliver, top + 1):
+        # Below an acceptor's floor everything is chosen and forgotten: a
+        # leader that far behind must not fill the gap with no-ops, it
+        # learns those instances from its peers (or their snapshot).
+        floor = max(p.truncated_below for p in self._promises.values())
+        top = max(max(merged, default=-1), self.max_decided, floor - 1)
+        for instance in range(max(self.next_deliver, floor), top + 1):
             if instance in self.decided:
                 continue
             if instance in merged:
@@ -646,18 +681,8 @@ class PaxosReplica(Actor):
             and behind >= self.next_deliver
             and self.next_deliver not in self.decided
         ):
-            for replica in self.replicas:
-                if replica != self.name:
-                    self.send(replica, LearnRequest(self.next_deliver, behind))
+            self.send_all(self.peers, LearnRequest(self.next_deliver, behind))
         self._forward_pending()
-        # Re-gossip the checkpoint watermark (covers lost notices and
-        # peers that recovered since) and re-evaluate truncation.
-        if self.checkpoint_watermark > 0:
-            notice = WatermarkNotice(self.checkpoint_watermark)
-            for replica in self.replicas:
-                if replica != self.name:
-                    self.send(replica, notice)
-            self._maybe_truncate()
 
     def _forward_pending(self) -> None:
         """Follower liveness: re-route buffered submissions to the current
@@ -744,12 +769,6 @@ class PaxosReplica(Actor):
             watermark=watermark, items=record.total_items,
         )
         self._count("checkpoint", group=self.group)
-        self._peer_watermarks[self.name] = (watermark, self.now)
-        notice = WatermarkNotice(watermark)
-        for replica in self.replicas:
-            if replica != self.name:
-                self.send(replica, notice)
-        self._maybe_truncate()
 
     def _register_checkpoint(self, record: CheckpointRecord) -> None:
         """Make ``record`` the newest servable snapshot (keeping one
@@ -767,38 +786,35 @@ class PaxosReplica(Actor):
             )
             del self._served_snapshots[oldest]
 
-    # -- log compaction --------------------------------------------------------------
+    # -- log truncation ---------------------------------------------------------------
 
-    def _on_watermark_notice(self, sender: str, msg: WatermarkNotice) -> None:
-        self._peer_watermarks[sender] = (msg.watermark, self.now)
-        self._maybe_truncate()
+    def _on_frontier(self, peer: str, frontier: int) -> None:
+        known = self._peer_frontiers.get(peer, (0, 0.0))[0]
+        self._peer_frontiers[peer] = (max(known, frontier), self.now)
+        self._truncate_stable_prefix()
 
-    def _group_truncation_point(self) -> int:
-        """Minimum over the fresh checkpoint watermarks.  Peers silent
-        longer than the TTL (crashed, partitioned) are excluded — they
-        re-enter via snapshot transfer — but a peer that has never
-        checkpointed while we are freshly started holds truncation back
-        until the TTL decides its fate."""
-        if self.checkpoint_watermark <= 0:
-            return 0
+    def _stable_floor(self) -> int:
+        """The group-stable watermark: every replica has delivered the
+        instances below the minimum of the reported frontiers, so nobody
+        will ask for them again.  A reported frontier is a lower bound
+        (``next_deliver`` survives a crash and never goes back), so a
+        silent peer holds the floor where it stood; past ``watermark_ttl``
+        no higher than this replica's newest checkpoint, through which
+        it then comes back.  Without checkpoints that watermark is 0 and
+        a silent peer pins the log, like a crashed replica always did."""
+        floor = self.next_deliver
         horizon = self.now - self.config.watermark_ttl
-        floor = self.checkpoint_watermark
-        for peer in self.replicas:
-            if peer == self.name:
-                continue
-            entry = self._peer_watermarks.get(peer)
-            if entry is None:
-                if self.now <= self.config.watermark_ttl:
-                    return 0
-                continue
-            watermark, heard_at = entry
+        for frontier, heard_at in self._peer_frontiers.values():
             if heard_at < horizon:
-                continue
-            floor = min(floor, watermark)
+                frontier = max(frontier, self.checkpoint_watermark)
+            floor = min(floor, frontier)
         return floor
 
-    def _maybe_truncate(self) -> None:
-        floor = min(self._group_truncation_point(), self.next_deliver)
+    def _truncate_stable_prefix(self) -> None:
+        """Drop ``decided`` below the stable floor; the acceptors learn
+        it from the leader's next Accept.  Runs every heartbeat period:
+        counted, never traced."""
+        floor = self._stable_floor()
         if floor <= self.log_floor:
             return
         dropped = 0
@@ -806,16 +822,8 @@ class PaxosReplica(Actor):
             if self.decided.pop(instance, None) is not None:
                 dropped += 1
         self.log_floor = floor
-        self.tracer.record(
-            "log-truncated", self.now,
-            group=self.group, replica=self.name,
-            floor=floor, dropped=dropped,
-        )
         self._count("log_truncated", group=self.group)
         self._count("log_instances_dropped", dropped, group=self.group)
-        truncate = TruncateLog(floor)
-        for acceptor in self.acceptors:
-            self.send(acceptor, truncate)
 
     # -- snapshot transfer (provider side) --------------------------------------------
 
@@ -873,10 +881,7 @@ class PaxosReplica(Actor):
             group=self.group, replica=self.name, behind=min_watermark,
         )
         self._count("snapshot_fetches", group=self.group)
-        request = SnapshotRequest(self._snapshot_epoch)
-        for replica in self.replicas:
-            if replica != self.name:
-                self.send(replica, request)
+        self.send_all(self.peers, SnapshotRequest(self._snapshot_epoch))
         self._arm_snapshot_timer(self._fetching)
 
     def _arm_snapshot_timer(self, fetch: SnapshotFetch) -> None:
@@ -897,10 +902,7 @@ class PaxosReplica(Actor):
         fetch.timeouts += 1
         if fetch.discovering:
             # No offer yet: re-broadcast the request under the same epoch.
-            request = SnapshotRequest(epoch)
-            for replica in self.replicas:
-                if replica != self.name:
-                    self.send(replica, request)
+            self.send_all(self.peers, SnapshotRequest(epoch))
             self._arm_snapshot_timer(fetch)
             return
         if fetch.timeouts >= self.config.snapshot_giveup:
@@ -998,9 +1000,8 @@ class PaxosReplica(Actor):
         self.next_instance = max(self.next_instance, watermark)
         self.install_app_state(record.sections)
         # The installed state doubles as this replica's own checkpoint:
-        # it can serve snapshots and gossip the watermark immediately.
+        # it can serve snapshots immediately.
         self._register_checkpoint(record)
-        self._peer_watermarks[self.name] = (watermark, self.now)
         self.tracer.finish(
             self.snapshot_trace_id, "snapshot-transfer", self.now,
             status="installed", watermark=watermark,
@@ -1013,13 +1014,7 @@ class PaxosReplica(Actor):
             watermark=watermark, provider=fetch.provider,
         )
         # Decisions above the watermark may already be buffered; drain.
-        while self.next_deliver in self.decided:
-            batch = self.decided[self.next_deliver]
-            self.next_deliver += 1
-            values = batch.values if isinstance(batch, Batch) else (batch,)
-            for v in values:
-                self._deliver_once(v)
-            self._maybe_checkpoint()
+        self._deliver_ready()
         # Re-sync whatever suffix the acceptors still hold.
         self._request_recovery()
 

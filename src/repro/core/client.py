@@ -87,8 +87,11 @@ class DynaStarClient(Actor):
     at ``max_timeout``): a silent attempt — lost query, lost reply,
     crashed partition — is abandoned and the command retransmitted under
     a fresh attempt number, up to ``max_attempts`` total attempts.
-    Server-side result caching makes retransmission safe (exactly-once
-    execution).  ``request_timeout=None`` (default) disables timeouts,
+    The servers' client table makes retransmission safe (exactly-once
+    execution): every command carries this client's issue counter
+    ``seq``, and since only one command is outstanding, issuing the next
+    tells the servers that every earlier one is done with.
+    ``request_timeout=None`` (default) disables timeouts,
     preserving the reliable-network behaviour.
     """
 
@@ -212,6 +215,8 @@ class DynaStarClient(Actor):
         self.done = False
 
         self._current: Optional[Command] = None
+        #: Issue counter of ``_current``, shared by all its attempts.
+        self._seq = 0
         self._attempt = 0
         self._invoked_at = 0.0
         self._was_multi = False
@@ -259,6 +264,7 @@ class DynaStarClient(Actor):
             self.done = True
             return
         self._current = command
+        self._seq += 1
         self._attempt = 0
         self._invoked_at = self.now
         self._was_multi = False
@@ -484,7 +490,8 @@ class DynaStarClient(Actor):
                 attempt=self._attempt,
             )
         query = OracleQuery(
-            command, self.name, self._attempt, dispatch=self.dispatch_via_oracle
+            command, self.name, self._attempt, self._seq,
+            dispatch=self.dispatch_via_oracle,
         )
         message = MulticastMessage(
             uid=f"q:{command.uid}:a{self._attempt}",
@@ -525,10 +532,10 @@ class DynaStarClient(Actor):
                 attempt=self._attempt, target=target, partitions=len(involved),
             )
         if len(involved) == 1:
-            payload: Any = ExecCommand(command, self.name, self._attempt)
+            payload: Any = ExecCommand(command, self.name, self._attempt, self._seq)
         else:
             payload = GlobalCommand(
-                command, self.name, self._attempt, target, locations
+                command, self.name, self._attempt, target, locations, self._seq
             )
         message = MulticastMessage(
             uid=f"x:{command.uid}:a{self._attempt}",
@@ -612,7 +619,7 @@ class DynaStarClient(Actor):
             return
         # OK/NOK is accepted from *any* attempt: a late reply to a
         # timed-out attempt still carries the command's actual outcome
-        # (servers answer retransmissions from their result cache).
+        # (servers answer retransmissions from their client table).
         if self.tracer.enabled:
             self.tracer.finish(
                 command.uid, "reply", self.now, disc=reply.attempt,

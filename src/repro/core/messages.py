@@ -5,6 +5,10 @@ Multicast payloads travel inside
 therefore totally ordered against each other at common destinations;
 direct payloads are replica-to-replica (or replica-to-client) one-way
 sends, deduplicated by the receiver.
+
+``seq`` on the client-originated payloads is the client's issue counter
+(one outstanding command per client, counted from 1): the key of the
+servers' exactly-once bookkeeping, :mod:`repro.core.clienttable`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ class OracleQuery:
     command: Command
     client: str
     attempt: int
+    seq: int
     dispatch: bool = False
 
 
@@ -44,6 +49,7 @@ class ExecCommand:
     command: Command
     client: str
     attempt: int
+    seq: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +67,7 @@ class GlobalCommand:
     attempt: int
     target: str
     locations: tuple  # ((node, partition), ...)
+    seq: int
 
     def involved(self) -> tuple:
         return tuple(sorted({p for _, p in self.locations}))
@@ -79,6 +86,7 @@ class CreateVar:
     partition: str
     client: str
     attempt: int
+    seq: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,6 +99,7 @@ class DeleteVar:
     partition: str
     client: str
     attempt: int
+    seq: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,13 +216,17 @@ class VarTransfer:
     ``attempt`` matters: a retried command reuses its uid, and buffering
     by uid alone would let a stale attempt's abort state swallow the new
     attempt's transfers (a cross-attempt deadlock).
+
+    ``table`` is empty for a loan; where the transfer hands the nodes
+    over for good (DS-SMR) it carries their
+    :meth:`~repro.core.clienttable.ClientTable.export_nodes`.
     """
 
     cmd_uid: str
     from_partition: str
     vars: tuple  # ((var, value), ...)
     attempt: int = 0
-    exec_entries: tuple = ()  # ((cmd_uid, status, result), ...)
+    table: tuple = ()
 
     @property
     def key(self) -> tuple:
@@ -225,14 +238,15 @@ class VarReturn:
     """Target partition -> source partition: borrowed variables coming
     home (with post-execution values).
 
-    ``exec_entries`` carries the target's cached execution result so the
-    sources can answer a retried command without re-gathering."""
+    ``outcome`` is the execution's ``(status, result)``, which the source
+    records on the nodes it lent when it consumes the return; ``None``
+    marks a bounce — the command did not execute, nothing changed."""
 
     cmd_uid: str
     from_partition: str
     vars: tuple
     attempt: int = 0
-    exec_entries: tuple = ()  # ((cmd_uid, status, result), ...)
+    outcome: Optional[tuple] = None
 
     @property
     def key(self) -> tuple:
@@ -259,16 +273,17 @@ class PlanTransfer:
     """Old owner -> new owner: a node's variables moving under a
     repartitioning plan.
 
-    ``exec_entries`` carries the old owner's cached execution results for
-    commands that touched this node, so a client retry that lands on the
-    new owner is answered from the cache instead of re-executing.
+    ``table`` is the node's share of the old owner's client table
+    (:meth:`~repro.core.clienttable.ClientTable.export_nodes`), installed
+    together with the variables, so a client retry that lands on the new
+    owner is recognised there instead of re-executed.
     """
 
     version: int
     node: Any
     from_partition: str
     vars: tuple
-    exec_entries: tuple = ()  # ((cmd_uid, status, result), ...)
+    table: tuple = ()
 
 
 # ---------------------------------------------------------------------------

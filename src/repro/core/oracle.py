@@ -301,10 +301,10 @@ class OracleReplica(MulticastReplica):
         if done is not None:
             # Retried create: replay with an attempt-qualified multicast
             # uid so the CreateVar reaches the partition again (which
-            # answers from its result cache), instead of NOK "exists".
+            # answers from its client table), instead of NOK "exists".
             var, node, partition = done
             payload = CreateVar(
-                command, var, node, partition, query.client, query.attempt
+                command, var, node, partition, query.client, query.attempt, query.seq
             )
             self._amcast_ordered(
                 [self.group, partition],
@@ -330,7 +330,7 @@ class OracleReplica(MulticastReplica):
         if command.idem_key is not None:
             self._idem_creates[command.idem_key] = command.uid
         payload = CreateVar(
-            command, var, node, partition, query.client, query.attempt
+            command, var, node, partition, query.client, query.attempt, query.seq
         )
         self._amcast_ordered(
             [self.group, partition], payload, uid=f"create:{command.uid}"
@@ -352,7 +352,7 @@ class OracleReplica(MulticastReplica):
         if done is not None:
             var, node, partition = done
             payload = DeleteVar(
-                command, var, node, partition, query.client, query.attempt
+                command, var, node, partition, query.client, query.attempt, query.seq
             )
             self._amcast_ordered(
                 [self.group, partition],
@@ -376,7 +376,7 @@ class OracleReplica(MulticastReplica):
         if command.idem_key is not None:
             self._idem_deletes[command.idem_key] = command.uid
         payload = DeleteVar(
-            command, var, node, partition, query.client, query.attempt
+            command, var, node, partition, query.client, query.attempt, query.seq
         )
         self._amcast_ordered(
             [self.group, partition], payload, uid=f"delete:{command.uid}"
@@ -440,10 +440,13 @@ class OracleReplica(MulticastReplica):
         involved = sorted({p for _, p in locations})
         uid = f"dispatch:{query.command.uid}:a{query.attempt}"
         if len(involved) == 1:
-            payload = ExecCommand(query.command, query.client, query.attempt)
+            payload = ExecCommand(
+                query.command, query.client, query.attempt, query.seq
+            )
         else:
             payload = GlobalCommand(
-                query.command, query.client, query.attempt, target, locations
+                query.command, query.client, query.attempt, target, locations,
+                query.seq,
             )
         self._amcast_ordered(involved, payload, uid=uid)
 

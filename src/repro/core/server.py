@@ -47,6 +47,7 @@ from repro.compartment.messages import (
 )
 from repro.consensus.messages import Submit
 from repro.core.admission import ADMIT, AdmissionController
+from repro.core.clienttable import ClientTable
 from repro.core.messages import (
     CreateVar,
     DeleteVar,
@@ -222,14 +223,8 @@ class PartitionServer(MulticastReplica):
         self._plan_transfer_seen: set = set()
         self._early_plan_transfers: dict = {}
 
-        # Exactly-once under client retries: cached (status, result,
-        # attempt, idem_key) per executed command uid, and which uids
-        # touched which node (so the cache migrates with the node under
-        # repartitioning plans).  The idempotency-key index bridges
-        # give-up-and-resubmit retries that arrive under a *fresh* uid.
-        self._exec_results: dict[str, tuple] = {}
-        self._idem_index: dict[str, str] = {}
-        self._node_uids: dict[Any, list] = {}
+        #: Exactly-once under client retries (stable: checkpointed).
+        self.clients = ClientTable()
 
         # Reliable replica-to-replica channel (transfer/return/abort and
         # plan-move traffic must survive loss and receiver crashes).
@@ -398,9 +393,9 @@ class PartitionServer(MulticastReplica):
         if (
             msg.uid in self.adelivered_uids
             or msg.uid in self.pending_msgs
-            or cmd_uid in self._exec_results
+            or self.clients.answered(payload.client, payload.seq)
         ):
-            # Already ordered or already answered — the cache replies.
+            # Already ordered or already answered — the table replies.
             return True
         if isinstance(payload, GlobalCommand) and self._has_claimed_borrows(
             cmd_uid
@@ -452,10 +447,10 @@ class PartitionServer(MulticastReplica):
         if (
             msg.uid in self.adelivered_uids
             or msg.uid in self.pending_msgs
-            or cmd_uid in self._exec_results
+            or self.clients.answered(payload.client, payload.seq)
         ):
             # Already ordered or already answered — letting it through is
-            # cheaper than bouncing (the reply comes from the cache).
+            # cheaper than bouncing (the reply comes from the table).
             return True
         multi = isinstance(payload, GlobalCommand)
         if multi and self._has_claimed_borrows(cmd_uid):
@@ -909,24 +904,27 @@ class PartitionServer(MulticastReplica):
 
     def _try_exec(self, payload: ExecCommand) -> bool:
         command = payload.command
-        if self._reply_cached(payload):
-            return True
-        # Cached: a command the service gate refuses is tried again at
+        # Cached once the command is admitted — its nodes owned, settled
+        # and the attempt judged fresh, none of which changes while it is
+        # queued: a command the service gate refuses is tried again at
         # every pump until a lane frees.
         key = (command.uid, payload.attempt)
         nodes = self._nodes_cache.get(key)
         if nodes is None:
-            nodes = self._nodes_cache[key] = self.app.nodes_of(command)
-        if any(node not in self.owned_nodes for node in nodes):
-            if self.tracer.enabled:
-                self.tracer.finish(
-                    command.uid, "queue", self.now, disc=payload.attempt,
-                    status="retry",
-                )
-            self._reply(payload, ReplyStatus.RETRY)
-            return True
-        if any(node in self.in_transit for node in nodes):
-            return False  # wait for the node's variables to arrive
+            nodes = self.app.nodes_of(command)
+            if any(node not in self.owned_nodes for node in nodes):
+                if self.tracer.enabled:
+                    self.tracer.finish(
+                        command.uid, "queue", self.now, disc=payload.attempt,
+                        status="retry",
+                    )
+                self._reply(payload, ReplyStatus.RETRY)
+                return True
+            if any(node in self.in_transit for node in nodes):
+                return False  # wait for the node's variables to arrive
+            if self._answer_repeat(payload, nodes):
+                return True
+            self._nodes_cache[key] = nodes
         if not self._gate_service():
             return False
         self._consume_service()
@@ -938,7 +936,7 @@ class PartitionServer(MulticastReplica):
         self._trace_execute_start(payload)
         result, status, _, _ = self._tracked_execute(command)
         self._trace_execute_end(payload, status)
-        self._cache_exec_result(payload, status, result, record_hint_nodes)
+        self.clients.record(payload, record_hint_nodes, status, result)
         self._reply(payload, status, result)
         self.executed_count += 1
         self._record_hint(record_hint_nodes)
@@ -972,129 +970,59 @@ class PartitionServer(MulticastReplica):
             status=status.name.lower(),
         )
 
-    # -- exactly-once result cache ---------------------------------------------------
+    # -- exactly-once: repeats of executed commands ---------------------------------
 
-    def _cache_exec_result(self, payload, status, result, nodes=()) -> None:
-        """Remember the outcome — and the attempt that produced it — so a
-        client retry of an already-executed command is answered from the
-        cache instead of re-executed (the state machine must not apply a
-        command twice)."""
-        attempt = getattr(payload, "attempt", 0)
-        idem_key = getattr(payload.command, "idem_key", None)
-        self._exec_results[payload.command.uid] = (
-            status, result, attempt, idem_key,
-        )
-        if idem_key is not None:
-            self._idem_index.setdefault(idem_key, payload.command.uid)
-        for node in nodes:
-            self._node_uids.setdefault(node, []).append(payload.command.uid)
-
-    def _cached_result_for(self, command) -> Optional[tuple]:
-        """The cached outcome of ``command``: by uid, or — for a
-        give-up-and-resubmit that arrives under a fresh uid — through the
-        client's idempotency key."""
-        cached = self._exec_results.get(command.uid)
-        if cached is None and command.idem_key is not None:
-            original = self._idem_index.get(command.idem_key)
-            if original is not None:
-                cached = self._exec_results.get(original)
-        return cached
-
-    def _reply_cached(self, payload) -> bool:
-        cached = self._cached_result_for(payload.command)
-        if cached is None:
+    def _answer_repeat(self, payload, nodes) -> bool:
+        """True when ``payload`` must not run, as the client table judges
+        by the numbers of ``nodes`` (all owned and settled here): a
+        duplicate the client may still wait for is answered from the
+        table, one it has left behind — or a stale attempt — is dropped."""
+        outcome = self.clients.repeat_of(payload, nodes)
+        if outcome is None:
             return False
-        status, result = cached[0], cached[1]
         if self.tracer.enabled:
             self.tracer.finish(
                 payload.command.uid, "queue", self.now, disc=payload.attempt,
-                status="cached",
+                status="cached" if outcome else "stale",
             )
-        self._reply(payload, status, result)
-        if self._records_metrics:
-            self.monitor.counter("dedup_replies").inc()
+        if outcome:
+            self._reply(payload, *outcome)
+            if self._records_metrics:
+                self.monitor.counter("dedup_replies").inc()
+        else:
+            self._admission_release(payload.command.uid)
         return True
-
-    def _exec_entries_for(self, nodes) -> tuple:
-        """Cached (uid, status, result, attempt) entries for commands that
-        touched ``nodes`` — shipped along when those nodes change owner."""
-        entries = []
-        seen = set()
-        for node in nodes:
-            for uid in self._node_uids.get(node, ()):
-                if uid in seen:
-                    continue
-                seen.add(uid)
-                cached = self._exec_results.get(uid)
-                if cached is not None:
-                    entries.append((uid,) + cached)
-        return tuple(entries)
-
-    def _merge_exec_entries(self, entries) -> None:
-        for entry in entries:
-            uid, status, result, attempt = entry[0], entry[1], entry[2], entry[3]
-            idem_key = entry[4] if len(entry) > 4 else None
-            self._exec_results.setdefault(uid, (status, result, attempt, idem_key))
-            if idem_key is not None:
-                self._idem_index.setdefault(idem_key, uid)
 
     # -- multi-partition commands ----------------------------------------------------------
 
     def _try_global(self, payload: GlobalCommand) -> bool:
-        command = payload.command
-        cmd_uid = command.uid
         claimed = payload.nodes_at(self.partition)
         state = self._cmd_state(payload)
 
-        # Duplicate detection applies only to a *fresh* head carrying a
-        # different attempt than the one that executed.  The attempt that
-        # executed must run the normal protocol even when its result
-        # entry is already cached — a replica lagging behind its peers
-        # receives the piggybacked entry (on the VarReturn) before it
-        # a-delivers the command itself, and every replica of a partition
-        # must make the same lend/return transitions for that attempt or
-        # their stores diverge.  The rule is deterministic: for any later
-        # attempt the entry is guaranteed merged before it reaches the
-        # head (it rides the message that unblocked the earlier attempt),
-        # while the executed attempt takes the normal path with or
-        # without the entry.
-        cached = self._exec_results.get(cmd_uid)
-        if (
-            cached is not None
-            and not state
-            and payload.attempt != cached[2]
-        ):
-            return self._global_duplicate(payload)
-        if cached is None and not state and command.idem_key is not None:
-            # A fresh-uid resubmit of an already-executed command (matched
-            # by idempotency key) is always a duplicate: the fresh uid
-            # cannot be the attempt that executed.
-            original = self._idem_index.get(command.idem_key)
-            if (
-                original is not None
-                and original != cmd_uid
-                and original in self._exec_results
-            ):
-                return self._global_duplicate(payload)
-
+        # Judged once, before this partition does anything for the
+        # attempt and with its claimed nodes settled: their numbers are
+        # node state, so every replica judges alike — also one that lags
+        # and already holds the VarReturn of this (or a later) command,
+        # which changes nothing until it is consumed below.
         if not state.get("checked"):
             if any(node not in self.owned_nodes for node in claimed):
                 self._abort_global(payload)
                 return True
+            if any(node in self.in_transit for node in claimed):
+                return False
+            if self._answer_repeat(payload, claimed):
+                self._unwind_repeat(payload)
+                return True
             state["checked"] = True
-        if any(node in self.in_transit for node in claimed):
-            return False
 
         if payload.target == self.partition:
             return self._global_as_target(payload)
         return self._global_as_source(payload)
 
-    def _global_duplicate(self, payload: GlobalCommand) -> bool:
-        """A retried multi-partition command that already executed: answer
-        from the cache and unwind the new attempt's gather so no partition
-        blocks on it."""
+    def _unwind_repeat(self, payload: GlobalCommand) -> None:
+        """A repeated (or stale) attempt of a multi-partition command
+        does not run here: unwind its gather so no partition blocks."""
         key = (payload.command.uid, payload.attempt)
-        self._reply_cached(payload)
         if payload.target == self.partition:
             # Sources of this attempt may still ship; bounce everything so
             # their heads unblock with the variables unchanged.
@@ -1102,9 +1030,8 @@ class PartitionServer(MulticastReplica):
             self._bounce_received(key)
         else:
             # As a source we will not ship — tell the others so a target
-            # without the cached result aborts instead of gathering forever.
+            # that judged differently aborts instead of gathering forever.
             self._notify_transfer_failed(payload)
-        return True
 
     def _notify_transfer_failed(self, payload: GlobalCommand) -> None:
         for partition in payload.involved():
@@ -1120,8 +1047,8 @@ class PartitionServer(MulticastReplica):
     def _gather(self, payload: GlobalCommand, **borrow_tags) -> tuple:
         """Target side, before executing: ``(finished, received)``.
 
-        ``received`` maps each source to the variables it shipped once
-        every source has shipped and a lane was taken for the execution;
+        ``received`` maps each source to its VarTransfer once every
+        source has shipped and a lane was taken for the execution;
         until then it is None and ``finished`` says whether the command
         is over (aborted: some source was stale) or must wait."""
         command = payload.command
@@ -1161,23 +1088,21 @@ class PartitionServer(MulticastReplica):
 
         # Insert the borrowed variables.
         borrowed: list = []
-        for source, pairs in received.items():
-            for var, value in pairs:
+        for transfer in received.values():
+            for var, value in transfer.vars:
                 self.store.insert_copy(var, value)
                 self._index_var(var)
                 borrowed.append(var)
         self._trace_execute_start(payload)
         result, status, written, _removed = self._tracked_execute(command)
         self._trace_execute_end(payload, status)
-        nodes = {n for n, _ in payload.locations}
-        self._cache_exec_result(payload, status, result, nodes)
+        self.clients.record(
+            payload, payload.nodes_at(self.partition), status, result
+        )
 
         # Return every variable that belongs to a source node — including
-        # variables the execution just created for those nodes.  The cached
-        # result rides along so sources can answer retries themselves.
-        exec_entry = (
-            (command.uid, status, result, payload.attempt, command.idem_key),
-        )
+        # variables the execution just created for those nodes.  The
+        # outcome rides along: each source records it on the nodes it lent.
         home_of = dict(payload.locations)
         returns: dict[str, list] = {}
         for var in set(borrowed) | written:
@@ -1203,7 +1128,7 @@ class PartitionServer(MulticastReplica):
                     self.partition,
                     tuple(pairs),
                     payload.attempt,
-                    exec_entry,
+                    (status, result),
                 ),
                 uid=f"vr:{command.uid}:{payload.attempt}:{self.partition}->{home}",
             )
@@ -1215,13 +1140,13 @@ class PartitionServer(MulticastReplica):
         self._reply(payload, status, result)
         self.executed_count += 1
         self.multi_partition_count += 1
-        self._record_hint(nodes)
+        self._record_hint({n for n, _ in payload.locations})
         self._cleanup_cmd(key)
         if self._records_metrics:
             self._pseries("tput").record(self.now)
             self._pseries("multipart").record(self.now)
             self.monitor.counter("multi_partition_commands").inc()
-            exchanged = sum(len(p) for p in received.values()) + returned_objects
+            exchanged = sum(len(t.vars) for t in received.values()) + returned_objects
             self.monitor.counter("objects_exchanged").inc(exchanged)
             self._pseries("objects").record(
                 self.now, exchanged
@@ -1260,13 +1185,19 @@ class PartitionServer(MulticastReplica):
                 )
 
         # Wait for our variables to come home (or an abort bounce, which
-        # also arrives as a VarReturn).
+        # also arrives as a VarReturn).  Consumed here, at the command's
+        # log position, the return installs the nodes' new state: their
+        # variables and — if the command executed — its number.
         returned = self.recv_returns.get(key, {}).get(payload.target)
         if returned is None:
             return False
-        for var, value in returned:
+        for var, value in returned.vars:
             self.store.insert_copy(var, value)
             self._index_var(var)
+        if returned.outcome is not None:
+            self.clients.record(
+                payload, payload.nodes_at(self.partition), *returned.outcome
+            )
         if self.tracer.enabled:
             self.tracer.finish(
                 command.uid, "return", self.now,
@@ -1303,10 +1234,10 @@ class PartitionServer(MulticastReplica):
         """Return unmodified any borrowed variables already received for
         an aborted command attempt."""
         cmd_uid, attempt = key
-        for source, pairs in self.recv_transfers.get(key, {}).items():
+        for source, transfer in self.recv_transfers.get(key, {}).items():
             self._send_to_partition(
                 source,
-                VarReturn(cmd_uid, self.partition, pairs, attempt),
+                VarReturn(cmd_uid, self.partition, transfer.vars, attempt),
                 uid=f"vr:{cmd_uid}:{attempt}:{self.partition}->{source}",
             )
         self.recv_transfers.pop(key, None)
@@ -1321,7 +1252,6 @@ class PartitionServer(MulticastReplica):
     # -- transfer plumbing ------------------------------------------------------------------
 
     def _on_var_transfer(self, msg: VarTransfer) -> None:
-        self._merge_exec_entries(msg.exec_entries)
         if msg.key in self._finished_cmds:
             return  # late duplicate from the source's other replica
         if msg.key in self.aborted_cmds:
@@ -1334,16 +1264,15 @@ class PartitionServer(MulticastReplica):
             return
         buf = self.recv_transfers.setdefault(msg.key, {})
         if msg.from_partition not in buf:  # dedup replica copies
-            buf[msg.from_partition] = msg.vars
+            buf[msg.from_partition] = msg
         self._pump()
 
     def _on_var_return(self, msg: VarReturn) -> None:
-        self._merge_exec_entries(msg.exec_entries)
         if msg.key in self._finished_cmds:
             return
         buf = self.recv_returns.setdefault(msg.key, {})
         if msg.from_partition not in buf:
-            buf[msg.from_partition] = msg.vars
+            buf[msg.from_partition] = msg
         self._pump()
 
     def _on_transfer_failed(self, msg: TransferFailed) -> None:
@@ -1355,22 +1284,26 @@ class PartitionServer(MulticastReplica):
     # -- create / delete -----------------------------------------------------------------------
 
     def _apply_create(self, payload: CreateVar) -> None:
-        if payload.partition != self.partition or self._reply_cached(payload):
+        nodes = (payload.node,)
+        if payload.partition != self.partition or self._answer_repeat(payload, nodes):
             return
         self.store.put(payload.var, self.app.initial_value_of(payload.var))
         self._index_var(payload.var)
         self.owned_nodes.add(payload.node)
         self.last_plan[payload.node] = self.partition
-        self._cache_exec_result(payload, ReplyStatus.OK, True, (payload.node,))
+        self.clients.record(payload, nodes, ReplyStatus.OK, True)
         self._reply(payload, ReplyStatus.OK, True)
 
     def _apply_delete(self, payload: DeleteVar) -> None:
-        if payload.partition != self.partition or self._reply_cached(payload):
+        nodes = (payload.node,)
+        if payload.partition != self.partition or self._answer_repeat(payload, nodes):
             return
         self.store.discard(payload.var)
         self._unindex_var(payload.var)
         self.owned_nodes.discard(payload.node)
-        self._cache_exec_result(payload, ReplyStatus.OK, True, (payload.node,))
+        # The node's numbers stay behind: a late replay of this delete
+        # must still be recognised after somebody re-created the node.
+        self.clients.record(payload, nodes, ReplyStatus.OK, True)
         self._reply(payload, ReplyStatus.OK, True)
 
     # -- repartitioning (Task 3) -------------------------------------------------------------------
@@ -1397,7 +1330,7 @@ class PartitionServer(MulticastReplica):
                     nodes_in += 1
                     early = self._early_plan_transfers.pop(node, None)
                     if early is not None:
-                        self._install_node_vars(node, early)
+                        self._install_node_vars(*early)
                     else:
                         self.in_transit.add(node)
             else:
@@ -1418,7 +1351,7 @@ class PartitionServer(MulticastReplica):
                             node,
                             self.partition,
                             pairs,
-                            self._exec_entries_for((node,)),
+                            self.clients.export_nodes((node,)),
                         ),
                         uid=f"pt:{plan.version}:{node!r}:{self.partition}",
                     )
@@ -1491,24 +1424,26 @@ class PartitionServer(MulticastReplica):
                 version=done.version, partition=self.partition,
             )
 
-    def _install_node_vars(self, node: Any, pairs: tuple) -> None:
+    def _install_node_vars(self, pairs: tuple, table: tuple) -> None:
+        """A node settles here: its variables and, with them, its share
+        of the old owner's client table."""
         for var, value in pairs:
             self.store.insert_copy(var, value)
             self._index_var(var)
+        self.clients.install_nodes(table)
 
     def _on_plan_transfer(self, msg: PlanTransfer) -> None:
-        self._merge_exec_entries(msg.exec_entries)
         key = (msg.version, msg.node, msg.from_partition)
         if key in self._plan_transfer_seen:
             return
         self._plan_transfer_seen.add(key)
         if msg.version > self.version:
             # Our copy of the plan has not arrived yet; hold the variables.
-            self._early_plan_transfers[msg.node] = msg.vars
+            self._early_plan_transfers[msg.node] = (msg.vars, msg.table)
             self._pump()
             return
         if msg.node in self.in_transit:
-            self._install_node_vars(msg.node, msg.vars)
+            self._install_node_vars(msg.vars, msg.table)
             self.in_transit.discard(msg.node)
             if (
                 not self.in_transit
@@ -1533,7 +1468,7 @@ class PartitionServer(MulticastReplica):
                         msg.node,
                         self.partition,
                         msg.vars,
-                        msg.exec_entries,
+                        msg.table,
                     ),
                     uid=f"pt:{self.version}:{msg.node!r}:{self.partition}",
                 )
@@ -1675,15 +1610,10 @@ class PartitionServer(MulticastReplica):
             "early_plan_transfers": sorted(
                 self._early_plan_transfers.items(), key=repr
             ),
-            "exec_results": sorted(self._exec_results.items(), key=repr),
-            "idem_index": sorted(self._idem_index.items(), key=repr),
+            "clients": self.clients.capture(),
             "draining": self.draining,
             "retired": self.retired,
             "drain_version": self._drain_version,
-            "node_uids": sorted(
-                ((node, list(uids)) for node, uids in self._node_uids.items()),
-                key=repr,
-            ),
             "reliable_seen": sorted(self._reliable_seen, key=repr),
             "outbox": sorted(self._outbox.items(), key=repr),
             "hint_vertices": sorted(self._hint_vertices.items(), key=repr),
@@ -1759,14 +1689,10 @@ class PartitionServer(MulticastReplica):
         self._finished_cmds = set(state.get("finished_cmds", ()))
         self._plan_transfer_seen = set(state.get("plan_transfer_seen", ()))
         self._early_plan_transfers = dict(state.get("early_plan_transfers", ()))
-        self._exec_results = dict(state.get("exec_results", ()))
-        self._idem_index = dict(state.get("idem_index", ()))
+        self.clients.install(state.get("clients", ()))
         self.draining = state.get("draining", False)
         self.retired = state.get("retired", False)
         self._drain_version = state.get("drain_version", 0)
-        self._node_uids = {
-            node: list(uids) for node, uids in state.get("node_uids", ())
-        }
         self._reliable_seen = set(state.get("reliable_seen", ()))
         self._outbox = dict(state.get("outbox", ()))
         self._hint_vertices = Counter(dict(state.get("hint_vertices", ())))

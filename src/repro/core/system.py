@@ -116,8 +116,8 @@ class SystemConfig:
     #: closed loop).  The ``overload_burst`` fault divides it.
     client_think_time: Optional[float] = None
     #: Convenience alias for ``replica.checkpoint_interval``: checkpoint
-    #: (and compact the Paxos log) every N delivered instances per group
-    #: (0 disables checkpointing and snapshot-based recovery).
+    #: every N delivered instances per group (0 disables checkpoints and
+    #: snapshot transfer; the Paxos logs are bounded either way).
     checkpoint_interval: int = 0
     #: Period of the servers' reliable-channel retransmission timer
     #: (0 disables retransmission).
@@ -155,7 +155,7 @@ class SystemConfig:
     min_partitions: int = 1
     elastic_min_split_nodes: int = 4
     #: Stamp client commands with idempotency keys so give-up-and-resubmit
-    #: retries (fresh uid) still hit the servers' exactly-once cache.
+    #: retries (fresh uid) are still recognised by the servers.
     idempotency_keys: bool = False
     replica: ReplicaConfig = field(default_factory=ReplicaConfig)
     #: Compartmentalized replication: proxy-leader ingress, scale-out

@@ -33,7 +33,7 @@ class Command:
 
     ``idem_key`` is an optional client-generated idempotency key: unlike
     the uid (fresh per submission), the key survives a give-up-and-
-    resubmit, so the server result caches can answer a resubmitted
+    resubmit, so the servers' per-key ledger can answer a resubmitted
     command under a *new* uid from the original execution — exactly-once
     across reconfigurations and replica failover.
     """

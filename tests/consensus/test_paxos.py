@@ -115,14 +115,20 @@ class TestBatching:
         assert leader.next_deliver <= 5
 
     def test_batch_respects_max_batch(self):
-        sim, _, group = make_group()
-        group.replicas[0].config.max_batch = 10
-        for i in range(35):
-            group.replicas[0].submit(Cmd(f"c{i}"))
-        sim.run(until=2.0)
         from repro.consensus.paxos import Batch
 
-        for batch in group.replicas[0].decided.values():
+        sim, _, group = make_group()
+        leader = group.replicas[0]
+        leader.config.max_batch = 10
+        batches = []
+        propose = leader._propose
+        leader._propose = lambda i, batch: (batches.append(batch), propose(i, batch))
+        for i in range(35):
+            leader.submit(Cmd(f"c{i}"))
+        sim.run(until=2.0)
+        assert len(group.delivered_log(0)) == leader.values_delivered == 35
+        assert sum(len(batch.values) for batch in batches) == 35
+        for batch in batches:
             assert isinstance(batch, Batch)
             assert len(batch.values) <= 10
 

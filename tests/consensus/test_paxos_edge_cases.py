@@ -195,7 +195,7 @@ class TestLeadsTwice:
         self.lose_the_accepts(sim, net, group, first)
         first.crash()
         sim.run(until=2.0)
-        assert second.is_leader and not second.decided
+        assert second.is_leader and second.next_deliver == 0
         net.heal_all()
         first.recover()
         assert "orphan" not in first.proposed_uids
@@ -208,7 +208,7 @@ class TestLeadsTwice:
         self.lose_the_accepts(sim, net, group, first)
         net.cut(first.name, second.name)
         sim.run(until=2.0)
-        assert second.is_leader and not second.decided
+        assert second.is_leader and second.next_deliver == 0
         # Healed, the heartbeat of ballot 1 deposes rep0; rep1 dies before
         # rep0's catch-up tick could forward the value to it.
         net.heal_all()

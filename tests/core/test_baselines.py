@@ -287,7 +287,7 @@ class TestDSSMR:
         assert all(type(s) is DSSMRServer for s in system.servers("p1"))
         move = GlobalCommand(
             Command("sum:0", "sum", ("x", "y", "z")), "nobody", 0, "p1",
-            (("x", "p0"), ("y", "p1"), ("z", "p1")),
+            (("x", "p0"), ("y", "p1"), ("z", "p1")), seq=1,
         )
         message = MulticastMessage("m:sum", ("p0", "p1"), move)
         survivor, victim = system.servers("p1")

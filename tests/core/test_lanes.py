@@ -265,9 +265,9 @@ class TestMovesAreWrites:
 
         total = GlobalCommand(
             Command("sum:0", "sum", ("x", "y", "z")), "probe", 0, "p1",
-            (("x", "p0"), ("y", "p1"), ("z", "p1")),
+            (("x", "p0"), ("y", "p1"), ("z", "p1")), seq=1,
         )
-        read = ExecCommand(Command("read:0", "read", ("x",)), "probe", 0)
+        read = ExecCommand(Command("read:0", "read", ("x",)), "probe", 0, seq=2)
         for server in system.servers("p0"):
             server.adeliver(MulticastMessage("m:sum", ("p0", "p1"), total))
             server.adeliver(MulticastMessage("m:read", ("p0",), read))

@@ -236,21 +236,6 @@ class TestLogCompactionBounds:
         assert saw_truncation, "no group ever truncated its log"
         assert_replicas_agree(system)
 
-    def test_delivered_log_starts_at_log_floor(self):
-        """`PaxosGroup.delivered_log` only covers the retained suffix
-        once compaction has run (the prefix is gone by design)."""
-        system = build_chaos_system(
-            n_keys=4, n_partitions=1, seed=5, checkpoint_interval=4
-        )
-        client = system.add_client(ScriptedWorkload(write_burst(20, key="k1")))
-        system.run(until=30.0)
-        assert client.completed == 20
-        group = system.directory.groups["p0"]
-        replica = group.replicas[0]
-        assert replica.log_floor > 0
-        log = group.delivered_log(0)
-        assert len(log) == replica.next_deliver - replica.log_floor
-
 
 class TestCheckpointDeterminism:
     @staticmethod

@@ -115,22 +115,22 @@ class TestCostAsymmetry:
         assert h.first_delivery["single"] < h.first_delivery["multi"]
 
     def test_multi_group_costs_more_network_messages(self):
-        h1 = make_harness(n_groups=2)
-        h1.run(1.0)
-        base = h1.net.messages_sent
-        h1.amcast(["g0"], "s")
-        h1.run(2.0)
-        single_cost = h1.net.messages_sent - base
+        def cost_of(dests):
+            """Messages one a-mcast adds to what the idle groups send
+            anyway (heartbeats, frontier reports) over the same span."""
+            h = make_harness(n_groups=2)
+            h.run(1.0)
+            start = h.net.messages_sent
+            h.run(2.0)
+            idle = h.net.messages_sent - start
+            h.amcast(dests, "m")
+            h.run(3.0)
+            return h.net.messages_sent - start - 2 * idle
 
-        h2 = make_harness(n_groups=2)
-        h2.run(1.0)
-        base = h2.net.messages_sent
-        h2.amcast(["g0", "g1"], "m")
-        h2.run(2.0)
-        multi_cost = h2.net.messages_sent - base
-
-        # Subtract ~heartbeat noise by requiring a clear factor.
-        assert multi_cost > 1.5 * single_cost
+        single_cost = cost_of(["g0"])
+        multi_cost = cost_of(["g0", "g1"])
+        assert single_cost > 0
+        assert multi_cost > 2 * single_cost
 
 
 class TestGenuineness:
@@ -138,12 +138,12 @@ class TestGenuineness:
         h = make_harness(n_groups=3)
         h.run(0.5)
         g2 = h.group(2)
-        decided_before = [len(r.decided) for r in g2.replicas]
+        decided_before = [r.next_deliver for r in g2.replicas]
         for i in range(10):
             h.amcast(["g0", "g1"], f"p{i}")
         h.run(3.0)
         # g2 replicas ordered nothing and a-delivered nothing.
-        assert [len(r.decided) for r in g2.replicas] == decided_before
+        assert [r.next_deliver for r in g2.replicas] == decided_before
         assert all(r.adelivered_count == 0 for r in g2.replicas)
 
 

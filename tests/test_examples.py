@@ -1,5 +1,7 @@
 """The example scripts must run clean end to end (they are the first
-thing a new user executes)."""
+thing a new user executes).  The three long ones take ``--duration``:
+tier-1 runs them for a few virtual seconds — same code path, same output
+sections — and the weekly CI job at their full length."""
 
 import runpy
 import sys
@@ -10,10 +12,12 @@ import pytest
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
-def run_example(name, monkeypatch, capsys):
-    """Execute an example as __main__ and return its stdout."""
+def run_example(name, monkeypatch, capsys, *args):
+    """Execute an example as __main__ (with ``args`` as its command
+    line) and return its stdout."""
     path = EXAMPLES / name
     assert path.exists(), path
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
     runpy.run_path(str(path), run_name="__main__")
     return capsys.readouterr().out
 
@@ -27,16 +31,16 @@ class TestExamples:
         assert "multi-partition commands: 2" in out
 
     def test_social_network(self, monkeypatch, capsys):
-        out = run_example("social_network.py", monkeypatch, capsys)
+        out = run_example("social_network.py", monkeypatch, capsys, "--duration", "6")
         assert "plans applied" in out
         assert "per-partition load" in out
 
     def test_tpcc_benchmark(self, monkeypatch, capsys):
-        out = run_example("tpcc_benchmark.py", monkeypatch, capsys)
+        out = run_example("tpcc_benchmark.py", monkeypatch, capsys, "--duration", "4")
         assert "DynaStar (random start)" in out
         assert "S-SMR* (aligned)" in out
 
     def test_dynamic_celebrity(self, monkeypatch, capsys):
-        out = run_example("dynamic_celebrity.py", monkeypatch, capsys)
+        out = run_example("dynamic_celebrity.py", monkeypatch, capsys, "--duration", "8")
         assert "celebrity user" in out
         assert "repartitionings" in out

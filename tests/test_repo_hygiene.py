@@ -83,3 +83,20 @@ def test_partition_server_has_one_pump_and_no_baseline_fork():
         "_dssmr_", "self.mode",
     )
     assert [name for name in banned if name in source] == []
+
+
+def test_replaced_log_and_result_cache_names_are_gone():
+    """One truncation rule and one client table: the checkpoint-minimum
+    messages and the per-command result cache they replaced must not
+    come back under ``src/``."""
+    banned = (
+        "_node_uids", "_exec_entries_for", "_merge_exec_entries",
+        "TruncateLog", "WatermarkNotice",
+    )
+    found = sorted(
+        (name, str(path.relative_to(REPO_ROOT)))
+        for path in SRC_REPRO.rglob("*.py")
+        for name in banned
+        if name in path.read_text()
+    )
+    assert found == []
