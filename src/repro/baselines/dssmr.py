@@ -29,7 +29,7 @@ class DSSMRServer(PartitionServer):
 
     sends_hints = False
 
-    def _global_as_source(self, payload: GlobalCommand) -> bool:
+    def _global_as_source(self, payload: GlobalCommand, rec) -> bool:
         """Ship every variable of the claimed nodes to the target and
         relinquish ownership; the command is over for this partition."""
         claimed = payload.nodes_at(self.partition)
@@ -60,11 +60,10 @@ class DSSMRServer(PartitionServer):
         if self._records_metrics:
             self._pseries("objects").record(self.now, len(pairs))
             self.monitor.counter("objects_exchanged").inc(len(pairs))
-        self._admission_release(payload.command.uid)
         return True
 
-    def _global_as_target(self, payload: GlobalCommand) -> bool:
-        finished, received = self._gather(payload, permanent=True)
+    def _global_as_target(self, payload: GlobalCommand, rec) -> bool:
+        finished, received = self._gather(payload, rec, permanent=True)
         if received is None:
             return finished
         for transfer in received.values():
@@ -76,7 +75,6 @@ class DSSMRServer(PartitionServer):
             payload, record_hint_nodes={n for n, _ in payload.locations}
         )
         self.multi_partition_count += 1
-        self._cleanup_cmd((payload.command.uid, payload.attempt))
         if self._records_metrics:
             self._pseries("multipart").record(self.now)
             self.monitor.counter("multi_partition_commands").inc()

@@ -33,15 +33,14 @@ class SSMRServer(PartitionServer):
 
     def _try_global(self, payload: GlobalCommand) -> bool:
         command = payload.command
-        key = (command.uid, payload.attempt)
         claimed = set(payload.nodes_at(self.partition))
-        state = self._cmd_state(payload)
+        rec = self._attempt((command.uid, payload.attempt))
 
-        if not state.get("checked"):
+        if not rec.checked:
             if any(node not in self.owned_nodes for node in claimed):
                 self._abort_global(payload)
                 return True
-            state["checked"] = True
+            rec.checked = True
         if any(node in self.in_transit for node in claimed):
             return False
 
@@ -53,7 +52,7 @@ class SSMRServer(PartitionServer):
                 command.uid, "borrow", self.now, disc=payload.attempt,
                 target=self.partition, attempt=payload.attempt, copies=True,
             )
-        if not state.get("sent"):
+        if not rec.sent:
             # Exchange: copies of our variables go to every other involved
             # partition; ownership never changes.
             pairs = tuple(
@@ -74,7 +73,7 @@ class SSMRServer(PartitionServer):
                             command.uid, self.partition, pairs, payload.attempt
                         ),
                     )
-            state["sent"] = True
+            rec.sent = True
             if self._records_metrics:
                 self._pseries("objects").record(
                     self.now, len(pairs) * (len(payload.involved()) - 1)
@@ -83,13 +82,12 @@ class SSMRServer(PartitionServer):
                     len(pairs) * (len(payload.involved()) - 1)
                 )
 
-        if self.transfer_failures.get(key):
+        if rec.failed:
             self._reply(payload, ReplyStatus.RETRY)
-            self._cleanup_cmd(key)
             return True
         needed = {p for p in payload.involved() if p != self.partition}
-        received = self.recv_transfers.get(key, {})
-        if not needed <= set(received):
+        received = rec.transfers
+        if not needed <= received.keys():
             return False
         if payload.target == self.partition and self.tracer.enabled:
             self.tracer.finish(
@@ -133,7 +131,6 @@ class SSMRServer(PartitionServer):
         self._reply(payload, status, result)
         self.executed_count += 1
         self.multi_partition_count += 1
-        self._cleanup_cmd(key)
         if self._records_metrics:
             self._pseries("tput").record(self.now)
             self._pseries("multipart").record(self.now)

@@ -15,7 +15,7 @@ Local reads are linearizable via leader leases:
    *leaseholder* answers, with the per-variable feed versions the read
    must observe (the leaseholder defers the answer while any queued or
    pending command could still touch those variables — see
-   ``PartitionServer._on_seq_probe``);
+   :mod:`repro.compartment.serverside`);
 3. the learner waits until its mirror has applied those versions, then
    executes the command locally and replies — no quorum round-trip.
 

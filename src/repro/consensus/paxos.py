@@ -85,7 +85,6 @@ class ReplicaConfig:
     snapshot_giveup: int = 4
     snapshot_chunk_init: int = 8
     snapshot_chunk_max: int = 128
-    snapshot_target_rtt: float = 0.05
 
     def __post_init__(self) -> None:
         # The pipelining/batching knobs are load-bearing for liveness: a
@@ -873,7 +872,6 @@ class PaxosReplica(Actor):
             chunker=AdaptiveChunker(
                 initial=self.config.snapshot_chunk_init,
                 max_count=self.config.snapshot_chunk_max,
-                target_rtt=self.config.snapshot_target_rtt,
             ),
         )
         self.tracer.begin(

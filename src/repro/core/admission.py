@@ -1,9 +1,12 @@
-"""Overload-robustness primitives: admission control and client-side
-load shaping.
+"""Overload-robustness primitives: the ingress gate, admission control
+and client-side load shaping.
 
-Four small, deterministic building blocks (no wall clock, no global
+Five small, deterministic building blocks (no wall clock, no global
 RNG — everything is driven by the virtual clock and seeded generators):
 
+* :class:`IngressGate` — the one copy of the rule "a fresh client
+  submission may be refused before it enters the log", shared by the
+  partition servers and the oracle.
 * :class:`AdmissionController` — bounded-admission bookkeeping for one
   replica (queue-based load leveling).  Commands are admitted at the
   consensus *ingress* — before they enter the Paxos log — so replicas of
@@ -28,7 +31,9 @@ misconfigured experiment fails at build time, not mid-run.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Callable, Optional
+
+from repro.core.messages import ServerBusy
 
 #: Admission outcomes (:meth:`AdmissionController.offer`).
 ADMIT = "admit"
@@ -37,6 +42,129 @@ ADMIT = "admit"
 SHED = "shed"
 #: Refused because the queue is full outright.
 BUSY = "busy"
+#: Refused because the group is retiring (:meth:`IngressGate.admit`).
+RETIRED = "retired"
+
+
+class IngressGate:
+    """The consensus *ingress* of one replica: the one place a fresh
+    client submission may be refused before it enters the log.
+
+    A refused command never enters any log — this replica answers
+    ``ServerBusy`` and drops the submission — which is what keeps the
+    replicas of a group in agreement about what executes: a command is
+    either ordered (and then run by every replica) or bounced; a
+    post-ordering shed would depend on per-replica queue depth and
+    diverge.
+
+    ``actor`` is the replica (a ``MulticastReplica`` with ``monitor`` and
+    ``_records_metrics``), ``gated`` the payload types clients submit to
+    it, ``settled(payload)`` its own knowledge that the group is past
+    refusing this command and ``priority(payload)`` whether the command
+    may use the reserved headroom.  ``bound=None``: no admission control,
+    only a retiring group refuses.
+    """
+
+    def __init__(
+        self,
+        actor,
+        gated: tuple,
+        settled: Callable[[object], bool],
+        priority: Callable[[object], bool],
+        bound: Optional[int] = None,
+        headroom: Optional[int] = None,
+        retry_after: float = 0.05,
+        ttl: float = 30.0,
+    ):
+        self.actor = actor
+        self.gated = gated
+        self.settled = settled
+        self.priority = priority
+        self.retry_after = retry_after
+        self.controller = (
+            AdmissionController(bound, headroom, retry_after, ttl)
+            if bound is not None
+            else None
+        )
+
+    def admit(self, sender: Optional[str], msg, retiring: bool = False) -> bool:
+        """Whether ``sender``'s submission of multicast message ``msg``
+        may enter the log through this replica.
+
+        Only client-originated submissions are gated (``payload.client
+        == sender``); protocol-internal retransmits and ordering probes
+        come from peer replicas and always pass, so a partially ordered
+        multi-group command cannot wedge behind the gate.  So does what
+        is already ordered here, pending, or settled: letting it through
+        is cheaper than bouncing it.  Of the rest a retiring group
+        refuses everything — the ``retired`` NACK tells the client to
+        drop its cached location and re-query the oracle, which now maps
+        every node elsewhere — and otherwise the admission controller,
+        if there is one, is offered the command."""
+        controller = self.controller
+        if controller is None and not retiring:
+            return True  # nothing here ever refuses
+        payload = msg.payload
+        if not isinstance(payload, self.gated) or payload.client != sender:
+            return True
+        actor = self.actor
+        if (
+            msg.uid in actor.adelivered_uids
+            or msg.uid in actor.pending_msgs
+            or self.settled(payload)
+        ):
+            return True
+        if retiring:
+            self._refuse(payload, RETIRED)
+            return False
+        outcome = controller.offer(
+            payload.command.uid, actor.now, priority=self.priority(payload)
+        )
+        if actor._records_metrics:
+            actor.monitor.series("admission_depth", partition=actor.group).record(
+                actor.now, controller.depth
+            )
+        if outcome == ADMIT:
+            return True
+        self._refuse(payload, outcome)
+        return False
+
+    def _refuse(self, payload, reason: str) -> None:
+        """Bounce a refused command back to its client with Retry-After.
+
+        Unlike execution metrics (one logical event per group, so only
+        replica 0 counts), every refusal is a distinct per-replica
+        decision and a real ``ServerBusy`` on the wire — each replica
+        counts its own."""
+        actor = self.actor
+        uid = payload.command.uid
+        if reason == RETIRED:
+            event = "retired-nack"
+            counter = actor.monitor.counter(
+                "reconfig", partition=actor.group, event="nacked"
+            )
+        else:
+            event = reason
+            counter = actor.monitor.counter(
+                "admission", partition=actor.group, outcome=reason
+            )
+        counter.inc()
+        if actor.tracer.enabled:
+            actor.tracer.event(
+                uid, event, actor.now,
+                partition=actor.group, replica=actor.index,
+                attempt=payload.attempt,
+            )
+        actor.send(
+            payload.client,
+            ServerBusy(
+                uid=uid,
+                attempt=payload.attempt,
+                partition=actor.group,
+                retry_after=self.retry_after,
+                reason=reason,
+            ),
+        )
 
 
 class AdmissionController:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from collections import Counter
 from typing import Any, Optional
 
 from repro.compartment.messages import LocalRead
@@ -29,7 +28,7 @@ from repro.core.messages import (
     ProphecyStatus,
     ServerBusy,
 )
-from repro.core.oracle import _stable_hash
+from repro.core.oracle import _stable_hash, choose_target
 from repro.multicast.basecast import GroupDirectory
 from repro.multicast.messages import MulticastMessage
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -446,7 +445,10 @@ class DynaStarClient(Actor):
             )
             if self._try_local_read(locations):
                 return
-            self._dispatch(locations, self._choose_target(locations))
+            target = choose_target(
+                self.target_policy, locations, command.uid, self._attempt
+            )
+            self._dispatch(locations, target)
         else:
             self._query_oracle()
 
@@ -499,24 +501,6 @@ class DynaStarClient(Actor):
             payload=query,
         )
         self.directory.amcast(self, message)
-
-    def _choose_target(self, locations: tuple) -> str:
-        """Same deterministic rule as the oracle: by default the
-        partition with the most nodes, smallest name on ties; ``spread``
-        breaks ties by hashing (uid, attempt), mirroring
-        :meth:`repro.core.oracle.OracleReplica.choose_target`."""
-        involved = sorted({p for _, p in locations})
-        if self.target_policy == "first":
-            return involved[0]
-        counts = Counter(p for _, p in locations)
-        top = max(counts.values())
-        candidates = sorted(p for p, c in counts.items() if c == top)
-        if self.target_policy == "spread" and len(candidates) > 1:
-            return candidates[
-                _stable_hash((self._current.uid, self._attempt))
-                % len(candidates)
-            ]
-        return candidates[0]
 
     def _dispatch(self, locations: tuple, target: str) -> None:
         command = self._current

@@ -32,7 +32,7 @@ from collections import Counter
 from typing import Any, Optional
 
 from repro.consensus.messages import Submit
-from repro.core.admission import ADMIT, AdmissionController
+from repro.core.admission import IngressGate
 from repro.core.messages import (
     CreateVar,
     DeleteVar,
@@ -46,7 +46,6 @@ from repro.core.messages import (
     Prophecy,
     ProphecyStatus,
     ReconfigPlan,
-    ServerBusy,
 )
 from repro.elastic.policy import (
     ElasticConfig,
@@ -71,6 +70,39 @@ def _stable_hash(value: Any) -> int:
     return int.from_bytes(
         hashlib.sha256(repr(value).encode()).digest()[:8], "big"
     )
+
+
+#: ``SystemConfig.target_policy`` values (see :func:`choose_target`).
+TARGET_POLICIES = ("most_nodes", "first", "hash", "spread")
+
+
+def choose_target(policy: str, locations: tuple, uid: str = "", attempt: int = 0) -> str:
+    """The partition that executes a multi-partition command — the one
+    rule of the oracle's prophecies and of a client dispatching from its
+    cache, so the two never name different targets for one command.
+
+    Default (``most_nodes``, the paper's rule): the partition holding
+    most of the command's nodes, ties broken by name — minimizing the
+    number of relocated variables.  ``spread`` keeps the most-nodes
+    rule but breaks ties with a seeded hash of ``(uid, attempt)``, so
+    retried and read-heavy queries fan out across the tied partitions
+    instead of always landing on the lexicographically first one —
+    deterministic (every replica computes the same target for the
+    same query) yet balanced across commands.  ``first`` / ``hash``
+    are weaker deterministic policies kept for the ablation
+    benchmark.
+    """
+    involved = sorted({p for _, p in locations})
+    if policy == "first":
+        return involved[0]
+    if policy == "hash":
+        return involved[_stable_hash(tuple(locations)) % len(involved)]
+    counts = Counter(p for _, p in locations)
+    top = max(counts.values())
+    candidates = sorted(p for p, c in counts.items() if c == top)
+    if policy == "spread" and len(candidates) > 1:
+        return candidates[_stable_hash((uid, attempt)) % len(candidates)]
+    return candidates[0]
 
 
 class OracleReplica(MulticastReplica):
@@ -100,7 +132,7 @@ class OracleReplica(MulticastReplica):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        if target_policy not in ("most_nodes", "first", "hash", "spread"):
+        if target_policy not in TARGET_POLICIES:
             raise ValueError(f"unknown target policy {target_policy!r}")
         if not 0.0 <= graph_decay <= 1.0:
             raise ValueError("graph_decay must be in [0, 1]")
@@ -121,19 +153,22 @@ class OracleReplica(MulticastReplica):
         #: same convention as metrics).  NULL_AUDIT costs one attribute
         #: read per decision when auditing is off.
         self.audit = audit if audit is not None else NULL_AUDIT
-        #: Ingress admission for client queries (None disables).  A
-        #: repartition-storming oracle sheds plain lookups first;
-        #: create/delete traffic gets the priority headroom.
-        self.admission = (
-            AdmissionController(
-                admission_bound,
-                admission_headroom,
-                admission_retry_after,
-                admission_ttl,
-            )
-            if admission_bound is not None
-            else None
+        #: Ingress admission for client queries (``admission`` is None
+        #: when disabled).  A repartition-storming oracle sheds plain
+        #: lookups first; create/delete traffic gets the priority
+        #: headroom, and replays answer from the exactly-once cache.
+        self.ingress = IngressGate(
+            self,
+            (OracleQuery,),
+            lambda query: query.command.uid in self._done_creates
+            or query.command.uid in self._done_deletes,
+            lambda query: query.command.kind != CommandKind.ACCESS,
+            admission_bound,
+            admission_headroom,
+            admission_retry_after,
+            admission_ttl,
         )
+        self.admission = self.ingress.controller
 
         self.location: dict[Any, str] = {}
         self.graph = WorkloadGraph()
@@ -198,56 +233,12 @@ class OracleReplica(MulticastReplica):
 
     def on_message(self, sender: str, message: Any) -> None:
         if (
-            self.admission is not None
-            and isinstance(message, Submit)
+            isinstance(message, Submit)
             and isinstance(message.value, OrderEvent)
-            and not self._admit(sender, message.value.message)
+            and not self.ingress.admit(sender, message.value.message)
         ):
             return
         super().on_message(sender, message)
-
-    def _admit(self, sender: str, msg: MulticastMessage) -> bool:
-        """Same ingress gate as the partition servers: client-originated
-        queries are bounced with ``ServerBusy`` before they enter the
-        oracle's log; replica-originated retransmits always pass."""
-        payload = msg.payload
-        if not isinstance(payload, OracleQuery) or payload.client != sender:
-            return True
-        if msg.uid in self.adelivered_uids or msg.uid in self.pending_msgs:
-            return True
-        command = payload.command
-        if command.uid in self._done_creates or command.uid in self._done_deletes:
-            return True  # replays answer from the exactly-once cache
-        priority = command.kind != CommandKind.ACCESS
-        outcome = self.admission.offer(command.uid, self.now, priority=priority)
-        if self._records_metrics:
-            self.monitor.series(
-                "admission_depth", partition=self.group
-            ).record(self.now, self.admission.depth)
-        if outcome == ADMIT:
-            return True
-        # Per-replica decision, one real ServerBusy each: every replica
-        # counts its own refusals (cf. PartitionServer._refuse).
-        self.monitor.counter(
-            "admission", partition=self.group, outcome=outcome
-        ).inc()
-        if self.tracer.enabled:
-            self.tracer.event(
-                command.uid, outcome, self.now,
-                partition=self.group, replica=self.index,
-                attempt=payload.attempt,
-            )
-        self.send(
-            payload.client,
-            ServerBusy(
-                uid=command.uid,
-                attempt=payload.attempt,
-                partition=self.group,
-                retry_after=self.admission.retry_after,
-                reason=outcome,
-            ),
-        )
-        return False
 
     # -- a-delivery dispatch ---------------------------------------------------
 
@@ -396,7 +387,9 @@ class OracleReplica(MulticastReplica):
             self._prophesize(query, ProphecyStatus.NOK, reason="missing")
             return
         locations = tuple((n, self.location[n]) for n in nodes)
-        target = self.choose_target(locations, command.uid, query.attempt)
+        target = choose_target(
+            self.target_policy, locations, command.uid, query.attempt
+        )
         if self.mode == "dssmr" and len({p for _, p in locations}) > 1:
             # DS-SMR: the move is permanent; the map changes right away.
             for node, _ in locations:
@@ -408,32 +401,6 @@ class OracleReplica(MulticastReplica):
         )
         if query.dispatch:
             self._dispatch(query, locations, target)
-
-    def choose_target(self, locations: tuple, uid: str = "", attempt: int = 0) -> str:
-        """The partition that executes a multi-partition command.
-
-        Default (``most_nodes``, the paper's rule): the partition holding
-        most of the command's nodes, ties broken by name — minimizing the
-        number of relocated variables.  ``spread`` keeps the most-nodes
-        rule but breaks ties with a seeded hash of ``(uid, attempt)``, so
-        retried and read-heavy queries fan out across the tied partitions
-        instead of always landing on the lexicographically first one —
-        deterministic (every replica computes the same target for the
-        same query) yet balanced across commands.  ``first`` / ``hash``
-        are weaker deterministic policies kept for the ablation
-        benchmark.
-        """
-        involved = sorted({p for _, p in locations})
-        if self.target_policy == "first":
-            return involved[0]
-        if self.target_policy == "hash":
-            return involved[_stable_hash(tuple(locations)) % len(involved)]
-        counts = Counter(p for _, p in locations)
-        top = max(counts.values())
-        candidates = sorted(p for p, c in counts.items() if c == top)
-        if self.target_policy == "spread" and len(candidates) > 1:
-            return candidates[_stable_hash((uid, attempt)) % len(candidates)]
-        return candidates[0]
 
     def _dispatch(self, query: OracleQuery, locations: tuple, target: str) -> None:
         """Base-protocol mode: the oracle forwards the command itself."""

@@ -30,23 +30,14 @@ oracle — the retry mechanism of §4.3.
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import chain
 from typing import Any, Optional
 
 from repro.compartment.config import CompartmentConfig
-from repro.compartment.lease import Lease, apply_grant, held_by
-from repro.compartment.messages import (
-    ApplyUpdate,
-    FeedRequest,
-    FeedSnapshot,
-    LeaseGrant,
-    ProbeReject,
-    ProxyBatch,
-    REMOVED,
-    SeqAck,
-    SeqProbe,
-)
+from repro.compartment.messages import LeaseGrant, ProxyBatch
+from repro.compartment.serverside import ReadPath
 from repro.consensus.messages import Submit
-from repro.core.admission import ADMIT, AdmissionController
+from repro.core.admission import IngressGate
 from repro.core.clienttable import ClientTable
 from repro.core.messages import (
     CreateVar,
@@ -59,7 +50,6 @@ from repro.core.messages import (
     PlanTransfer,
     ReliableAck,
     ReliableMsg,
-    ServerBusy,
     TransferFailed,
     VarReturn,
     VarTransfer,
@@ -70,7 +60,9 @@ from repro.obs import audit as audit_mod
 from repro.obs.audit import NULL_AUDIT, AuditLog
 from repro.sim.monitor import Monitor
 from repro.smr.command import Reply, ReplyStatus
-from repro.smr.fastcopy import copy_value
+# Not called here any more, but the end-to-end benchmark's traced pass
+# patches ``repro.core.server.copy_value`` (benchmarks/e2e/hostspans.py).
+from repro.smr.fastcopy import copy_value  # noqa: F401
 from repro.smr.statemachine import (
     AppStateMachine,
     VariableStore,
@@ -83,9 +75,41 @@ from repro.smr.statemachine import (
 #: celebrity posts that touch hundreds of users).
 CLIQUE_HINT_LIMIT = 12
 
-#: Retry-After attached to "retired" NACKs when admission control (which
-#: has its own configured value) is disabled.
-RETIRED_RETRY_AFTER = 0.05
+
+class _Attempt:
+    """What a replica knows about one attempt ``(uid, attempt)`` of a
+    command.  The record lives from first mention — the a-delivered
+    command or a message about it, whichever comes first — until the
+    command leaves the queue; a tombstone in ``_closed`` after.
+    Checkpointed, except ``nodes`` and ``fps``: derivable from app +
+    command and volatile by design."""
+
+    __slots__ = ("checked", "sent", "transfers", "returns", "failed", "nodes", "fps")
+
+    def __init__(self, checked=False, sent=False, transfers=(), returns=(), failed=False):
+        #: Judged fresh, its claimed nodes owned and settled.
+        self.checked = checked
+        #: Source side: our variables were shipped to the target.
+        self.sent = sent
+        #: ``VarTransfer`` / ``VarReturn`` received, by sending partition
+        #: (the first copy wins: every replica of the sender ships one).
+        self.transfers: dict = dict(transfers)
+        self.returns: dict = dict(returns)
+        #: Some involved partition reported ``TransferFailed``.
+        self.failed = failed
+        #: Node set of an admitted single-partition command, and the
+        #: scheduling footprints (:meth:`PartitionServer._footprints`).
+        self.nodes: Optional[frozenset] = None
+        self.fps: Optional[tuple] = None
+
+    def capture(self) -> tuple:
+        return (
+            self.checked,
+            self.sent,
+            sorted(self.transfers.items()),
+            sorted(self.returns.items()),
+            self.failed,
+        )
 
 
 class PartitionServer(MulticastReplica):
@@ -137,61 +161,41 @@ class PartitionServer(MulticastReplica):
         self._last_lane: Optional[int] = None
         #: Set when the service gate refuses: the current scan ends.
         self._gate_refused = False
-        #: Per-command protocol state ("checked"/"sent"), keyed
-        #: (uid, attempt) so several unfinished multi-partition commands
-        #: track their own progress.  Stable: checkpointed.
-        self._cmd_states: dict[tuple, dict] = {}
-        #: Node sets and scheduling footprints of queued commands,
-        #: derivable from app + command: volatile by design.
-        self._nodes_cache: dict[tuple, frozenset] = {}
-        self._fp_cache: dict[tuple, tuple] = {}
+        #: The attempts ``(uid, attempt)`` this replica has heard of and
+        #: not finished with, and a tombstone for every multi-partition
+        #: one that left the queue: True iff aborted here as the target,
+        #: where a late transfer is bounced, not dropped.  Checkpointed.
+        self._attempts: dict[tuple, _Attempt] = {}
+        self._closed: dict[tuple, bool] = {}
 
-        #: Ingress admission control (queue-based load leveling); None
+        #: The one place a fresh client submission may be refused: by
+        #: admission control, or because the group is retiring.
+        self.ingress = IngressGate(
+            self,
+            (ExecCommand, GlobalCommand),
+            self._past_refusing,
+            lambda payload: isinstance(payload, GlobalCommand),
+            admission_bound,
+            admission_headroom,
+            admission_retry_after,
+            admission_ttl,
+        )
+        #: Its admission controller (queue-based load leveling); None
         #: disables it.  Volatile by design — not checkpointed; the TTL
         #: sweep reclaims slots a crash or give-up leaked.
-        self.admission = (
-            AdmissionController(
-                admission_bound,
-                admission_headroom,
-                admission_retry_after,
-                admission_ttl,
-            )
-            if admission_bound is not None
-            else None
-        )
+        self.admission = self.ingress.controller
 
         self.partition = self.group
         self.store = VariableStore()
 
-        # Compartmentalized pipeline (None/disabled => zero footprint:
-        # no observer, no timers, no extra messages).
-        self.compartment = compartment
-        self.learner_names = tuple(learner_names)
-        self._compartment_enabled = (
-            compartment is not None and compartment.enabled
+        #: Learner feed, leader lease and read probes; None unless the
+        #: compartmentalized pipeline is on (zero footprint: no observer,
+        #: no timers, no extra messages).
+        self.reads: Optional[ReadPath] = (
+            ReadPath(self, compartment, learner_names)
+            if compartment is not None and compartment.enabled
+            else None
         )
-        self._lease_enabled = (
-            self._compartment_enabled and compartment.lease_enabled
-        )
-        #: Per-variable logical mutation index — the learner-feed version.
-        #: Deterministic across replicas for the same executed prefix, and
-        #: kept complete (removed variables keep their last version) so
-        #: snapshots can carry tombstones.
-        self._feed_versions: dict = {}
-        self._feed_dirty: dict = {}
-        self._feed_timer = None
-        #: Replicated lease state (applied through the log) plus local
-        #: holder-side bookkeeping.
-        self._lease: Optional[Lease] = None
-        self._lease_seq = 0
-        #: A recovered (or fault-injected) holder abandons its own lease:
-        #: it stops answering probes and renewing until this time passes,
-        #: then re-acquires through the log — which forces it to first
-        #: catch up on everything ordered while it was down.
-        self._lease_abandoned_until = 0.0
-        self._lease_expiry_noted = 0.0
-        if self._compartment_enabled and self.learner_names:
-            self.store.set_observer(self._on_store_mutation)
 
         self.owned_nodes: set = set()
         self.node_vars: dict[Any, set] = {}
@@ -215,11 +219,6 @@ class PartitionServer(MulticastReplica):
 
         self.queue: deque = deque()
 
-        self.recv_transfers: dict[str, dict[str, tuple]] = {}
-        self.transfer_failures: dict[str, set] = {}
-        self.recv_returns: dict[str, dict[str, tuple]] = {}
-        self.aborted_cmds: set = set()
-        self._finished_cmds: set = set()
         self._plan_transfer_seen: set = set()
         self._early_plan_transfers: dict = {}
 
@@ -260,21 +259,15 @@ class PartitionServer(MulticastReplica):
             self.set_periodic_timer(self.hint_period, self._flush_hints)
         if self.retransmit_period > 0:
             self.set_periodic_timer(self.retransmit_period, self._retransmit_outbox)
-        if self._lease_enabled:
-            self.set_periodic_timer(
-                self.compartment.lease_renew_margin / 2, self._lease_tick
-            )
+        if self.reads is not None:
+            self.reads.start()
 
     def on_recover(self) -> None:
         self._service_timer = None
         self._lane_free = [0.0] * self.lanes
         self._drain_timer_armed = False
-        self._feed_timer = None
-        if self._lease is not None and self._lease.holder == self.name:
-            # A recovered holder cannot trust reads against its possibly
-            # stale execution state: abandon the lease and re-acquire it
-            # through the log after the old expiry.
-            self._abandon_lease()
+        if self.reads is not None:
+            self.reads.on_recover()
         super().on_recover()
         # The execution queue and gather buffers are stable; whatever was
         # ready to run before the crash can run again now.
@@ -306,15 +299,13 @@ class PartitionServer(MulticastReplica):
     def _tracked_execute(self, command):
         """Run the app with mutation tracking; returns
         (result, status, written, removed) and keeps the index in sync."""
-        from repro.smr.command import ReplyStatus as _RS
-
         self.store.begin_tracking()
         try:
             result = self.app.execute(command, self.store)
-            status = _RS.OK
+            status = ReplyStatus.OK
         except (KeyError, ValueError) as exc:
             result = repr(exc)
-            status = _RS.NOK
+            status = ReplyStatus.NOK
         written, removed = self.store.end_tracking()
         for var in written:
             self._index_var(var)
@@ -343,164 +334,41 @@ class PartitionServer(MulticastReplica):
                         vars_out.append(var)
         return vars_out
 
-    # -- ingress admission control ----------------------------------------------
+    # -- ingress ------------------------------------------------------------------
 
     def on_message(self, sender: str, message: Any) -> None:
         if isinstance(message, Submit) and isinstance(message.value, OrderEvent):
-            if (self.draining or self.retired) and not self._admit_retiring(
-                sender, message.value.message
-            ):
-                return
-            if self.admission is not None and not self._admit(
-                sender, message.value.message
+            if not self.ingress.admit(
+                sender, message.value.message, self.draining or self.retired
             ):
                 return
         elif isinstance(message, ProxyBatch):
+            retiring = self.draining or self.retired
             for event in message.events:
-                self._on_proxied_submit(event)
+                # The gate waves through what a peer sends, and the proxy
+                # is one — a proxied client command must NOT ride that
+                # exemption, so gate it as if its client had sent it.
+                msg = event.message
+                client = getattr(msg.payload, "client", None)
+                if self.ingress.admit(client, msg, retiring):
+                    self.submit(event)
             return
         super().on_message(sender, message)
 
-    def _on_proxied_submit(self, event: OrderEvent) -> None:
-        """A submission relayed by a proxy leader.  The admission gates
-        key on ``payload.client == sender`` to wave protocol-internal
-        traffic through — a proxied client command must NOT ride that
-        exemption, so gate it as if the client had sent it directly."""
-        msg = event.message
-        client = getattr(msg.payload, "client", None)
-        if client is not None:
-            if (self.draining or self.retired) and not self._admit_retiring(
-                client, msg
-            ):
-                return
-            if self.admission is not None and not self._admit(client, msg):
-                return
-        self.submit(event)
-
-    def _admit_retiring(self, sender: str, msg: MulticastMessage) -> bool:
-        """A retiring partition refuses fresh client traffic at the same
-        consensus ingress as admission control: the command never enters
-        the log through this replica, so replicas cannot disagree about
-        what a draining group executes.  The ``retired`` Retry-After NACK
-        tells the client to drop its cached location and re-query the
-        oracle, which now maps every node elsewhere."""
-        payload = msg.payload
-        if not isinstance(payload, (ExecCommand, GlobalCommand)):
+    def _past_refusing(self, payload) -> bool:
+        """The gate's ``settled``: the client table already answers this
+        command, or — multi-partition — its borrows are in flight here:
+        aborting a half-gathered command costs every involved partition
+        another round."""
+        if self.clients.answered(payload.client, payload.seq):
             return True
-        if payload.client != sender:
-            return True
-        cmd_uid = payload.command.uid
-        if (
-            msg.uid in self.adelivered_uids
-            or msg.uid in self.pending_msgs
-            or self.clients.answered(payload.client, payload.seq)
-        ):
-            # Already ordered or already answered — the table replies.
-            return True
-        if isinstance(payload, GlobalCommand) and self._has_claimed_borrows(
-            cmd_uid
-        ):
-            return True
-        self.monitor.counter(
-            "reconfig", partition=self.partition, event="nacked"
-        ).inc()
-        if self.tracer.enabled:
-            self.tracer.event(
-                cmd_uid, "retired-nack", self.now,
-                partition=self.partition, replica=self.index,
-                attempt=payload.attempt,
-            )
-        retry_after = (
-            self.admission.retry_after
-            if self.admission is not None
-            else RETIRED_RETRY_AFTER
+        if not isinstance(payload, GlobalCommand):
+            return False
+        uid = payload.command.uid
+        return any(
+            key[0] == uid and (rec.transfers or rec.returns)
+            for key, rec in self._attempts.items()
         )
-        self.send(
-            payload.client,
-            ServerBusy(
-                uid=cmd_uid,
-                attempt=payload.attempt,
-                partition=self.partition,
-                retry_after=retry_after,
-                reason="retired",
-            ),
-        )
-        return False
-
-    def _admit(self, sender: str, msg: MulticastMessage) -> bool:
-        """Queue-based load leveling at the consensus *ingress*.
-
-        Only client-originated submissions are gated (``payload.client ==
-        sender``); protocol-internal retransmits and ordering probes come
-        from peer replicas and always pass, so a partially ordered
-        multi-group command cannot wedge behind the gate.  A refused
-        command never enters any log, which is what keeps the replicas of
-        a partition in agreement about what executes — a post-ordering
-        shed would depend on per-replica queue depth and diverge.
-        """
-        payload = msg.payload
-        if not isinstance(payload, (ExecCommand, GlobalCommand)):
-            return True
-        if payload.client != sender:
-            return True
-        cmd_uid = payload.command.uid
-        if (
-            msg.uid in self.adelivered_uids
-            or msg.uid in self.pending_msgs
-            or self.clients.answered(payload.client, payload.seq)
-        ):
-            # Already ordered or already answered — letting it through is
-            # cheaper than bouncing (the reply comes from the table).
-            return True
-        multi = isinstance(payload, GlobalCommand)
-        if multi and self._has_claimed_borrows(cmd_uid):
-            # Never shed a command whose borrows are in flight: aborting
-            # a half-gathered multi-partition command costs every
-            # involved partition another round.
-            return True
-        outcome = self.admission.offer(cmd_uid, self.now, priority=multi)
-        if self._records_metrics:
-            self._pseries("admission_depth").record(self.now, self.admission.depth)
-        if outcome == ADMIT:
-            return True
-        self._refuse(payload, outcome)
-        return False
-
-    def _has_claimed_borrows(self, cmd_uid: str) -> bool:
-        return any(k[0] == cmd_uid for k in self.recv_transfers) or any(
-            k[0] == cmd_uid for k in self.recv_returns
-        )
-
-    def _refuse(self, payload, outcome: str) -> None:
-        """Bounce a refused command back to the client with Retry-After.
-
-        Unlike execution metrics (one logical event per partition, so
-        only replica 0 counts), every refusal is a distinct per-replica
-        decision and a real ``ServerBusy`` on the wire — each replica
-        counts its own."""
-        self.monitor.counter(
-            "admission", partition=self.partition, outcome=outcome
-        ).inc()
-        if self.tracer.enabled:
-            self.tracer.event(
-                payload.command.uid, outcome, self.now,
-                partition=self.partition, replica=self.index,
-                attempt=payload.attempt,
-            )
-        self.send(
-            payload.client,
-            ServerBusy(
-                uid=payload.command.uid,
-                attempt=payload.attempt,
-                partition=self.partition,
-                retry_after=self.admission.retry_after,
-                reason=outcome,
-            ),
-        )
-
-    def _admission_release(self, cmd_uid: str) -> None:
-        if self.admission is not None:
-            self.admission.release(cmd_uid)
 
     # -- a-delivery --------------------------------------------------------------
 
@@ -564,213 +432,41 @@ class PartitionServer(MulticastReplica):
             self._on_transfer_failed(message)
         elif isinstance(message, PlanTransfer):
             self._on_plan_transfer(message)
-        elif isinstance(message, SeqProbe):
-            self._on_seq_probe(message)
-        elif isinstance(message, FeedRequest):
-            self._on_feed_request(message)
+        elif self.reads is not None:
+            self.reads.on_message(message)  # read probes, feed requests
 
-    # -- compartmentalized stages: learner feed ------------------------------------
-
-    def _on_store_mutation(self, var: Any, removed: bool) -> None:
-        """Store observer (every mutation path funnels through it): bump
-        the variable's logical version, remember the dirty entry, and arm
-        a zero-delay flush so one execution's writes ship as one delta."""
-        self._feed_versions[var] = self._feed_versions.get(var, 0) + 1
-        self._feed_dirty[var] = removed
-        if self._feed_timer is None or not self._feed_timer.active:
-            self._feed_timer = self.set_timer(0.0, self._flush_feed)
-
-    def _feed_entry(self, var: Any) -> tuple:
-        if var in self.store:
-            value = self.store.get(var)
-        else:
-            value = REMOVED
-        return (var, self._feed_versions.get(var, 0), value)
-
-    def _flush_feed(self) -> None:
-        if not self._feed_dirty:
-            return
-        updates = tuple(
-            self._feed_entry(var)
-            for var in sorted(self._feed_dirty, key=repr)
-        )
-        self._feed_dirty.clear()
-        # Deep-copy once per delta; learners apply idempotently per key,
-        # so every replica feeding every learner is redundancy, not risk.
-        delta = ApplyUpdate(
-            tuple(
-                (var, version, value if value is REMOVED else copy_value(value))
-                for var, version, value in updates
-            )
-        )
-        self.send_all(self.learner_names, delta)
-
-    def _on_feed_request(self, msg: FeedRequest) -> None:
-        if not self._compartment_enabled:
-            return
-        entries = tuple(
-            self._feed_entry(var)
-            for var in sorted(self._feed_versions, key=repr)
-        )
-        snapshot = FeedSnapshot(
-            tuple(
-                (var, version, value if value is REMOVED else copy_value(value))
-                for var, version, value in entries
-            )
-        )
-        self.send(msg.learner, snapshot)
-
-    # -- compartmentalized stages: leader leases -----------------------------------
-
-    def _abandon_lease(self) -> None:
-        if self._lease is not None:
-            self._lease_abandoned_until = max(
-                self._lease_abandoned_until, self._lease.expires_at
-            )
-
-    def _lease_tick(self) -> None:
-        lease = self._lease
-        if (
-            lease is not None
-            and self.now >= lease.expires_at
-            and self._lease_expiry_noted < lease.expires_at
-        ):
-            self._lease_expiry_noted = lease.expires_at
-            if self._records_metrics:
-                self.monitor.counter(
-                    "lease", partition=self.partition, event="expired"
-                ).inc()
-        if self.retired or self.draining or not self.is_leader:
-            return
-        if self.now < self._lease_abandoned_until:
-            return
-        if lease is not None:
-            if lease.holder == self.name:
-                if (
-                    self.now < lease.expires_at
-                    and lease.expires_at - self.now
-                    > self.compartment.lease_renew_margin
-                ):
-                    return  # still fresh, no renewal needed yet
-            elif self.now < lease.expires_at:
-                # Conservative hand-over: never propose over a live lease;
-                # the grant would be rejected at apply time anyway.
-                return
-        self._lease_seq += 1
-        granted = self.now
-        self.submit(
-            LeaseGrant(
-                uid=f"lease:{self.name}:{self._lease_seq}:{granted:.6f}",
-                holder=self.name,
-                granted_at=granted,
-                expires_at=granted + self.compartment.lease_duration,
-            )
-        )
+    # -- the read path's view of the queue (repro.compartment.serverside) ----------
 
     def deliver_value(self, value: Any) -> None:
         if isinstance(value, LeaseGrant):
-            self._apply_lease_grant(value)
+            if self.reads is not None:
+                self.reads.apply_grant(value)
             return
         super().deliver_value(value)
 
-    def _apply_lease_grant(self, grant: LeaseGrant) -> None:
-        """Log-ordered, deterministic: every replica applies the same
-        grants in the same order against the same lease state."""
-        previous = self._lease
-        self._lease, accepted = apply_grant(previous, grant)
-        if self._records_metrics:
-            if not accepted:
-                event = "rejected"
-            elif previous is not None and previous.holder == grant.holder:
-                event = "renewed"
-            else:
-                event = "granted"
-            self.monitor.counter(
-                "lease", partition=self.partition, event=event
-            ).inc()
+    def holds(self, nodes: frozenset) -> bool:
+        """Whether the current plan gives this partition all of
+        ``nodes``, settled here or still on their way."""
+        return all(
+            node in self.owned_nodes or node in self.in_transit for node in nodes
+        )
 
-    # -- compartmentalized stages: lease-checked read probes -----------------------
-
-    def _payload_touches(self, payload: Any, nodes: frozenset) -> bool:
-        command = getattr(payload, "command", None)
-        if command is None:
-            # Plans, drains, unknown payloads: assume the worst.
-            return True
-        return bool(nodes & self.app.nodes_of(command))
-
-    def _must_defer_probe(self, nodes: frozenset) -> bool:
+    def may_still_touch(self, nodes: frozenset) -> bool:
         """True while an already-ordered (or still-ordering) command could
-        still mutate the probed variables.  The leader learns every
+        still mutate the variables of ``nodes``.  The leader learns every
         decision first and delivers strictly in order, so anything any
         replica may have executed and replied is — at this replica, the
         leaseholding leader — either executed (covered by the feed
-        versions) or visible in these buffers (deferred)."""
+        versions) or visible in these buffers."""
         if any(node in self.in_transit for node in nodes):
             return True
-        for payload in self.queue:
-            if self._payload_touches(payload, nodes):
-                return True
-        for entry in self.pending_msgs.values():
-            if self._payload_touches(entry.message.payload, nodes):
+        pending = (entry.message.payload for entry in self.pending_msgs.values())
+        for payload in chain(self.queue, pending):
+            command = getattr(payload, "command", None)
+            # Plans, drains, unknown payloads: assume the worst.
+            if command is None or nodes & self.app.nodes_of(command):
                 return True
         return False
-
-    def _on_seq_probe(self, probe: SeqProbe) -> None:
-        """Answer a learner's read probe — only as the valid leaseholder.
-
-        Silence (no valid lease, abandoned lease, deferred answer) makes
-        the learner re-probe until its deadline; rejection bounces the
-        client to the ordered path via RETRY."""
-        if not self._lease_enabled:
-            return
-        if (
-            not held_by(self._lease, self.name, self.now)
-            or self.now < self._lease_abandoned_until
-            or not self.is_leader
-        ):
-            return
-        if self.retired or self.draining:
-            self.send(probe.learner, ProbeReject(probe.uid, "retiring"))
-            return
-        if not self.app.is_readonly(probe.command):
-            # A mutating command must never be served off a learner
-            # mirror — bounce it to the ordered path.
-            self.send(probe.learner, ProbeReject(probe.uid, "not-readonly"))
-            return
-        nodes = self.app.nodes_of(probe.command)
-        if any(
-            node not in self.owned_nodes and node not in self.in_transit
-            for node in nodes
-        ):
-            if self._records_metrics:
-                self.monitor.counter(
-                    "lease", partition=self.partition, event="probe_rejected"
-                ).inc()
-            self.send(probe.learner, ProbeReject(probe.uid, "not-owner"))
-            return
-        if self._must_defer_probe(nodes):
-            if self._records_metrics:
-                self.monitor.counter(
-                    "lease", partition=self.partition, event="probe_deferred"
-                ).inc()
-            return
-        versions = []
-        for node in sorted(nodes, key=repr):
-            for var in sorted(self.node_vars.get(node, ()), key=repr):
-                versions.append((var, self._feed_versions.get(var, 0)))
-        for var in sorted(
-            self.app.concrete_variables_of(probe.command), key=repr
-        ):
-            entry = (var, self._feed_versions.get(var, 0))
-            if entry not in versions:
-                versions.append(entry)
-        if self._records_metrics:
-            self.monitor.counter(
-                "lease", partition=self.partition, event="probe_answered"
-            ).inc()
-        self.send(
-            probe.learner, SeqAck(probe.uid, tuple(versions), self.name)
-        )
 
     # -- the execution queue -------------------------------------------------------
 
@@ -811,13 +507,20 @@ class PartitionServer(MulticastReplica):
                         blockers.append(fps)
                         idx += 1
                         continue
-                if isinstance(payload, ExecCommand):
-                    done = self._try_exec(payload)
-                else:
+                multi = isinstance(payload, GlobalCommand)
+                if multi:
                     done = self._try_global(payload)
+                else:
+                    done = self._try_exec(payload)
                 if done:
+                    # The one place a command leaves the queue.
                     del queue[idx]
-                    self._drop_cmd_state(payload)
+                    key = (payload.command.uid, payload.attempt)
+                    self._attempts.pop(key, None)
+                    if multi:
+                        self._closed.setdefault(key, False)
+                    if self.admission is not None:
+                        self.admission.release(key[0])
                 elif self.lanes == 1 or self._gate_refused:
                     return
                 else:
@@ -843,27 +546,22 @@ class PartitionServer(MulticastReplica):
         moves (see :func:`scheduling_footprints`).  Two commands keep
         log order iff each one's footprint against the other's kind
         conflicts."""
-        key = (payload.command.uid, payload.attempt)
-        fps = self._fp_cache.get(key)
+        rec = self._attempt((payload.command.uid, payload.attempt))
+        fps = rec.fps
         if fps is None:
             moves = isinstance(payload, GlobalCommand)
-            fps = self._fp_cache[key] = (
+            fps = rec.fps = (
                 moves,
                 *scheduling_footprints(self.app, payload.command, moves),
             )
         return fps
 
-    def _cmd_state(self, payload) -> dict:
-        """Per-command protocol state ("checked"/"sent" flags), dropped
-        when the command leaves the queue."""
-        key = (payload.command.uid, payload.attempt)
-        return self._cmd_states.setdefault(key, {})
-
-    def _drop_cmd_state(self, payload) -> None:
-        key = (payload.command.uid, payload.attempt)
-        self._cmd_states.pop(key, None)
-        self._nodes_cache.pop(key, None)
-        self._fp_cache.pop(key, None)
+    def _attempt(self, key: tuple) -> _Attempt:
+        """The record of attempt ``key``, created at first mention."""
+        rec = self._attempts.get(key)
+        if rec is None:
+            rec = self._attempts[key] = _Attempt()
+        return rec
 
     # -- single-partition commands -----------------------------------------------------
 
@@ -904,12 +602,14 @@ class PartitionServer(MulticastReplica):
 
     def _try_exec(self, payload: ExecCommand) -> bool:
         command = payload.command
-        # Cached once the command is admitted — its nodes owned, settled
-        # and the attempt judged fresh, none of which changes while it is
-        # queued: a command the service gate refuses is tried again at
-        # every pump until a lane frees.
+        # Admitted — its nodes owned, settled and the attempt judged
+        # fresh — stays true while the command is queued; the node set is
+        # kept only if the service gate refuses (the command is tried
+        # again at every pump until a lane frees), so a command that runs
+        # at its first pump allocates no record.
         key = (command.uid, payload.attempt)
-        nodes = self._nodes_cache.get(key)
+        rec = self._attempts.get(key)
+        nodes = None if rec is None else rec.nodes
         if nodes is None:
             nodes = self.app.nodes_of(command)
             if any(node not in self.owned_nodes for node in nodes):
@@ -924,8 +624,8 @@ class PartitionServer(MulticastReplica):
                 return False  # wait for the node's variables to arrive
             if self._answer_repeat(payload, nodes):
                 return True
-            self._nodes_cache[key] = nodes
         if not self._gate_service():
+            self._attempt(key).nodes = nodes
             return False
         self._consume_service()
         self._execute_and_reply(payload, record_hint_nodes=nodes)
@@ -942,7 +642,7 @@ class PartitionServer(MulticastReplica):
         self._record_hint(record_hint_nodes)
         if self._records_metrics:
             self._pseries("tput").record(self.now)
-            if self._compartment_enabled and self.app.is_readonly(command):
+            if self.reads is not None and self.app.is_readonly(command):
                 self.monitor.counter(
                     "reads", partition=self.partition, event="ordered"
                 ).inc()
@@ -989,49 +689,40 @@ class PartitionServer(MulticastReplica):
             self._reply(payload, *outcome)
             if self._records_metrics:
                 self.monitor.counter("dedup_replies").inc()
-        else:
-            self._admission_release(payload.command.uid)
         return True
 
     # -- multi-partition commands ----------------------------------------------------------
 
     def _try_global(self, payload: GlobalCommand) -> bool:
         claimed = payload.nodes_at(self.partition)
-        state = self._cmd_state(payload)
+        rec = self._attempt((payload.command.uid, payload.attempt))
 
         # Judged once, before this partition does anything for the
         # attempt and with its claimed nodes settled: their numbers are
         # node state, so every replica judges alike — also one that lags
         # and already holds the VarReturn of this (or a later) command,
         # which changes nothing until it is consumed below.
-        if not state.get("checked"):
+        if not rec.checked:
             if any(node not in self.owned_nodes for node in claimed):
                 self._abort_global(payload)
                 return True
             if any(node in self.in_transit for node in claimed):
                 return False
             if self._answer_repeat(payload, claimed):
-                self._unwind_repeat(payload)
+                # A repeat (or stale attempt) does not run here: unwind
+                # its gather so no partition blocks.  As a source we will
+                # not ship — tell the others so a target that judged
+                # differently aborts instead of gathering forever.
+                if payload.target == self.partition:
+                    self._close_aborted_target(payload)
+                else:
+                    self._notify_transfer_failed(payload)
                 return True
-            state["checked"] = True
+            rec.checked = True
 
         if payload.target == self.partition:
-            return self._global_as_target(payload)
-        return self._global_as_source(payload)
-
-    def _unwind_repeat(self, payload: GlobalCommand) -> None:
-        """A repeated (or stale) attempt of a multi-partition command
-        does not run here: unwind its gather so no partition blocks."""
-        key = (payload.command.uid, payload.attempt)
-        if payload.target == self.partition:
-            # Sources of this attempt may still ship; bounce everything so
-            # their heads unblock with the variables unchanged.
-            self.aborted_cmds.add(key)
-            self._bounce_received(key)
-        else:
-            # As a source we will not ship — tell the others so a target
-            # that judged differently aborts instead of gathering forever.
-            self._notify_transfer_failed(payload)
+            return self._global_as_target(payload, rec)
+        return self._global_as_source(payload, rec)
 
     def _notify_transfer_failed(self, payload: GlobalCommand) -> None:
         for partition in payload.involved():
@@ -1044,7 +735,7 @@ class PartitionServer(MulticastReplica):
                     uid=f"tf:{payload.command.uid}:{payload.attempt}:{self.partition}",
                 )
 
-    def _gather(self, payload: GlobalCommand, **borrow_tags) -> tuple:
+    def _gather(self, payload: GlobalCommand, rec: _Attempt, **borrow_tags) -> tuple:
         """Target side, before executing: ``(finished, received)``.
 
         ``received`` maps each source to its VarTransfer once every
@@ -1052,7 +743,6 @@ class PartitionServer(MulticastReplica):
         until then it is None and ``finished`` says whether the command
         is over (aborted: some source was stale) or must wait."""
         command = payload.command
-        key = (command.uid, payload.attempt)
         needed = {p for p in payload.involved() if p != self.partition}
 
         if self.tracer.enabled:
@@ -1061,12 +751,12 @@ class PartitionServer(MulticastReplica):
                 target=self.partition, sources=len(needed),
                 attempt=payload.attempt, **borrow_tags,
             )
-        if self.transfer_failures.get(key):
+        if rec.failed:
             # Some source is stale; abort and bounce whatever arrived.
             self._abort_global(payload)
             return True, None
-        received = self.recv_transfers.get(key, {})
-        if not needed <= set(received):
+        received = rec.transfers
+        if not needed <= received.keys():
             return False, None  # still gathering
         # Gather complete: service-gate wait from here on belongs to the
         # still-open queue span, not the borrow.
@@ -1079,10 +769,9 @@ class PartitionServer(MulticastReplica):
         self._consume_service()
         return False, received
 
-    def _global_as_target(self, payload: GlobalCommand) -> bool:
+    def _global_as_target(self, payload: GlobalCommand, rec: _Attempt) -> bool:
         command = payload.command
-        key = (command.uid, payload.attempt)
-        finished, received = self._gather(payload)
+        finished, received = self._gather(payload, rec)
         if received is None:
             return finished
 
@@ -1141,7 +830,6 @@ class PartitionServer(MulticastReplica):
         self.executed_count += 1
         self.multi_partition_count += 1
         self._record_hint({n for n, _ in payload.locations})
-        self._cleanup_cmd(key)
         if self._records_metrics:
             self._pseries("tput").record(self.now)
             self._pseries("multipart").record(self.now)
@@ -1153,12 +841,10 @@ class PartitionServer(MulticastReplica):
             )
         return True
 
-    def _global_as_source(self, payload: GlobalCommand) -> bool:
+    def _global_as_source(self, payload: GlobalCommand, rec: _Attempt) -> bool:
         command = payload.command
-        key = (command.uid, payload.attempt)
-        state = self._cmd_state(payload)
 
-        if not state.get("sent"):
+        if not rec.sent:
             claimed = set(payload.nodes_at(self.partition))
             pairs = []
             for var in self._borrowable_vars(command, claimed):
@@ -1178,7 +864,7 @@ class PartitionServer(MulticastReplica):
                 ),
                 uid=f"vt:{command.uid}:{payload.attempt}:{self.partition}",
             )
-            state["sent"] = True
+            rec.sent = True
             if self._records_metrics:
                 self._pseries("objects").record(
                     self.now, len(pairs)
@@ -1188,7 +874,7 @@ class PartitionServer(MulticastReplica):
         # also arrives as a VarReturn).  Consumed here, at the command's
         # log position, the return installs the nodes' new state: their
         # variables and — if the command executed — its number.
-        returned = self.recv_returns.get(key, {}).get(payload.target)
+        returned = rec.returns.get(payload.target)
         if returned is None:
             return False
         for var, value in returned.vars:
@@ -1203,13 +889,11 @@ class PartitionServer(MulticastReplica):
                 command.uid, "return", self.now,
                 disc=(payload.attempt, self.partition), home=self.partition,
             )
-        self._cleanup_cmd(key)
         return True
 
     def _abort_global(self, payload: GlobalCommand) -> None:
         """This partition cannot honor the command's location map: tell
         the client to retry and unwind the gather."""
-        key = (payload.command.uid, payload.attempt)
         uid = payload.command.uid
         if self.tracer.enabled:
             self.tracer.finish(
@@ -1227,59 +911,50 @@ class PartitionServer(MulticastReplica):
             self.monitor.counter("retries_sent").inc()
         self._notify_transfer_failed(payload)
         if payload.target == self.partition:
-            self.aborted_cmds.add(key)
-            self._bounce_received(key)
+            self._close_aborted_target(payload)
 
-    def _bounce_received(self, key: tuple) -> None:
-        """Return unmodified any borrowed variables already received for
-        an aborted command attempt."""
-        cmd_uid, attempt = key
-        for source, transfer in self.recv_transfers.get(key, {}).items():
-            self._send_to_partition(
-                source,
-                VarReturn(cmd_uid, self.partition, transfer.vars, attempt),
-                uid=f"vr:{cmd_uid}:{attempt}:{self.partition}->{source}",
-            )
-        self.recv_transfers.pop(key, None)
+    def _close_aborted_target(self, payload: GlobalCommand) -> None:
+        """The gather of this attempt is over and will not execute: its
+        sources may still ship, so bounce what arrived and leave the
+        tombstone that bounces the rest — their heads unblock with the
+        variables unchanged."""
+        key = (payload.command.uid, payload.attempt)
+        self._closed[key] = True
+        for transfer in self._attempts[key].transfers.values():
+            self._bounce(transfer)
 
-    def _cleanup_cmd(self, key: tuple) -> None:
-        self._finished_cmds.add(key)
-        self.recv_transfers.pop(key, None)
-        self.recv_returns.pop(key, None)
-        self.transfer_failures.pop(key, None)
-        self._admission_release(key[0])
+    def _bounce(self, transfer: VarTransfer) -> None:
+        """Return borrowed variables unmodified, with no outcome."""
+        source = transfer.from_partition
+        self._send_to_partition(
+            source,
+            VarReturn(
+                transfer.cmd_uid, self.partition, transfer.vars, transfer.attempt
+            ),
+            uid=f"vr:{transfer.cmd_uid}:{transfer.attempt}:{self.partition}->{source}",
+        )
 
     # -- transfer plumbing ------------------------------------------------------------------
 
     def _on_var_transfer(self, msg: VarTransfer) -> None:
-        if msg.key in self._finished_cmds:
-            return  # late duplicate from the source's other replica
-        if msg.key in self.aborted_cmds:
-            # Late transfer for an aborted gather: bounce it straight back.
-            self._send_to_partition(
-                msg.from_partition,
-                VarReturn(msg.cmd_uid, self.partition, msg.vars, msg.attempt),
-                uid=f"vr:{msg.cmd_uid}:{msg.attempt}:{self.partition}->{msg.from_partition}",
-            )
-            return
-        buf = self.recv_transfers.setdefault(msg.key, {})
-        if msg.from_partition not in buf:  # dedup replica copies
-            buf[msg.from_partition] = msg
-        self._pump()
+        aborted = self._closed.get(msg.key)
+        if aborted is None:
+            # setdefault: every replica of the source ships a copy.
+            self._attempt(msg.key).transfers.setdefault(msg.from_partition, msg)
+            self._pump()
+        elif aborted:
+            self._bounce(msg)  # late for a gather aborted here
+        # else: late duplicate from the source's other replica
 
     def _on_var_return(self, msg: VarReturn) -> None:
-        if msg.key in self._finished_cmds:
-            return
-        buf = self.recv_returns.setdefault(msg.key, {})
-        if msg.from_partition not in buf:
-            buf[msg.from_partition] = msg
-        self._pump()
+        if msg.key not in self._closed:
+            self._attempt(msg.key).returns.setdefault(msg.from_partition, msg)
+            self._pump()
 
     def _on_transfer_failed(self, msg: TransferFailed) -> None:
-        self.transfer_failures.setdefault(msg.key, set()).add(
-            msg.from_partition
-        )
-        self._pump()
+        if msg.key not in self._closed:
+            self._attempt(msg.key).failed = True
+            self._pump()
 
     # -- create / delete -----------------------------------------------------------------------
 
@@ -1519,7 +1194,6 @@ class PartitionServer(MulticastReplica):
         # Every replica replies (the client dedups); get-or-create means
         # the first replica to send stamps the span's start, and the
         # client closes it on receipt.
-        self._admission_release(payload.command.uid)
         if (
             status == ReplyStatus.RETRY
             and (self.draining or self.retired)
@@ -1588,24 +1262,11 @@ class PartitionServer(MulticastReplica):
             # dataclasses (and value copies made at lend time) — shipping
             # references is safe; installers re-copy on store insertion.
             "queue": tuple(self.queue),
-            "cmd_states": sorted(
-                ((key, dict(state)) for key, state in self._cmd_states.items()),
+            "attempts": sorted(
+                ((key, rec.capture()) for key, rec in self._attempts.items()),
                 key=repr,
             ),
-            "recv_transfers": sorted(
-                ((key, sorted(buf.items())) for key, buf in self.recv_transfers.items()),
-                key=repr,
-            ),
-            "recv_returns": sorted(
-                ((key, sorted(buf.items())) for key, buf in self.recv_returns.items()),
-                key=repr,
-            ),
-            "transfer_failures": sorted(
-                ((key, sorted(parts)) for key, parts in self.transfer_failures.items()),
-                key=repr,
-            ),
-            "aborted_cmds": sorted(self.aborted_cmds, key=repr),
-            "finished_cmds": sorted(self._finished_cmds, key=repr),
+            "closed": sorted(self._closed.items(), key=repr),
             "plan_transfer_seen": sorted(self._plan_transfer_seen, key=repr),
             "early_plan_transfers": sorted(
                 self._early_plan_transfers.items(), key=repr
@@ -1622,18 +1283,8 @@ class PartitionServer(MulticastReplica):
             "executed_count": self.executed_count,
             "multi_partition_count": self.multi_partition_count,
         }
-        if self._compartment_enabled:
-            lease = self._lease
-            state["compartment.state"] = {
-                "feed_versions": sorted(self._feed_versions.items(), key=repr),
-                "lease": (
-                    None
-                    if lease is None
-                    else (lease.holder, lease.granted_at, lease.expires_at)
-                ),
-                "lease_seq": self._lease_seq,
-                "lease_abandoned_until": self._lease_abandoned_until,
-            }
+        if self.reads is not None:
+            state["compartment.state"] = self.reads.capture()
         return state
 
     def install_app_state(self, sections: dict) -> None:
@@ -1643,50 +1294,19 @@ class PartitionServer(MulticastReplica):
         for var, value in sections.get("server.store", {}).items():
             self.store.insert_copy(var, value)
             self._index_var(var)
-        if self._compartment_enabled:
-            # The snapshot's feed versions replace the observer-driven
-            # counts *before* the observer is re-attached to the fresh
-            # store, so the install itself does not bump them.
-            cstate = sections.get("compartment.state", {})
-            self._feed_versions = dict(cstate.get("feed_versions", ()))
-            self._feed_dirty = {}
-            self._feed_timer = None
-            lease = cstate.get("lease")
-            self._lease = None if lease is None else Lease(*lease)
-            self._lease_seq = cstate.get("lease_seq", 0)
-            self._lease_abandoned_until = cstate.get(
-                "lease_abandoned_until", 0.0
-            )
-            if self.learner_names:
-                self.store.set_observer(self._on_store_mutation)
-            # Installed state may be ahead of the pre-crash store: treat
-            # reads against it as suspect until re-granted through the
-            # log (same reasoning as on_recover).
-            if self._lease is not None and self._lease.holder == self.name:
-                self._abandon_lease()
+        if self.reads is not None:
+            self.reads.install(sections.get("compartment.state", {}))
         state = sections.get("server.state", {})
         self.owned_nodes = set(state.get("owned_nodes", ()))
         self.in_transit = set(state.get("in_transit", ()))
         self.version = state.get("version", 0)
         self.last_plan = dict(state.get("last_plan", ()))
         self.queue = deque(state.get("queue", ()))
-        self._cmd_states = {
-            key: dict(s) for key, s in state.get("cmd_states", ())
+        self._attempts = {
+            key: _Attempt(*captured) for key, captured in state.get("attempts", ())
         }
-        self._nodes_cache = {}
-        self._fp_cache = {}
+        self._closed = dict(state.get("closed", ()))
         self._lane_free = [0.0] * self.lanes
-        self.recv_transfers = {
-            key: dict(buf) for key, buf in state.get("recv_transfers", ())
-        }
-        self.recv_returns = {
-            key: dict(buf) for key, buf in state.get("recv_returns", ())
-        }
-        self.transfer_failures = {
-            key: set(parts) for key, parts in state.get("transfer_failures", ())
-        }
-        self.aborted_cmds = set(state.get("aborted_cmds", ()))
-        self._finished_cmds = set(state.get("finished_cmds", ()))
         self._plan_transfer_seen = set(state.get("plan_transfer_seen", ()))
         self._early_plan_transfers = dict(state.get("early_plan_transfers", ()))
         self.clients.install(state.get("clients", ()))

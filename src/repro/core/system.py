@@ -140,8 +140,6 @@ class SystemConfig:
     #: (``repro.obs.health``); None disables it entirely — no tick is
     #: ever scheduled.
     health_sample_period: Optional[float] = None
-    #: Hot-key top-N reported per health sample.
-    health_top_n: int = 5
     #: Elastic partition count: let the oracle split overloaded
     #: partitions and merge idle ones at runtime (``dynastar`` mode
     #: only).  Off by default — the fixed-partition behaviour (and its
@@ -153,7 +151,6 @@ class SystemConfig:
     elastic_cooldown: int = 1200
     max_partitions: int = 8
     min_partitions: int = 1
-    elastic_min_split_nodes: int = 4
     #: Stamp client commands with idempotency keys so give-up-and-resubmit
     #: retries (fresh uid) are still recognised by the servers.
     idempotency_keys: bool = False
@@ -248,7 +245,6 @@ class DynaStarSystem:
                 cooldown=cfg.elastic_cooldown,
                 max_partitions=cfg.max_partitions,
                 min_partitions=cfg.min_partitions,
-                min_split_nodes=cfg.elastic_min_split_nodes,
             )
             if cfg.elastic_enabled and cfg.mode == "dynastar"
             else None
@@ -302,9 +298,7 @@ class DynaStarSystem:
         #: Partition-health sampler; None unless configured — a disabled
         #: system never schedules a tick (zero overhead).
         self.health: Optional[PartitionHealthSampler] = (
-            PartitionHealthSampler(
-                self, period=cfg.health_sample_period, top_n=cfg.health_top_n
-            )
+            PartitionHealthSampler(self, period=cfg.health_sample_period)
             if cfg.health_sample_period is not None
             else None
         )

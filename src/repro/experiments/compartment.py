@@ -33,7 +33,6 @@ applicability at fire time, so ticks that land on an idle stage no-op.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import random
 import sys
@@ -42,6 +41,7 @@ from dataclasses import dataclass, replace
 from repro.compartment import CompartmentConfig
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import Workload
+from repro.experiments import harness
 from repro.experiments.harness import export_run_artifacts, verify_consistency
 from repro.faults import FaultSchedule
 from repro.faults.injector import ChaosInjector
@@ -98,6 +98,11 @@ class CompartmentScenario:
     lease: bool = True
     chaos: bool = False
     tracing: bool = False
+
+
+#: ``--quick``: the CI smoke and, under the fault comb,
+#: :mod:`repro.experiments.perf`'s ``compartment_chaos`` gate entry.
+QUICK = CompartmentScenario(duration=3.0)
 
 
 def chaos_schedule(scenario: CompartmentScenario) -> FaultSchedule:
@@ -208,13 +213,8 @@ def run_scenario(scenario: CompartmentScenario):
 def fingerprint(scenario: CompartmentScenario) -> tuple[str, str]:
     """(trace_jsonl, metrics_json) of one traced run — the determinism
     gate compares two of these byte-for-byte."""
-    traced = replace(scenario, tracing=True)
-    system, _injector, _workloads = build_scenario(traced)
-    system.run(until=traced.duration + 30.0)
-    buf = io.StringIO()
-    system.tracer.export_jsonl(buf)
-    metrics = json.dumps(system.monitor.snapshot(), sort_keys=True)
-    return buf.getvalue(), metrics
+    _summary, system = run_scenario(replace(scenario, tracing=True))
+    return harness.fingerprint(system)
 
 
 def check_determinism(scenario: CompartmentScenario) -> list[str]:
@@ -309,9 +309,9 @@ def main(argv=None) -> int:
                         help="write the summary to this path")
     args = parser.parse_args(argv)
 
-    scenario = CompartmentScenario(
+    scenario = replace(
+        QUICK if args.quick else CompartmentScenario(duration=args.duration),
         seed=args.seed,
-        duration=3.0 if args.quick else args.duration,
         chaos=args.chaos,
     )
 

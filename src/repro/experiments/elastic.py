@@ -33,7 +33,6 @@ the schedule is safe to sprinkle densely.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import random
 import sys
@@ -41,6 +40,7 @@ from dataclasses import dataclass, replace
 
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import Workload
+from repro.experiments import harness
 from repro.experiments.harness import export_run_artifacts, verify_consistency
 from repro.faults import FaultSchedule
 from repro.faults.injector import ChaosInjector
@@ -128,6 +128,10 @@ class ElasticScenario:
     idempotency_keys: bool = True
     chaos: bool = False
     tracing: bool = False
+
+
+#: ``--quick``: the CI smoke and :mod:`repro.experiments.perf`'s gate entry.
+QUICK = ElasticScenario(duration=8.0, shift_at=4.0)
 
 
 def chaos_schedule(scenario: ElasticScenario) -> FaultSchedule:
@@ -274,13 +278,8 @@ def run_scenario(scenario: ElasticScenario):
 def fingerprint(scenario: ElasticScenario) -> tuple[str, str]:
     """(trace_jsonl, metrics_json) of one traced run — the determinism
     gate compares two of these byte-for-byte."""
-    traced = replace(scenario, tracing=True)
-    system, _injector, _workloads = build_scenario(traced)
-    system.run(until=traced.duration + 30.0)
-    buf = io.StringIO()
-    system.tracer.export_jsonl(buf)
-    metrics = json.dumps(system.monitor.snapshot(), sort_keys=True)
-    return buf.getvalue(), metrics
+    _summary, system = run_scenario(replace(scenario, tracing=True))
+    return harness.fingerprint(system)
 
 
 def check_determinism(scenario: ElasticScenario) -> list[str]:
@@ -330,10 +329,11 @@ def main(argv=None) -> int:
                         help="write the summary to this path")
     args = parser.parse_args(argv)
 
-    scenario = ElasticScenario(
+    scenario = replace(
+        QUICK
+        if args.quick
+        else ElasticScenario(duration=args.duration, shift_at=args.duration / 2.0),
         seed=args.seed,
-        duration=8.0 if args.quick else args.duration,
-        shift_at=4.0 if args.quick else args.duration / 2.0,
         chaos=args.chaos,
     )
 

@@ -3,6 +3,7 @@ client pools, steady-state metric extraction, and run-artifact export."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -136,6 +137,15 @@ def export_run_artifacts(system, directory: str) -> dict:
         written["health"] = path
 
     return written
+
+
+def fingerprint(system) -> tuple[str, str]:
+    """(trace_jsonl, metrics_json) of one finished traced run — what
+    every determinism gate compares byte-for-byte."""
+    buf = io.StringIO()
+    system.tracer.export_jsonl(buf)
+    metrics = json.dumps(system.monitor.snapshot(), sort_keys=True)
+    return buf.getvalue(), metrics
 
 
 def verify_consistency(system) -> list[str]:

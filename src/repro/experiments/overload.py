@@ -23,7 +23,6 @@ the CI overload-chaos smoke gate.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import random
 import sys
@@ -32,6 +31,7 @@ from typing import Optional
 
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import Workload
+from repro.experiments import harness
 from repro.experiments.harness import verify_consistency
 from repro.faults import FaultSchedule
 from repro.faults.injector import ChaosInjector
@@ -95,6 +95,10 @@ class FlashCrowdConfig:
     rate_limit: Optional[float] = None
     think_time: float = 0.1
     tracing: bool = False
+
+
+#: ``--quick``: the CI smoke and :mod:`repro.experiments.perf`'s gate entry.
+QUICK = FlashCrowdConfig(duration=4.0, burst_at=1.5, burst_duration=1.5)
 
 
 def build_flash_crowd(config: FlashCrowdConfig, history: Optional[History] = None):
@@ -165,13 +169,8 @@ def run_flash_crowd(config: FlashCrowdConfig, history: Optional[History] = None)
 def fingerprint(config: FlashCrowdConfig) -> tuple[str, str]:
     """(trace_jsonl, metrics_json) for one traced run — the determinism
     gate compares two of these byte-for-byte."""
-    traced = replace(config, tracing=True)
-    system, _injector, _workloads = build_flash_crowd(traced)
-    system.run(until=traced.duration + 30.0)
-    buf = io.StringIO()
-    system.tracer.export_jsonl(buf)
-    metrics = json.dumps(system.monitor.snapshot(), sort_keys=True)
-    return buf.getvalue(), metrics
+    _summary, system = run_flash_crowd(replace(config, tracing=True))
+    return harness.fingerprint(system)
 
 
 #: Ablation base: harsher than the default scenario (twice the clients,
@@ -223,12 +222,10 @@ def main(argv=None) -> int:
                         help="write the summary to this path")
     args = parser.parse_args(argv)
 
-    config = FlashCrowdConfig(
+    config = replace(
+        QUICK if args.quick else FlashCrowdConfig(duration=args.duration),
         seed=args.seed,
         burst_factor=args.factor,
-        duration=4.0 if args.quick else args.duration,
-        burst_at=1.5 if args.quick else 6.0,
-        burst_duration=1.5 if args.quick else 5.0,
     )
 
     if args.check_determinism:

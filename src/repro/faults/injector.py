@@ -229,9 +229,9 @@ class ChaosInjector:
         for replica in self._group(group).replicas:
             if replica.crashed:
                 continue
-            lease = getattr(replica, "_lease", None)
-            if lease is not None and held_by(lease, replica.name, replica.now):
-                replica._abandon_lease()
+            reads = getattr(replica, "reads", None)
+            if reads is not None and held_by(reads.lease, replica.name, replica.now):
+                reads.abandon_lease()
                 return
 
     # -- links --------------------------------------------------------------

@@ -113,7 +113,7 @@ class TestProbeGuard:
     def _leaseholder(system, partition):
         for server in system.servers(partition):
             if server.is_leader and held_by(
-                server._lease, server.name, server.now
+                server.reads.lease, server.name, server.now
             ):
                 return server
         raise AssertionError(f"no valid leaseholder in {partition}")
@@ -125,7 +125,7 @@ class TestProbeGuard:
         server = self._leaseholder(system, partition)
         capture = _SendCapture(server)
         write = Command("m:1", "write", ("k0", 99))
-        server._on_seq_probe(SeqProbe("m:1", write, "learner-x"))
+        server.reads.on_message(SeqProbe("m:1", write, "learner-x"))
 
         rejects = capture.messages(ProbeReject)
         assert [r.reason for r in rejects] == ["not-readonly"]
@@ -147,8 +147,32 @@ class TestProbeGuard:
         )
         capture = _SendCapture(server)
         read = Command("m:2", "read", (foreign,))
-        server._on_seq_probe(SeqProbe("m:2", read, "learner-x"))
+        server.reads.on_message(SeqProbe("m:2", read, "learner-x"))
 
         rejects = capture.messages(ProbeReject)
         assert [r.reason for r in rejects] == ["not-owner"]
         assert not capture.messages(SeqAck)
+
+    def test_expire_lease_fault_silences_the_holder(self):
+        """The ``expire_lease`` fault reaches the lease through the read
+        path's public ``abandon_lease``: the holder, still inside its
+        lease, stops answering probes (silence, not a reject — the
+        learner re-probes until its deadline)."""
+        from repro.faults import ChaosInjector, FaultSchedule
+
+        system = build_compartment_system()
+        system.run(until=2.0)
+        partition = system.partition_names[0]
+        server = self._leaseholder(system, partition)
+        read = Command("m:3", "read", (sorted(server.owned_nodes)[0],))
+        capture = _SendCapture(server)
+        server.reads.on_message(SeqProbe("m:3", read, "learner-x"))
+        assert len(capture.messages(SeqAck)) == 1
+
+        ChaosInjector(
+            system, FaultSchedule().at(system.sim.now, "expire_lease", partition)
+        ).arm()
+        system.run(until=system.sim.now + 1e-6)
+        assert held_by(server.reads.lease, server.name, server.now)
+        server.reads.on_message(SeqProbe("m:4", read, "learner-x"))
+        assert len(capture.messages(SeqAck)) == 1 and not capture.messages(ProbeReject)

@@ -188,7 +188,7 @@ class TestLateDuplicates:
         assert executed(system) == before and len(probe.replies) == replies
         for partition in system.partition_names:
             for server in system.servers(partition):
-                assert not server.queue and not server.recv_transfers
+                assert not server.queue and not server._attempts
         assert verify_consistency(system) == []
 
 
@@ -238,11 +238,11 @@ class TestReplicasDecideAlike:
                 server.adeliver(message)
             settle(system)
         assert ahead.store.get("x") == 8 and lagging.store.get("x") == 10
-        assert len(lagging.recv_returns) == 2 and not lagging.queue
+        assert len(lagging._attempts) == 2 and not lagging.queue
         for seq in (1, 2):
             lagging.adeliver(MulticastMessage(f"m:{seq}", ("p0", "p1"), transfer(seq)))
         settle(system)
-        assert not lagging.queue and not lagging.recv_returns
+        assert not lagging.queue and not lagging._attempts
         assert dict(lagging.store.items()) == dict(ahead.store.items())
         assert lagging.clients.capture() == ahead.clients.capture()
         assert values(system, "z") == [32, 32]

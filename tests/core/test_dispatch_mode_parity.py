@@ -6,11 +6,14 @@ import random
 
 import pytest
 
+from repro.core import DynaStarSystem, GlobalCommand, SystemConfig
 from repro.core.client import ScriptedWorkload
+from repro.core.oracle import TARGET_POLICIES
+from repro.sim import ConstantLatency
 from repro.smr import Command
 from repro.smr.command import ReplyStatus
 
-from tests.core.conftest import build_system
+from tests.core.conftest import build_system, kv_app
 
 
 def random_script(seed, n_keys, count):
@@ -70,3 +73,45 @@ class TestProtocolParity:
         oracle_q = system_oracle.monitor.counters()["oracle_queries_total"]
         assert oracle_q == 20
         assert cached_q < oracle_q
+
+
+def dispatched_targets(policy, use_cache):
+    """``{uid: target}`` of every multi-partition command one client
+    dispatched: from its warm cache, or from the oracle's prophecies."""
+    system = DynaStarSystem(
+        kv_app(8),
+        SystemConfig(
+            n_partitions=3, seed=3, latency=ConstantLatency(0.001),
+            repartition_enabled=False, target_policy=policy,
+        ),
+    )
+    targets = {}
+    amcast = system.directory.amcast
+
+    def spy(sender, message):
+        if isinstance(message.payload, GlobalCommand):
+            targets[message.payload.command.uid] = message.payload.target
+        amcast(sender, message)
+
+    system.directory.amcast = spy
+    warm_up = [Command(f"w:{i}", "read", (f"k{i}",)) for i in range(8)]
+    sums = [
+        Command(f"s:{i}:{j}", "sum", (f"k{i}", f"k{j}", f"k{(i + j) % 8}"))
+        for i in range(8)
+        for j in range(i + 1, 8)
+    ]
+    client = system.add_client(ScriptedWorkload(warm_up + sums), use_cache=use_cache)
+    system.run(until=60.0)
+    assert client.completed == len(warm_up) + len(sums) and client.timeouts == 0
+    return targets
+
+
+class TestTargetParity:
+    @pytest.mark.parametrize("policy", TARGET_POLICIES)
+    def test_cached_client_and_oracle_pick_the_same_target(self, policy):
+        """One rule: a client dispatching from its cache names the target
+        the oracle's prophecy names for the same command."""
+        cached = dispatched_targets(policy, use_cache=True)
+        prophesied = dispatched_targets(policy, use_cache=False)
+        assert len(set(prophesied.values())) > 1  # the policy had a choice
+        assert cached == prophesied

@@ -4,6 +4,7 @@ alignment, hysteresis, and the workload-graph bookkeeping."""
 import pytest
 
 from repro.core.client import ScriptedWorkload
+from repro.core.oracle import choose_target
 from repro.smr import Command
 
 from tests.core.conftest import build_system
@@ -15,45 +16,37 @@ def oracle_of(system):
 
 class TestChooseTarget:
     def test_majority_partition_wins(self):
-        oracle = oracle_of(build_system())
         locations = (("a", "p1"), ("b", "p1"), ("c", "p0"))
-        assert oracle.choose_target(locations) == "p1"
+        assert choose_target("most_nodes", locations) == "p1"
 
     def test_tie_broken_by_smallest_name(self):
-        oracle = oracle_of(build_system())
         locations = (("a", "p1"), ("b", "p0"))
-        assert oracle.choose_target(locations) == "p0"
+        assert choose_target("most_nodes", locations) == "p0"
 
     def test_first_policy(self):
-        oracle = oracle_of(build_system())
-        oracle.target_policy = "first"
         locations = (("a", "p1"), ("b", "p1"), ("c", "p0"))
-        assert oracle.choose_target(locations) == "p0"
+        assert choose_target("first", locations) == "p0"
 
     def test_hash_policy_deterministic(self):
-        oracle = oracle_of(build_system())
-        oracle.target_policy = "hash"
         locations = (("a", "p1"), ("b", "p0"))
-        assert oracle.choose_target(locations) == oracle.choose_target(locations)
+        assert choose_target("hash", locations) == choose_target("hash", locations)
 
     def test_spread_policy_fans_out_ties(self):
-        oracle = oracle_of(build_system())
-        oracle.target_policy = "spread"
         locations = (("a", "p1"), ("b", "p0"))
         targets = {
-            oracle.choose_target(locations, uid=f"c:{i}") for i in range(32)
+            choose_target("spread", locations, uid=f"c:{i}") for i in range(32)
         }
         # Tied candidates both get traffic across distinct uids.
         assert targets == {"p0", "p1"}
 
     def test_spread_policy_respects_majority(self):
-        oracle = oracle_of(build_system())
-        oracle.target_policy = "spread"
         locations = (("a", "p1"), ("b", "p1"), ("c", "p0"))
         for i in range(8):
-            assert oracle.choose_target(locations, uid=f"c:{i}") == "p1"
+            assert choose_target("spread", locations, uid=f"c:{i}") == "p1"
 
     def test_spread_policy_deterministic_across_replicas(self):
+        """Every oracle replica is configured with the system's policy,
+        and the rule is a pure function of it and the query."""
         from repro.core import SystemConfig
         from repro.core.system import DynaStarSystem
         from repro.sim import ConstantLatency
@@ -73,7 +66,7 @@ class TestChooseTarget:
         locations = (("a", "p1"), ("b", "p0"))
         for i in range(16):
             picks = {
-                r.choose_target(locations, uid=f"c:{i}", attempt=i % 3)
+                choose_target(r.target_policy, locations, uid=f"c:{i}", attempt=i % 3)
                 for r in replicas
             }
             assert len(picks) == 1  # every replica routes identically
