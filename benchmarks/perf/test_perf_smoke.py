@@ -1,85 +1,140 @@
-"""Smoke tests for the wall-clock perf harness (`repro.experiments.perf`).
+"""Smoke tests for the exact gate (`repro.experiments.perf`).
 
-Tiny-scale versions of what `python -m repro.experiments.perf --quick`
-runs in CI: the determinism gate must hold and the report plumbing must
-round-trip.  Timing numbers are *not* asserted here — wall-clock
-thresholds in tests are flaky by construction; the trajectory lives in
-the emitted ``BENCH_*.json`` files.
+The whole registry takes ~35 s and runs as a CI step of its own; here it
+is cut down to the ~1 s ``chaos`` cell (or to a fake cell) and the lanes
+ablation answers from the committed record, so what is tested is the
+gate itself: what passes, what fails, and what a failure says.
+
+No test asserts a committed digest.  Whether the digests are the same on
+another machine (another libm behind ``lognormvariate``) is unverified;
+every baseline compared with here is recorded by the test that uses it.
 """
 
+import itertools
 import json
+
+import pytest
 
 from repro.experiments import perf
 
-
-class TestDeterminismGate:
-    def test_traced_social_fingerprint_is_repeatable(self):
-        """The seeded, traced social scenario exports byte-identical
-        trace JSONL and metric dumps across two in-process runs."""
-        trace_a, metrics_a = perf._traced_social_fingerprint(quick=True)
-        trace_b, metrics_b = perf._traced_social_fingerprint(quick=True)
-        assert trace_a == trace_b
-        assert metrics_a == metrics_b
-        assert trace_a  # non-trivial: the run actually produced spans
-        assert '"kind": "span"' in trace_a
-
-    def test_gate_reports_baseline_match(self):
-        results, ok = perf.run_determinism_gate(
-            True,
-            baseline={
-                "determinism": {
-                    "social_macro": {
-                        "trace_sha256": "not-the-real-hash",
-                        "metrics_sha256": "nope",
-                    }
-                }
-            },
-        )
-        assert ok  # repeats are identical even when the baseline differs
-        assert results["social_macro"]["matches_baseline"] is False
-        assert "matches_baseline" not in results["chaos"]  # no baseline entry
+ENTRY_KEYS = {"trace_records", "trace_sha256", "metrics_sha256", "counts"}
 
 
-class TestReportPlumbing:
-    def test_baseline_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        section = {"schema": perf.SCHEMA_VERSION, "scenarios": {}}
-        perf.save_baseline(path, quick=True, section=section)
-        perf.save_baseline(path, quick=False, section=section)
-        assert perf.load_baseline(path, quick=True) == section
-        assert perf.load_baseline(path, quick=False) == section
-        raw = json.loads(path.read_text())
-        assert set(raw) == {"quick", "full"}
+@pytest.fixture
+def committed():
+    return json.loads(perf.BASELINE_PATH.read_text())
 
-    def test_baseline_never_stores_comparison_flags(self, tmp_path):
-        """``matches_baseline`` compares a run with the baseline it is
-        about to replace; stored, it is stale at once."""
-        path = tmp_path / "baseline.json"
-        entry = {"trace_sha256": "t", "metrics_sha256": "m", "repeat_identical": True}
-        section = {
-            "schema": perf.SCHEMA_VERSION,
-            "determinism": {"chaos": {**entry, "matches_baseline": False}},
+
+@pytest.fixture
+def canned_ablation(monkeypatch, committed):
+    """The 12 s lanes ablation answers from the committed record."""
+    monkeypatch.setattr(perf, "run_lanes_ablation", lambda: committed["lanes_ablation"])
+
+
+def only_cell(monkeypatch, name, runner):
+    monkeypatch.setattr(perf, "GATE_SCENARIOS", {name: runner})
+
+
+def metrics_json(events):
+    return json.dumps({"counters": {"done": 1}, "sim": {"events_processed": events}})
+
+
+class TestCommittedBaseline:
+    def test_one_flat_record_with_every_registered_cell(self, committed):
+        """A cell without a committed digest fails the gate and a digest
+        without a cell is dead weight: the two sets are the same."""
+        assert set(committed) == {
+            "schema", "recorded", "python", "platform", "determinism", "lanes_ablation",
         }
-        perf.save_baseline(path, quick=True, section=section)
-        assert perf.load_baseline(path, quick=True)["determinism"] == {"chaos": entry}
-        assert section["determinism"]["chaos"]["matches_baseline"] is False  # not mutated
+        assert perf.load_baseline(perf.BASELINE_PATH) == committed
+        assert set(committed["determinism"]) == set(perf.GATE_SCENARIOS)
+        for entry in committed["determinism"].values():
+            assert set(entry) == ENTRY_KEYS
+            assert all(isinstance(v, int) for v in entry["counts"].values())
+        for entry in committed["lanes_ablation"].values():
+            assert set(entry) <= {"commands_completed", "problems", "speedup_vs_serial"}
+            assert entry["problems"] == []
 
-    def test_load_baseline_rejects_schema_mismatch(self, tmp_path):
+    def test_unreadable_baselines_load_as_empty(self, tmp_path):
+        assert perf.load_baseline(tmp_path / "nope.json") == {}
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps({"schema": perf.SCHEMA_VERSION - 1}))
+        assert perf.load_baseline(stale) == {}
+
+
+class TestGate:
+    def test_record_then_match_then_tamper(
+        self, canned_ablation, monkeypatch, tmp_path, capsys
+    ):
+        only_cell(monkeypatch, "chaos", perf.GATE_SCENARIOS["chaos"])
         path = tmp_path / "baseline.json"
-        perf.save_baseline(path, quick=True, section={"schema": -1})
-        assert perf.load_baseline(path, quick=True) == {}
+        assert perf.main(["--baseline", str(path)]) == 1  # nothing recorded yet
+        assert "chaos: no baseline entry" in capsys.readouterr().err
+        assert not path.exists()
 
-    def test_load_baseline_missing_file(self, tmp_path):
-        assert perf.load_baseline(tmp_path / "nope.json", quick=True) == {}
+        assert perf.main(["--baseline", str(path), "--rebaseline"]) == 0
+        record = json.loads(path.read_text())
+        assert set(record["determinism"]) == {"chaos"}
+        assert set(record["determinism"]["chaos"]) == ENTRY_KEYS
+        assert perf.main(["--baseline", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
-    def test_committed_baseline_is_loadable(self):
-        """The repo ships a recorded baseline; the harness must be able
-        to read it (schema drift here silently disables the gate)."""
-        path = perf.default_baseline_path()
-        assert path.is_file(), "benchmarks/perf/baseline.json missing"
-        for quick in (True, False):
-            section = perf.load_baseline(path, quick)
-            assert section, f"baseline section unreadable (quick={quick})"
-            assert set(section["determinism"]) == set(perf.GATE_SCENARIOS)
-            for entry in section["determinism"].values():
-                assert "matches_baseline" not in entry
+        # One message more per run than was recorded: the failure names
+        # the cell, the digest and the count.
+        entry = record["determinism"]["chaos"]
+        sent = entry["counts"]["sim.net_sent"]
+        entry["counts"]["sim.net_sent"] = sent - 1
+        entry["metrics_sha256"] = "0" * 64
+        path.write_text(json.dumps(record))
+        assert perf.main(["--baseline", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "chaos: metrics_sha256 differ from the baseline" in err
+        assert "trace_sha256" not in err
+        assert f"sim.net_sent {sent - 1} -> {sent}" in err
+        assert f"baseline recorded {record['recorded']} under CPython" in err
+        assert "GATE FAILED" in err
+
+        # Same counts, other bytes: only an order or a timestamp moved.
+        entry["counts"]["sim.net_sent"] = sent
+        entry["trace_sha256"] = "0" * 64
+        path.write_text(json.dumps(record))
+        assert perf.main(["--baseline", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "chaos: trace_sha256 and metrics_sha256 differ" in err
+        assert "no count moved: timing only" in err
+
+    def test_unrepeatable_cell_fails_and_is_never_recorded(
+        self, canned_ablation, monkeypatch, tmp_path, capsys
+    ):
+        events = itertools.count()
+        only_cell(
+            monkeypatch, "fake", lambda: ('{"kind": "span"}\n', metrics_json(next(events)))
+        )
+        path = tmp_path / "baseline.json"
+        assert perf.main(["--baseline", str(path), "--rebaseline"]) == 1
+        assert "fake: two runs of one seed differ" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_empty_trace_fails(self, canned_ablation, monkeypatch, tmp_path, capsys):
+        only_cell(monkeypatch, "fake", lambda: ("", metrics_json(7)))
+        path = tmp_path / "baseline.json"
+        assert perf.main(["--baseline", str(path), "--rebaseline"]) == 1
+        assert "fake: empty trace: the gate is vacuous" in capsys.readouterr().err
+        assert not path.exists()
+
+
+class TestLanesCheck:
+    def test_committed_ablation_passes_against_itself(self, committed):
+        ablation = committed["lanes_ablation"]
+        assert perf.check_lanes(ablation, committed) == []
+        assert perf.check_lanes(ablation, None) == []
+
+    def test_what_fails(self, committed):
+        ablation = json.loads(json.dumps(committed["lanes_ablation"]))
+        ablation["lanes2"]["problems"] = ["replica state divergence in p0"]
+        ablation["lanes4"]["speedup_vs_serial"] = 1.2
+        failures = perf.check_lanes(ablation, committed)
+        assert failures[0] == "lanes_ablation: lanes2: replica state divergence in p0"
+        assert failures[1] == "lanes_ablation: 4-lane speedup 1.20x < 1.5x"
+        assert len(failures) == 3  # and it is not the committed result
+        assert len(perf.check_lanes(ablation, None)) == 2  # recording: no comparison

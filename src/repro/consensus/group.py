@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.sim.network import Network
+from repro.sim.randomness import stable_hash
 from repro.consensus.messages import Submit
 from repro.consensus.paxos import Acceptor, PaxosReplica, ReplicaConfig
 
@@ -48,7 +49,7 @@ class PaxosGroup:
         self.name = name
         self.network = network
         self.config = config or GroupConfig()
-        rng = rng or random.Random(hash(name) & 0xFFFF)
+        rng = rng or random.Random(stable_hash(name) & 0xFFFF)
 
         self.acceptor_names = [
             f"{name}/acc{i}" for i in range(self.config.n_acceptors)

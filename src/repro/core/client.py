@@ -28,12 +28,13 @@ from repro.core.messages import (
     ProphecyStatus,
     ServerBusy,
 )
-from repro.core.oracle import _stable_hash, choose_target
+from repro.core.oracle import choose_target
 from repro.multicast.basecast import GroupDirectory
 from repro.multicast.messages import MulticastMessage
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.actors import Actor
 from repro.sim.monitor import Monitor
+from repro.sim.randomness import stable_hash
 from repro.smr.command import Command, CommandKind, Reply, ReplyStatus
 from repro.smr.linearizability import History, Operation
 from repro.smr.statemachine import AppStateMachine
@@ -468,7 +469,7 @@ class DynaStarClient(Actor):
         if not learners:
             return False
         target = learners[
-            _stable_hash((command.uid, self._attempt)) % len(learners)
+            stable_hash((command.uid, self._attempt)) % len(learners)
         ]
         self._was_multi = False
         self.local_reads += 1

@@ -27,7 +27,6 @@ naive DS-SMR policy the paper improves upon).
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from typing import Any, Optional
 
@@ -61,15 +60,9 @@ from repro.partitioning import WorkloadGraph, partition_graph
 from repro.partitioning.quality import edge_cut as quality_edge_cut
 from repro.partitioning.quality import imbalance_by_label
 from repro.sim.monitor import Monitor
+from repro.sim.randomness import stable_hash
 from repro.smr.command import Command, CommandKind
 from repro.smr.statemachine import AppStateMachine
-
-
-def _stable_hash(value: Any) -> int:
-    """Deterministic hash (Python's ``hash`` is salted per process)."""
-    return int.from_bytes(
-        hashlib.sha256(repr(value).encode()).digest()[:8], "big"
-    )
 
 
 #: ``SystemConfig.target_policy`` values (see :func:`choose_target`).
@@ -96,12 +89,12 @@ def choose_target(policy: str, locations: tuple, uid: str = "", attempt: int = 0
     if policy == "first":
         return involved[0]
     if policy == "hash":
-        return involved[_stable_hash(tuple(locations)) % len(involved)]
+        return involved[stable_hash(tuple(locations)) % len(involved)]
     counts = Counter(p for _, p in locations)
     top = max(counts.values())
     candidates = sorted(p for p, c in counts.items() if c == top)
     if policy == "spread" and len(candidates) > 1:
-        return candidates[_stable_hash((uid, attempt)) % len(candidates)]
+        return candidates[stable_hash((uid, attempt)) % len(candidates)]
     return candidates[0]
 
 
@@ -315,7 +308,7 @@ class OracleReplica(MulticastReplica):
             self._prophesize(query, ProphecyStatus.NOK, reason="exists")
             return
         partition = self.partition_names[
-            _stable_hash(node) % len(self.partition_names)
+            stable_hash(node) % len(self.partition_names)
         ]
         self._done_creates[command.uid] = (var, node, partition)
         if command.idem_key is not None:

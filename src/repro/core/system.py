@@ -28,7 +28,7 @@ from repro.compartment import CompartmentConfig, ProxyLeader, ReadLearner
 from repro.consensus.group import GroupConfig
 from repro.consensus.paxos import ReplicaConfig
 from repro.core.client import DynaStarClient, Workload
-from repro.core.oracle import OracleReplica, _stable_hash
+from repro.core.oracle import OracleReplica
 from repro.core.server import PartitionServer
 from repro.elastic import ElasticConfig, ElasticityController
 from repro.multicast.basecast import GroupDirectory
@@ -40,7 +40,7 @@ from repro.sim.events import Simulator
 from repro.sim.latency import LatencyModel, lan_default
 from repro.sim.monitor import Monitor
 from repro.sim.network import Network
-from repro.sim.randomness import SeedSequenceFactory
+from repro.sim.randomness import SeedSequenceFactory, stable_hash
 from repro.smr.linearizability import History
 from repro.smr.statemachine import AppStateMachine
 
@@ -361,7 +361,7 @@ class DynaStarSystem:
         if getattr(message.payload, "client", None) is None:
             return None
         proxies = group.proxy_names
-        return (proxies[_stable_hash(message.uid) % len(proxies)],)
+        return (proxies[stable_hash(message.uid) % len(proxies)],)
 
     def _server_factory(self):
         """Builds one replica of ``server_class``; the one construction
@@ -405,7 +405,7 @@ class DynaStarSystem:
             rng = self.seeds.rng("placement")
             raw = {n: rng.randrange(cfg.n_partitions) for n in nodes}
         elif cfg.placement == "hash":
-            raw = {n: abs(hash(repr(n))) % cfg.n_partitions for n in nodes}
+            raw = {n: stable_hash(n) % cfg.n_partitions for n in nodes}
         else:
             raise ValueError(f"unknown placement {cfg.placement!r}")
         assignment = {}

@@ -18,13 +18,13 @@ Usage::
     python -m repro.experiments.compartment --chaos         # + stage faults
     python -m repro.experiments.compartment --ablation      # learner x lease grid
     python -m repro.experiments.compartment --check-scaling
-    python -m repro.experiments.compartment --check-determinism
     python -m repro.experiments.compartment --check-consistency
     python -m repro.experiments.compartment --obs DIR       # export artifacts
 
-``--check-determinism`` runs the traced scenario twice per cell of
-{compartment on, off} x {chaos on, off} and exits nonzero unless each
-pair exports byte-identical trace JSONL and metric dumps.  ``--chaos``
+That the traced ``--quick`` scenario replays byte-for-byte in every
+cell of {compartment on, off} x {chaos on, off} is checked by the
+``compartment``, ``compartment_chaos``, ``leader_only`` and
+``leader_only_chaos`` cells of :mod:`repro.experiments.perf`.  ``--chaos``
 fires the two stage fault kinds (``crash_proxy_leader``,
 ``expire_lease``) on a fine grid across the run; both resolve
 applicability at fire time, so ticks that land on an idle stage no-op.
@@ -100,8 +100,8 @@ class CompartmentScenario:
     tracing: bool = False
 
 
-#: ``--quick``: the CI smoke and, under the fault comb,
-#: :mod:`repro.experiments.perf`'s ``compartment_chaos`` gate entry.
+#: ``--quick``: the CI smoke and :mod:`repro.experiments.perf`'s four
+#: compartment gate entries.
 QUICK = CompartmentScenario(duration=3.0)
 
 
@@ -211,36 +211,10 @@ def run_scenario(scenario: CompartmentScenario):
 
 
 def fingerprint(scenario: CompartmentScenario) -> tuple[str, str]:
-    """(trace_jsonl, metrics_json) of one traced run — the determinism
-    gate compares two of these byte-for-byte."""
+    """(trace_jsonl, metrics_json) of one traced run — the exact gate
+    (:mod:`repro.experiments.perf`) compares two of these byte-for-byte."""
     _summary, system = run_scenario(replace(scenario, tracing=True))
     return harness.fingerprint(system)
-
-
-def check_determinism(scenario: CompartmentScenario) -> list[str]:
-    """Two traced runs per {compartment} x {chaos} cell must be
-    byte-identical."""
-    failures = []
-    for compartment in (True, False):
-        for chaos in (True, False):
-            variant = replace(scenario, compartment=compartment, chaos=chaos)
-            trace_a, metrics_a = fingerprint(variant)
-            trace_b, metrics_b = fingerprint(variant)
-            tag = (
-                f"{'compartment' if compartment else 'baseline'}"
-                f"/{'chaos' if chaos else 'calm'}"
-            )
-            if trace_a != trace_b or metrics_a != metrics_b:
-                failures.append(f"{tag}: runs diverged")
-            elif not trace_a:
-                failures.append(f"{tag}: empty trace — gate is vacuous")
-            else:
-                print(
-                    f"[compartment] determinism ({tag}): identical, "
-                    f"{trace_a.count(chr(10))} trace records",
-                    flush=True,
-                )
-    return failures
 
 
 def check_scaling(scenario: CompartmentScenario, min_ratio: float = 2.0):
@@ -297,9 +271,6 @@ def main(argv=None) -> int:
     parser.add_argument("--check-scaling", action="store_true",
                         help="exit nonzero unless the 3-learner deployment "
                              "completes >= 2x the disabled baseline")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="two traced runs per {compartment} x {chaos} "
-                             "cell must each be byte-identical")
     parser.add_argument("--check-consistency", action="store_true",
                         help="also verify replica agreement, variable "
                              "conservation, and learner convergence")
@@ -314,14 +285,6 @@ def main(argv=None) -> int:
         seed=args.seed,
         chaos=args.chaos,
     )
-
-    if args.check_determinism:
-        print("[compartment] determinism gate: 2x2x2 runs ...", flush=True)
-        failures = check_determinism(scenario)
-        if failures:
-            for failure in failures:
-                print(f"[compartment] DETERMINISM: {failure}", file=sys.stderr)
-            return 1
 
     if args.ablation:
         rows = run_ablation(scenario)

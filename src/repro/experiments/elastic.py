@@ -17,13 +17,12 @@ Usage::
     python -m repro.experiments.elastic                   # one summary
     python -m repro.experiments.elastic --quick           # CI smoke
     python -m repro.experiments.elastic --chaos           # + reconfig faults
-    python -m repro.experiments.elastic --check-determinism
     python -m repro.experiments.elastic --check-consistency
     python -m repro.experiments.elastic --obs DIR         # export artifacts
 
-``--check-determinism`` runs the traced scenario twice with elasticity
-enabled *and* twice with it disabled, and exits nonzero unless each pair
-exports byte-identical trace JSONL and metric dumps.  ``--chaos`` arms
+That the traced ``--quick`` scenario replays byte-for-byte, with
+elasticity enabled and disabled, is checked by the ``elastic`` and
+``elastic_static`` cells of :mod:`repro.experiments.perf`.  ``--chaos`` arms
 the three reconfiguration fault kinds (``crash_mid_split``,
 ``crash_oracle_during_reconfig``, ``lose_cutover_msgs``) across the
 expected reconfig windows; each resolves applicability at fire time, so
@@ -276,36 +275,15 @@ def run_scenario(scenario: ElasticScenario):
 
 
 def fingerprint(scenario: ElasticScenario) -> tuple[str, str]:
-    """(trace_jsonl, metrics_json) of one traced run — the determinism
-    gate compares two of these byte-for-byte."""
+    """(trace_jsonl, metrics_json) of one traced run — the exact gate
+    (:mod:`repro.experiments.perf`) compares two of these byte-for-byte."""
     _summary, system = run_scenario(replace(scenario, tracing=True))
     return harness.fingerprint(system)
 
 
-def check_determinism(scenario: ElasticScenario) -> list[str]:
-    """Two traced runs per elasticity setting must be byte-identical."""
-    failures = []
-    for elastic in (True, False):
-        variant = replace(scenario, elastic=elastic)
-        trace_a, metrics_a = fingerprint(variant)
-        trace_b, metrics_b = fingerprint(variant)
-        tag = "elastic" if elastic else "static"
-        if trace_a != trace_b or metrics_a != metrics_b:
-            failures.append(f"{tag}: runs diverged")
-        elif not trace_a:
-            failures.append(f"{tag}: empty trace — gate is vacuous")
-        else:
-            print(
-                f"[elastic] determinism ({tag}): identical, "
-                f"{trace_a.count(chr(10))} trace records",
-                flush=True,
-            )
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Elastic split/merge scenario and determinism gate."
+        description="Elastic split/merge scenario."
     )
     parser.add_argument("--seed", type=int, default=21)
     parser.add_argument("--duration", type=float, default=16.0)
@@ -314,9 +292,6 @@ def main(argv=None) -> int:
     parser.add_argument("--chaos", action="store_true",
                         help="fire the reconfiguration fault kinds during "
                              "the split and merge windows")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="two traced runs (elastic on and off) must "
-                             "each be byte-identical")
     parser.add_argument("--check-consistency", action="store_true",
                         help="also verify replica agreement, variable "
                              "conservation, and retired-store emptiness")
@@ -336,14 +311,6 @@ def main(argv=None) -> int:
         seed=args.seed,
         chaos=args.chaos,
     )
-
-    if args.check_determinism:
-        print("[elastic] determinism gate: 2x2 runs ...", flush=True)
-        failures = check_determinism(scenario)
-        if failures:
-            for failure in failures:
-                print(f"[elastic] DETERMINISM: {failure}", file=sys.stderr)
-            return 1
 
     summary, system = run_scenario(scenario)
     print(json.dumps(summary, indent=2, sort_keys=True), flush=True)

@@ -10,7 +10,6 @@ when you have the time budget.
 from __future__ import annotations
 
 import gc
-import time
 import tracemalloc
 from typing import Optional
 
@@ -386,16 +385,14 @@ def fig7_partitioner_scaling(
         gc.collect()
         tracemalloc.start()
         stats = PartitionerStats()
-        started = time.perf_counter()
         partition_graph(graph, k, seed=seed, stats=stats)
-        elapsed = time.perf_counter() - started
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         rows.append(
             {
                 "vertices": graph.num_vertices,
                 "edges": graph.num_edges,
-                "seconds": elapsed,
+                "seconds": stats.elapsed_seconds,
                 "peak_mb": peak / 1e6,
                 "levels": stats.levels,
                 "final_cut": stats.final_cut,

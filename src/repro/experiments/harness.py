@@ -141,10 +141,18 @@ def export_run_artifacts(system, directory: str) -> dict:
 
 def fingerprint(system) -> tuple[str, str]:
     """(trace_jsonl, metrics_json) of one finished traced run — what
-    every determinism gate compares byte-for-byte."""
+    the exact gate (:mod:`repro.experiments.perf`) compares byte-for-byte.
+    The metric half carries, under ``"sim"``, the event and message
+    totals: no span sees a heartbeat-class message, and on a lossless
+    constant-latency network an extra one moves nothing else."""
     buf = io.StringIO()
     system.tracer.export_jsonl(buf)
-    metrics = json.dumps(system.monitor.snapshot(), sort_keys=True)
+    net = system.net.stats()
+    sim = {
+        "events_processed": system.sim.events_processed,
+        **{f"net_{key}": net[key] for key in ("sent", "delivered", "dropped")},
+    }
+    metrics = json.dumps({**system.monitor.snapshot(), "sim": sim}, sort_keys=True)
     return buf.getvalue(), metrics
 
 

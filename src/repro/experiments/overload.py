@@ -13,11 +13,10 @@ Usage::
 
     python -m repro.experiments.overload                 # one summary
     python -m repro.experiments.overload --ablation      # bound × budget grid
-    python -m repro.experiments.overload --check-determinism
+    python -m repro.experiments.overload --quick --check-consistency  # CI smoke
 
-``--check-determinism`` runs the traced scenario twice and exits nonzero
-unless the two runs export byte-identical trace JSONL and metric dumps —
-the CI overload-chaos smoke gate.
+That the traced ``--quick`` scenario replays byte-for-byte is checked by
+the ``overload`` cell of :mod:`repro.experiments.perf`.
 """
 
 from __future__ import annotations
@@ -167,8 +166,8 @@ def run_flash_crowd(config: FlashCrowdConfig, history: Optional[History] = None)
 
 
 def fingerprint(config: FlashCrowdConfig) -> tuple[str, str]:
-    """(trace_jsonl, metrics_json) for one traced run — the determinism
-    gate compares two of these byte-for-byte."""
+    """(trace_jsonl, metrics_json) of one traced run — the exact gate
+    (:mod:`repro.experiments.perf`) compares two of these byte-for-byte."""
     _summary, system = run_flash_crowd(replace(config, tracing=True))
     return harness.fingerprint(system)
 
@@ -203,7 +202,7 @@ def run_ablation(config: FlashCrowdConfig, bounds, budgets) -> list[dict]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Flash-crowd overload scenario and determinism gate."
+        description="Flash-crowd overload scenario."
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--factor", type=float, default=10.0,
@@ -213,8 +212,6 @@ def main(argv=None) -> int:
                         help="short run for CI smoke")
     parser.add_argument("--ablation", action="store_true",
                         help="run the queue-bound × retry-budget grid")
-    parser.add_argument("--check-determinism", action="store_true",
-                        help="two traced runs must be byte-identical")
     parser.add_argument("--check-consistency", action="store_true",
                         help="also verify replica agreement and variable "
                              "conservation after the run")
@@ -227,21 +224,6 @@ def main(argv=None) -> int:
         seed=args.seed,
         burst_factor=args.factor,
     )
-
-    if args.check_determinism:
-        print("[overload] determinism gate: running twice ...", flush=True)
-        trace_a, metrics_a = fingerprint(config)
-        trace_b, metrics_b = fingerprint(config)
-        if trace_a != trace_b or metrics_a != metrics_b:
-            print("[overload] DETERMINISM GATE FAILED", file=sys.stderr)
-            return 1
-        if not trace_a:
-            print("[overload] empty trace — gate is vacuous", file=sys.stderr)
-            return 1
-        print(
-            f"[overload] identical: {trace_a.count(chr(10))} trace records",
-            flush=True,
-        )
 
     summary, system = run_flash_crowd(config)
     print(json.dumps(summary, indent=2, sort_keys=True), flush=True)

@@ -13,7 +13,6 @@ paper's deployment size.
 from __future__ import annotations
 
 import argparse
-import time
 
 from repro.experiments import figures, reporting
 
@@ -96,12 +95,10 @@ def main() -> None:
     ]
 
     for name, experiment, render in plan:
-        started = time.perf_counter()
         result = experiment()
-        elapsed = time.perf_counter() - started
         print("=" * 72)
         print(render(result))
-        print(f"[{name} regenerated in {elapsed:.1f}s]")
+        print(f"[{name} regenerated]")
         print()
 
 

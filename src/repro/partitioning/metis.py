@@ -23,6 +23,7 @@ from repro.partitioning.coarsen import IntGraph, coarsen_to_size
 from repro.partitioning.graph import Partitioning, WorkloadGraph
 from repro.partitioning.initial import greedy_growing
 from repro.partitioning.refine import rebalance, refine
+from repro.sim.randomness import stable_hash
 
 
 @dataclass
@@ -147,4 +148,4 @@ def random_partition(
 
 def hash_partition(graph: WorkloadGraph, k: int) -> Partitioning:
     """Deterministic hash placement (consistent-hashing-style baseline)."""
-    return Partitioning({v: hash(v) % k for v in graph.vertices()}, k)
+    return Partitioning({v: stable_hash(v) % k for v in graph.vertices()}, k)

@@ -111,7 +111,9 @@ class Histogram:
     def mean(self) -> float:
         if not self._samples:
             return math.nan
-        return sum(self._samples) / len(self._samples)
+        # fsum, not sum: builtin sum() became compensated in CPython 3.12,
+        # so it rounds differently across interpreters; fsum is exact on all.
+        return math.fsum(self._samples) / len(self._samples)
 
     def percentile(self, p: float) -> float:
         """Exact percentile with linear interpolation; ``p`` in [0, 100]."""

@@ -15,7 +15,16 @@ import bisect
 import hashlib
 import math
 import random
-from typing import Sequence
+from typing import Any, Sequence
+
+
+def stable_hash(value: Any) -> int:
+    """A 64-bit hash of ``repr(value)`` that is the same in every
+    process: builtin ``hash`` of a str or tuple is salted by
+    ``PYTHONHASHSEED``, so a seeded run may never branch on it."""
+    return int.from_bytes(
+        hashlib.sha256(repr(value).encode()).digest()[:8], "big"
+    )
 
 
 class SeedSequenceFactory:

@@ -16,7 +16,7 @@ from repro.partitioning import (
 )
 from repro.partitioning.coarsen import IntGraph, coarsen, coarsen_to_size
 from repro.partitioning.initial import greedy_growing
-from repro.partitioning.metis import hash_partition, random_partition
+from repro.partitioning.metis import random_partition
 from repro.partitioning.quality import cut_fraction
 from repro.partitioning.refine import refine
 
@@ -235,10 +235,6 @@ class TestBaselinesPlacement:
         g = clustered_graph()
         p = random_partition(g, 4, seed=1)
         assert set(p.assignment) == set(g.vertices())
-
-    def test_hash_partition_deterministic(self):
-        g = clustered_graph()
-        assert hash_partition(g, 4).assignment == hash_partition(g, 4).assignment
 
 
 class TestQualityFunctions:

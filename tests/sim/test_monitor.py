@@ -40,6 +40,15 @@ class TestHistogram:
         h.extend([1.0, 2.0, 3.0])
         assert h.mean() == pytest.approx(2.0)
 
+    def test_mean_is_the_exactly_rounded_sum(self):
+        """Builtin ``sum`` rounds per addition before CPython 3.12 and
+        compensates from 3.12 on; ``fsum`` is exact on both, which is
+        what keeps metric dumps identical across interpreters."""
+        xs = [1e16, 1.0, -1e16]
+        h = Histogram("lat")
+        h.extend(xs)
+        assert h.mean() == math.fsum(xs) / 3 == 1 / 3
+
     def test_percentiles_exact(self):
         h = Histogram("lat")
         h.extend(float(i) for i in range(1, 101))

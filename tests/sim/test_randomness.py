@@ -1,12 +1,17 @@
 """Tests for seeded RNG streams and the Zipf generator."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.sim.randomness import (
     SeedSequenceFactory,
     ZipfGenerator,
@@ -107,3 +112,49 @@ class TestWeightedChoice:
     def test_zero_total_raises(self):
         with pytest.raises(ValueError):
             weighted_choice(random.Random(1), ["a"], [0.0])
+
+
+#: Prints everything a seeded run derives from a hash of a str or tuple.
+_HASH_SITES_SCRIPT = """
+from repro.consensus.group import PaxosGroup
+from repro.core import DynaStarSystem, SystemConfig
+from repro.partitioning import WorkloadGraph
+from repro.partitioning.metis import hash_partition
+from repro.sim import Network, Simulator
+from repro.sim.randomness import stable_hash
+from repro.smr import KeyValueApp
+
+print(stable_hash(("user", 7)), stable_hash("k7"))
+system = DynaStarSystem(
+    KeyValueApp({f"k{i}": i for i in range(8)}),
+    SystemConfig(n_partitions=2, seed=1, placement="hash"),
+)
+print(sorted(system.initial_assignment.items()))
+graph = WorkloadGraph.from_edges(
+    [(("user", i), ("user", i + 1), 1.0) for i in range(12)] + [("a", "b", 1.0)]
+)
+print(sorted(hash_partition(graph, 4).assignment.items(), key=repr))
+group = PaxosGroup("g", Network(Simulator()))
+print([replica.rng.random() for replica in group.replicas])
+"""
+
+
+class TestHashSeedIndependence:
+    def test_seeded_runs_ignore_pythonhashseed(self):
+        """Builtin ``hash`` of a str or tuple is salted per process, so
+        comparing two calls inside one process proves nothing: run every
+        site that hashes one (``placement="hash"``, ``hash_partition``,
+        the default rng of a ``PaxosGroup``) in two processes with
+        different salts and require the same output."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for salt in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", _HASH_SITES_SCRIPT],
+                env={**os.environ, "PYTHONHASHSEED": salt, "PYTHONPATH": src},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n") == 4

@@ -141,6 +141,26 @@ def test_partition_server_keeps_execution_only():
     }
 
 
+def test_perf_is_the_exact_gate_and_nothing_else():
+    """``repro.experiments.perf`` replays seeded runs and compares them
+    with committed digests.  The single-shot wall-clock figures it used
+    to carry, and the replay-twice loops and flags of the subsystem CLIs
+    that its registry replaced, must not come back under ``src/``."""
+    banned = (
+        "events_per_sec", "peak_rss_kb", "BENCH_", "micro_", "check_determinism",
+        "--check-determinism", "--strict-baseline", "--skip-macro",
+    )
+    found = sorted(
+        (name, str(path.relative_to(REPO_ROOT)))
+        for path in SRC_REPRO.rglob("*.py")
+        for name in banned
+        if name in path.read_text()
+    )
+    assert found == []
+    perf = (SRC_REPRO / "experiments" / "perf.py").read_text()
+    assert len(perf.splitlines()) <= 350
+
+
 def test_names_the_benchmark_patches_from_outside_exist():
     """``benchmarks/e2e/hostspans.py`` wraps these by name for its traced
     pass; it may not be edited together with ``src/``, so a rename here
