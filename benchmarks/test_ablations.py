@@ -65,6 +65,14 @@ class TestAblationDSSMR:
 
 
 class TestAblationClientCache:
+    # ROADMAP item 8 read this as failing by 0.8 %.  It is not one
+    # number: at this scale the run depends on PYTHONHASHSEED (the
+    # throughput gap reads +34.0 cps at seed 0, -42.4 at seed 1, and
+    # +82.4 / +4.8 on two unpinned runs; `plans_applied` after 8 s is
+    # 1 / 3 / 2 at seeds 0 / 1 / 2), and the last assertion passes or
+    # fails with it.  The weekly job pins PYTHONHASHSEED=0, where it
+    # passes (1 396.7 vs 1 362.7 cps; 7 542 vs 33 456 oracle queries); an
+    # xfail would be red there and flaky unpinned.
     def test_cache_slashes_oracle_traffic(self, benchmark):
         def experiment_fixed():
             graph = make_social_graph(800, seed=11)

@@ -4,7 +4,7 @@ Differences from DynaStar (§5.5):
 
 * multi-partition commands are executed by **all** involved partitions,
   after each involved partition sends the variables it holds to the
-  others (copies — variables never change home);
+  others (to read — variables never change home);
 * the state partitioning is static: no workload graph, no hints, no
   repartitioning, no object moves.
 
@@ -53,7 +53,7 @@ class SSMRServer(PartitionServer):
                 target=self.partition, attempt=payload.attempt, copies=True,
             )
         if not rec.sent:
-            # Exchange: copies of our variables go to every other involved
+            # Exchange: our variables' values go to every other involved
             # partition; ownership never changes.
             pairs = tuple(
                 (var, self.store.get(var))
@@ -97,15 +97,15 @@ class SSMRServer(PartitionServer):
             return False
         self._consume_service()
 
-        # Execute on an overlay store: own variables plus received copies.
+        # Execute on an overlay store: own variables plus received values.
         if payload.target == self.partition:
             self._trace_execute_start(payload)
         overlay = VariableStore()
         for var in self._borrowable_vars(command, claimed):
-            overlay.insert_copy(var, self.store.get(var))
+            overlay.put(var, self.store.get(var))
         for transfer in received.values():
             for var, value in transfer.vars:
-                overlay.insert_copy(var, value)
+                overlay.put(var, value)
         overlay.begin_tracking()
         try:
             result = self.app.execute(command, overlay)
@@ -120,7 +120,7 @@ class SSMRServer(PartitionServer):
         # Persist only the writes that belong to this partition.
         for var in written:
             if self.app.graph_node_of(var) in claimed and var in overlay:
-                self.store.insert_copy(var, overlay.get(var))
+                self.store.put(var, overlay.get(var))
                 self._index_var(var)
         for var in removed:
             if self.app.graph_node_of(var) in claimed:

@@ -148,7 +148,7 @@ class ReadLearner(Actor):
             if value is REMOVED:
                 self.store.discard(var)
             else:
-                self.store.insert_copy(var, value)
+                self.store.put(var, value)
             advanced = True
         if advanced and self._pending:
             for uid in list(self._pending):

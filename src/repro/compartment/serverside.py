@@ -105,8 +105,7 @@ class ReadPath:
 
     def _entries(self, variables) -> tuple:
         """``(var, version, value-or-REMOVED)`` of ``variables``, sorted;
-        the values are copies, one per variable, taken in one
-        :meth:`VariableStore.snapshot`."""
+        the values are the stored objects, which nothing mutates."""
         values = self.server.store.snapshot(variables)
         return tuple(
             (var, self.versions.get(var, 0), values.get(var, REMOVED))

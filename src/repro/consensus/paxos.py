@@ -726,8 +726,8 @@ class PaxosReplica(Actor):
         """Named state sections for a checkpoint (see
         :mod:`repro.recovery.checkpoint`).  Every entry must be the
         deterministic product of delivering the log prefix — captured in
-        canonical (sorted) form and deep-copied where mutable.  Subclass
-        overrides extend the dict with their own sections."""
+        canonical (sorted) form, sharing nothing that is mutated later.
+        Subclass overrides extend the dict with their own sections."""
         return {
             "paxos.state": {
                 "delivered_uids": sorted(self.delivered_uids, key=repr),

@@ -60,8 +60,7 @@ from repro.obs import audit as audit_mod
 from repro.obs.audit import NULL_AUDIT, AuditLog
 from repro.sim.monitor import Monitor
 from repro.smr.command import Reply, ReplyStatus
-# Not called here any more, but the end-to-end benchmark's traced pass
-# patches ``repro.core.server.copy_value`` (benchmarks/e2e/hostspans.py).
+# Not called here: kept importable for the benchmark (see fastcopy).
 from repro.smr.fastcopy import copy_value  # noqa: F401
 from repro.smr.statemachine import (
     AppStateMachine,
@@ -248,7 +247,7 @@ class PartitionServer(MulticastReplica):
     def preload(self, variables: dict, nodes: set, plan: dict) -> None:
         """Install the initial variables/ownership (system builder)."""
         for var, value in variables.items():
-            self.store.insert_copy(var, value)
+            self.store.put(var, value)
             self._index_var(var)
         self.owned_nodes.update(nodes)
         self.last_plan.update(plan)
@@ -779,7 +778,7 @@ class PartitionServer(MulticastReplica):
         borrowed: list = []
         for transfer in received.values():
             for var, value in transfer.vars:
-                self.store.insert_copy(var, value)
+                self.store.put(var, value)
                 self._index_var(var)
                 borrowed.append(var)
         self._trace_execute_start(payload)
@@ -878,7 +877,7 @@ class PartitionServer(MulticastReplica):
         if returned is None:
             return False
         for var, value in returned.vars:
-            self.store.insert_copy(var, value)
+            self.store.put(var, value)
             self._index_var(var)
         if returned.outcome is not None:
             self.clients.record(
@@ -1103,7 +1102,7 @@ class PartitionServer(MulticastReplica):
         """A node settles here: its variables and, with them, its share
         of the old owner's client table."""
         for var, value in pairs:
-            self.store.insert_copy(var, value)
+            self.store.put(var, value)
             self._index_var(var)
         self.clients.install_nodes(table)
 
@@ -1259,8 +1258,8 @@ class PartitionServer(MulticastReplica):
             "version": self.version,
             "last_plan": sorted(self.last_plan.items(), key=repr),
             # Queued payloads / buffered transfers hold immutable message
-            # dataclasses (and value copies made at lend time) — shipping
-            # references is safe; installers re-copy on store insertion.
+            # dataclasses and stored values, immutable too — shipping
+            # references is safe.
             "queue": tuple(self.queue),
             "attempts": sorted(
                 ((key, rec.capture()) for key, rec in self._attempts.items()),
@@ -1292,7 +1291,7 @@ class PartitionServer(MulticastReplica):
         self.store = VariableStore()
         self.node_vars = {}
         for var, value in sections.get("server.store", {}).items():
-            self.store.insert_copy(var, value)
+            self.store.put(var, value)
             self._index_var(var)
         if self.reads is not None:
             self.reads.install(sections.get("compartment.state", {}))

@@ -26,8 +26,9 @@ class CheckpointRecord:
     """One replica's state at log watermark ``watermark``.
 
     ``sections`` maps a section name (e.g. ``"server.store"``) to a dict
-    of that section's entries.  Values are owned by the record: capture
-    methods deep-copy anything mutable before handing it over.
+    of that section's entries.  Capture methods hand over fresh
+    containers of immutable entries; stored application values are
+    shared with the live store, which replaces but never mutates them.
     """
 
     watermark: int

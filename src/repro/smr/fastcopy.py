@@ -1,68 +1,18 @@
-"""Fast value copying for variable transfers.
+"""The deep-copy oracle of the stored-value contract.
 
-State-variable values in this repository are compositions of dicts,
-lists, sets, tuples and scalars; ``copy_value`` copies those directly —
-an order of magnitude faster than :func:`copy.deepcopy`, which dominates
-transfer-heavy simulations otherwise.  Unknown types fall back to
-``deepcopy`` so correctness never depends on the fast path.
-
-The hot-path trick is an *immutability scan*: a container whose elements
-are all scalars needs no per-element recursion — a tuple or frozenset of
-scalars is immutable all the way down and is returned as-is (the same
-answer ``deepcopy`` gives for atomic content), and a list/set/dict of
-scalars shallow-copies in one C-level call.  Profiles of the social
-workload show >90 % of copied containers hit these paths.
+A value is immutable once it is in a ``VariableStore`` and every holder
+shares it (:meth:`AppStateMachine.execute`), so nothing under ``src/``
+copies one; the contract's tests take their "before" through
+``copy_value``.  The name is also re-exported by
+``repro.smr.statemachine`` and ``repro.core.server``, which used to call
+it: the end-to-end benchmark's traced pass patches it there
+(``benchmarks/e2e/hostspans.py``, which a ``src/`` change may not edit);
+ROADMAP item 2 removes the patch and the two imports with it.
 """
 
-from __future__ import annotations
-
-import copy as _copy
-
-_SCALARS = (int, float, str, bool, bytes, type(None), complex)
-#: Exact-type membership test — faster than isinstance on the hot path.
-#: Scalar *subclasses* (rare; e.g. enums) miss it and take the deepcopy
-#: fallback, which handles them correctly.
-_SCALAR_TYPES = frozenset(_SCALARS)
+import copy
 
 
 def copy_value(value):
-    """A deep copy of ``value`` specialized for plain-data shapes."""
-    kind = type(value)
-    if kind in _SCALAR_TYPES:
-        return value
-    if kind is dict:
-        scalars = _SCALAR_TYPES
-        for v in value.values():
-            if type(v) not in scalars:
-                return {
-                    k: (v if type(v) in scalars else copy_value(v))
-                    for k, v in value.items()
-                }
-        return dict(value)
-    if kind is list:
-        scalars = _SCALAR_TYPES
-        for v in value:
-            if type(v) not in scalars:
-                return [v if type(v) in scalars else copy_value(v) for v in value]
-        return value.copy()
-    if kind is tuple:
-        scalars = _SCALAR_TYPES
-        for v in value:
-            if type(v) not in scalars:
-                return tuple(
-                    v if type(v) in scalars else copy_value(v) for v in value
-                )
-        return value  # immutable all the way down: no copy needed
-    if kind is set:
-        scalars = _SCALAR_TYPES
-        for v in value:
-            if type(v) not in scalars:
-                return {copy_value(v) for v in value}
-        return set(value)
-    if kind is frozenset:
-        scalars = _SCALAR_TYPES
-        for v in value:
-            if type(v) not in scalars:
-                return frozenset(copy_value(v) for v in value)
-        return value  # immutable all the way down
-    return _copy.deepcopy(value)
+    """A deep copy of ``value`` that shares no mutable structure with it."""
+    return copy.deepcopy(value)

@@ -13,7 +13,6 @@ few-hundred-operation histories the correctness tests generate.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -68,7 +67,7 @@ def check_linearizable(
 
     base = VariableStore()
     for var, value in (initial if initial is not None else app.initial_variables()).items():
-        base.insert_copy(var, value)
+        base.put(var, value)
 
     # Iterative DFS over (remaining frozenset, store); memoize failures.
     seen: set[tuple] = set()
@@ -97,7 +96,7 @@ def check_linearizable(
             op = ops[i]
             trial = VariableStore()
             for var, value in store.items():
-                trial.insert_copy(var, value)
+                trial.put(var, value)
             try:
                 result = app.execute(op.command, trial)
             except (KeyError, ValueError):

@@ -20,13 +20,13 @@ replica of a partition computes identical results.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-
-from repro.smr.fastcopy import copy_value
 from typing import Any, Callable, Hashable, Iterable, Optional
 
 from repro.smr.command import Command
+
+# Not called here: kept importable for the benchmark (see fastcopy).
+from repro.smr.fastcopy import copy_value  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,14 @@ def footprints_conflict(a: CommandFootprint, b: CommandFootprint) -> bool:
 class VariableStore:
     """The variables a partition currently holds.
 
-    Values are deep-copied on insertion from a transfer so partitions
-    never alias each other's state (the simulator shares one address
-    space; a real deployment would serialize).
+    A value is immutable once it is in a store: ``put`` takes the
+    reference, ``get`` / ``take`` / ``snapshot`` hand it out, and
+    nothing copies.  Replicas, transfers, returns, plan moves,
+    checkpoints and learner mirrors therefore share one object per
+    value (the simulator has one address space; a real deployment would
+    serialize), which is safe only under the contract of
+    :meth:`AppStateMachine.execute`: build the new value and ``put``
+    it, never mutate what the store handed out.
     """
 
     def __init__(self) -> None:
@@ -212,31 +217,24 @@ class VariableStore:
         self._data[var] = value
         self._note_write(var)
 
-    def remove(self, var: Hashable) -> Any:
-        value = self._data.pop(var)
-        self._note_remove(var)
-        return value
-
     def discard(self, var: Hashable) -> None:
         if var in self._data:
             del self._data[var]
             self._note_remove(var)
 
     def take(self, var: Hashable) -> Any:
-        """Remove and return the value itself (used when lending
-        variables): the store keeps no reference, and every receiver
-        installs it with :meth:`insert_copy`."""
+        """Remove and return the value (used when lending variables);
+        every receiver ``put``s that same object."""
         value = self._data.pop(var)
         self._note_remove(var)
         return value
 
-    def insert_copy(self, var: Hashable, value: Any) -> None:
-        self._data[var] = copy_value(value)
-        self._note_write(var)
-
     def snapshot(self, vars: Iterable[Hashable]) -> dict:
-        """Deep-copied {var: value} for the requested variables."""
-        return {v: copy_value(self._data[v]) for v in vars if v in self._data}
+        """{var: value} for those of ``vars`` that are present — the
+        values themselves, which stay valid because nothing mutates
+        them."""
+        data = self._data
+        return {v: data[v] for v in vars if v in data}
 
     def variables(self) -> list:
         return list(self._data)
@@ -345,7 +343,19 @@ class AppStateMachine:
         return None
 
     def execute(self, command: Command, store: VariableStore) -> Any:
-        """Apply ``command`` to ``store`` and return its result."""
+        """Apply ``command`` to ``store`` and return its result.
+
+        Values in a store are immutable and shared by reference between
+        replicas, partitions, checkpoints and learner mirrors.  To
+        change a variable, build a new value from what ``store.get``
+        returned and ``store.put`` it (``{**row, "n": row["n"] + 1}``,
+        or ``row = row.copy()`` edited until its ``put``;
+        ``timeline + (entry,)``, ``followers | {user}``); never mutate
+        the returned object or anything reachable from it.  Keep
+        nested collections as tuples / frozensets so a stray
+        ``.append`` fails loudly.  Raise ``KeyError`` / ``ValueError``
+        (-> NOK reply) before the first ``put``.
+        """
         raise NotImplementedError
 
     def is_readonly(self, command: Command) -> bool:

@@ -1,7 +1,9 @@
 """The Chirper application state machine (§5.4).
 
 Each user is one state variable (and one workload-graph node) holding
-their profile: follower/following sets and a bounded timeline.  Posting
+their profile: follower/following frozensets and a bounded timeline
+tuple — immutable once stored, so every change builds a new profile
+(the :meth:`AppStateMachine.execute` contract).  Posting
 writes the message to the timeline of every follower — a potentially
 multi-partition command; reading the timeline touches only the user's
 own node; follow/unfollow touch two nodes.
@@ -38,7 +40,12 @@ def user_var(user: int) -> tuple:
 
 
 def _new_profile() -> dict:
-    return {"followers": set(), "following": set(), "timeline": [], "posts": 0}
+    return {
+        "followers": frozenset(),
+        "following": frozenset(),
+        "timeline": (),
+        "posts": 0,
+    }
 
 
 class ChirperApp(AppStateMachine):
@@ -52,10 +59,11 @@ class ChirperApp(AppStateMachine):
     def initial_variables(self) -> dict:
         variables = {}
         for user in self._graph.users():
-            profile = _new_profile()
-            profile["followers"] = set(self._graph.followers[user])
-            profile["following"] = set(self._graph.following[user])
-            variables[user_var(user)] = profile
+            variables[user_var(user)] = {
+                **_new_profile(),
+                "followers": frozenset(self._graph.followers[user]),
+                "following": frozenset(self._graph.following[user]),
+            }
         return variables
 
     def initial_value_of(self, var: Hashable) -> dict:
@@ -122,8 +130,7 @@ class ChirperApp(AppStateMachine):
             # before any follower timeline is touched.
             raise KeyError(user_var(user))
         author = store.get(user_var(user))
-        author["posts"] += 1
-        store.put(user_var(user), author)
+        store.put(user_var(user), {**author, "posts": author["posts"] + 1})
         entry = (user, text)
         delivered = 0
         for follower in followers:
@@ -131,10 +138,8 @@ class ChirperApp(AppStateMachine):
             if var not in store:
                 continue  # follower deleted since the command was issued
             profile = store.get(var)
-            profile["timeline"].append(entry)
-            if len(profile["timeline"]) > TIMELINE_LIMIT:
-                del profile["timeline"][: -TIMELINE_LIMIT]
-            store.put(var, profile)
+            timeline = (profile["timeline"] + (entry,))[-TIMELINE_LIMIT:]
+            store.put(var, {**profile, "timeline": timeline})
             delivered += 1
         return delivered
 
@@ -147,14 +152,14 @@ class ChirperApp(AppStateMachine):
             raise KeyError(fv)
         if ev not in store:
             raise KeyError(ev)
-        follower_profile = store.get(fv)
-        followee_profile = store.get(ev)
-        if add:
-            follower_profile["following"].add(followee)
-            followee_profile["followers"].add(follower)
-        else:
-            follower_profile["following"].discard(followee)
-            followee_profile["followers"].discard(follower)
-        store.put(fv, follower_profile)
-        store.put(ev, followee_profile)
+        # One read-and-put per side, in turn: a self-follow names one
+        # profile twice and the second edit must see the first.
+        edits = ((fv, "following", followee), (ev, "followers", follower))
+        for var, field, other in edits:
+            profile = store.get(var)
+            members = profile[field]
+            store.put(var, {
+                **profile,
+                field: members | {other} if add else members - {other},
+            })
         return True

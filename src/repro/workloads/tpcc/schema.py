@@ -117,7 +117,7 @@ def new_district_row(w: int, d: int) -> dict:
         "ytd": 0.0,
         "tax": 0.05 + (d % 10) / 100.0,
         "next_o_id": 1,
-        "undelivered": [],  # FIFO of order ids awaiting Delivery
+        "undelivered": (),  # FIFO of order ids awaiting Delivery
     }
 
 

@@ -218,13 +218,15 @@ class TPCCApp(AppStateMachine):
             if stock_key(supply_w, item_id) not in store:
                 raise KeyError(stock_key(supply_w, item_id))
 
+        # Stored rows are immutable: every row written below is a private
+        # copy until the ``put`` that stores it.
         warehouse = store.get(warehouse_key(w))
-        district = store.get(district_key(w, d))
-        customer = store.get(customer_key(w, d, c))
+        district = store.get(district_key(w, d)).copy()
+        customer = store.get(customer_key(w, d, c)).copy()
 
         o_id = district["next_o_id"]
         district["next_o_id"] = o_id + 1
-        district["undelivered"].append(o_id)
+        district["undelivered"] += (o_id,)
         store.put(district_key(w, d), district)
 
         all_local = all(sw == w for _i, sw, _q in lines)
@@ -243,7 +245,7 @@ class TPCCApp(AppStateMachine):
 
         total = 0.0
         for n, (item_id, supply_w, qty) in enumerate(lines, start=1):
-            stock = store.get(stock_key(supply_w, item_id))
+            stock = store.get(stock_key(supply_w, item_id)).copy()
             if stock["quantity"] >= qty + 10:
                 stock["quantity"] -= qty
             else:
@@ -283,15 +285,15 @@ class TPCCApp(AppStateMachine):
         ):
             if key not in store:
                 raise KeyError(key)
-        warehouse = store.get(warehouse_key(w))
+        warehouse = store.get(warehouse_key(w)).copy()
         warehouse["ytd"] += amount
         store.put(warehouse_key(w), warehouse)
 
-        district = store.get(district_key(w, d))
+        district = store.get(district_key(w, d)).copy()
         district["ytd"] += amount
         store.put(district_key(w, d), district)
 
-        customer = store.get(customer_key(c_w, c_d, c))
+        customer = store.get(customer_key(c_w, c_d, c)).copy()
         customer["balance"] -= amount
         customer["ytd_payment"] += amount
         customer["payment_cnt"] += 1
@@ -344,9 +346,12 @@ class TPCCApp(AppStateMachine):
             customer = store.get_or_none(customer_key(w, d, order["c_id"]))
             if customer is None:
                 continue
-            district["undelivered"].pop(0)
+            # As in New-Order: private copies until the ``put``.
+            district = district.copy()
+            district["undelivered"] = district["undelivered"][1:]
             store.put(district_key(w, d), district)
             store.discard(new_order_key(w, d, o_id))
+            order = order.copy()
             order["carrier_id"] = carrier
             store.put(order_key(w, d, o_id), order)
             total = 0.0
@@ -354,9 +359,11 @@ class TPCCApp(AppStateMachine):
                 line = store.get_or_none(order_line_key(w, d, o_id, n))
                 if line is None:
                     continue
+                line = line.copy()
                 line["delivery_d"] = carrier  # stands in for a timestamp
                 store.put(order_line_key(w, d, o_id, n), line)
                 total += line["amount"]
+            customer = customer.copy()
             customer["balance"] += total
             customer["delivery_cnt"] += 1
             store.put(customer_key(w, d, order["c_id"]), customer)

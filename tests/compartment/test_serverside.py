@@ -73,7 +73,7 @@ class TestCheckpointSection:
 
         adopter = StandInServer()
         for var, value in original.server.store.items():
-            adopter.store.insert_copy(var, value)
+            adopter.store.put(var, value)
         reads = read_path(adopter)  # observed from construction, as a server's is
         reads.install(captured)
         restored = reads.capture()

@@ -21,8 +21,10 @@ from repro.smr import Command, History, KeyValueApp
 L = 0.001
 
 
-def latencies_in_hops(commands, **config):
-    system = DynaStarSystem(
+def rig(**config):
+    """Two partitions, four keys alternating between them, constant
+    one-way latency ``L``, no service time (also the message-budget rig)."""
+    return DynaStarSystem(
         KeyValueApp({f"k{i}": i for i in range(4)}),
         SystemConfig(
             n_partitions=2,
@@ -34,6 +36,10 @@ def latencies_in_hops(commands, **config):
             **config,
         ),
     )
+
+
+def latencies_in_hops(commands, **config):
+    system = rig(**config)
     history = History()
     client = system.add_client(ScriptedWorkload(commands), history=history)
     system.run(until=2.0)

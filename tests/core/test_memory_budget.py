@@ -24,12 +24,17 @@ per command.  What legitimately still grows per command (CHANGES.md, PR 17):
 * the workload graph (bounded by the graph's size) and application state;
 * the client's own ``results``.
 
-Measured when the budgets were set: key-value 175 B/cmd, Chirper 2 003 B/cmd
-(the same on every ``PYTHONHASHSEED`` tried), of which ``consensus/paxos.py``
-181, ``core/server.py`` 226 (hint counters between two flushes, mostly) and
-``core/clienttable.py`` 51 (the table filling up: nodes x clients, not
-commands); on the commit before, which kept the logs and a result per
-command, 240 and 4 604 (1 154 / 888 / -).  A budget is at most 1.15x the
+Measured when the budgets were set: key-value 174 B/cmd, Chirper 1 813 B/cmd,
+of which ``partitioning/graph.py`` 453, ``multicast/basecast.py`` 249,
+``workloads/social/chirper.py`` 244 (timelines filling up to their bound),
+``core/server.py`` 224 (hint counters between two flushes, mostly),
+``core/client.py`` 217, ``consensus/paxos.py`` 176 and
+``core/clienttable.py`` 47 (the table filling up: nodes x clients, not
+commands).  While stores deep-copied what they were sent, Chirper read
+1 997: ``smr/fastcopy.py`` held 211 B/cmd and ``chirper.py`` 210, because a
+transferred timeline was a second set of objects; shared by reference it
+is the one ``chirper.py`` built.  On the commit that kept the logs and a
+result per command, 240 and 4 604.  A budget is at most 1.15x the
 measured figure; raising one needs a reason in the same change.
 """
 
@@ -138,7 +143,7 @@ def retained_per_command(system):
 
 @pytest.mark.parametrize(
     "build, budget",
-    [(build_key_value, 200), (build_chirper, 2200)],
+    [(build_key_value, 200), (build_chirper, 2050)],
     ids=["key_value", "chirper"],
 )
 def test_retained_bytes_per_command_within_budget(build, budget):

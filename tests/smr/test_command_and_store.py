@@ -42,14 +42,16 @@ class TestVariableStore:
         s.put("x", value)
         taken = s.take("x")
         assert "x" not in s and s.get_or_none("x") is None
-        assert taken is value  # moved out, not copied: receivers insert_copy
+        assert taken is value  # moved out, not copied: receivers put it
 
-    def test_insert_copy_isolates(self):
+    def test_put_and_snapshot_share_the_reference(self):
+        """The store never copies: what went in is what every reader
+        gets, so a value must not be mutated once stored."""
         s = VariableStore()
-        value = [1, 2]
-        s.insert_copy("x", value)
-        value.append(3)
-        assert s.get("x") == [1, 2]
+        value = (1, 2)
+        s.put("x", value)
+        assert s.get("x") is value
+        assert s.snapshot(["x"])["x"] is value
 
     def test_snapshot_subset(self):
         s = VariableStore()
@@ -61,7 +63,7 @@ class TestVariableStore:
     def test_remove_and_discard(self):
         s = VariableStore()
         s.put("x", 1)
-        assert s.remove("x") == 1
+        assert s.take("x") == 1
         s.discard("never-there")  # no raise
 
 

@@ -1,12 +1,16 @@
-"""Property tests for the state-copying primitives.
+"""Property tests for the copy oracle and the store's reference contract.
 
-Checkpointing and snapshot transfer lean entirely on
-:func:`repro.smr.fastcopy.copy_value` and the
-:meth:`VariableStore.snapshot` / :meth:`VariableStore.insert_copy` pair:
-a checkpoint must be a *faithful* copy (equal values) that shares *no*
-mutable structure with the live store, or a post-checkpoint write would
-silently corrupt history.  Hypothesis drives both properties over
-arbitrary compositions of the plain-data shapes the stores hold.
+:func:`repro.smr.fastcopy.copy_value` is no longer on any path of the
+simulator — a value is immutable once stored and every holder shares
+it — but it is what the contract tests compare against: a *faithful*
+copy (equal values) that shares *no* mutable structure with its source.
+``TestStoreRoundTrip`` then pins what :class:`VariableStore` promises in
+its place: ``put`` / ``take`` / ``snapshot`` move the very object, and
+replacing a variable (the only legal way to change it) never reaches a
+holder of the old value.  Hypothesis drives both over arbitrary
+compositions of the plain-data shapes the stores hold; every "before"
+is a deep copy, because comparing a shared object with itself proves
+nothing.
 """
 
 from hypothesis import given, settings
@@ -84,80 +88,76 @@ class TestCopyValue:
 class TestStoreRoundTrip:
     @given(st.dictionaries(st.text(max_size=6), values, max_size=6))
     @settings(max_examples=100)
-    def test_snapshot_insert_copy_round_trip(self, data):
-        """snapshot → insert_copy into a fresh store reproduces the
-        original contents exactly (the snapshot-install path)."""
+    def test_snapshot_put_round_trip(self, data):
+        """snapshot → put into a fresh store reproduces the original
+        contents exactly (the snapshot-install path), object for
+        object."""
+        pristine = copy_value(data)
         store = VariableStore()
         for var, value in data.items():
             store.put(var, value)
         snap = store.snapshot(store.variables())
-        assert snap == data
+        assert snap == pristine
 
         restored = VariableStore()
         for var, value in snap.items():
-            restored.insert_copy(var, value)
-        assert dict(restored.items()) == data
+            restored.put(var, value)
+        assert dict(restored.items()) == pristine
+        assert all(restored.get(var) is data[var] for var in data)
 
     @given(st.dictionaries(st.text(max_size=6), values, min_size=1, max_size=6))
     @settings(max_examples=100)
     def test_snapshot_is_isolated_from_later_mutation(self, data):
-        """Mutating the live store after a snapshot never changes the
-        snapshot — the no-aliasing guarantee checkpoints rely on."""
+        """Replacing every variable of the live store after a snapshot
+        never changes the snapshot — what checkpoints rely on."""
+        pristine = copy_value(data)
         store = VariableStore()
         for var, value in data.items():
             store.put(var, value)
         snap = store.snapshot(store.variables())
 
         for var in list(data):
-            store.put(var, {"clobbered": [var]})
-        assert snap == data
+            store.put(var, {"clobbered": (var,)})
+            store.discard(var)
+        assert snap == pristine
 
     @given(st.dictionaries(st.text(max_size=6), values, min_size=1, max_size=6))
     @settings(max_examples=100)
-    def test_installed_copy_is_isolated_from_source(self, data):
-        """insert_copy takes its own copy: mutating the source values
-        after install leaves the store untouched."""
-        pristine = {var: copy_value(value) for var, value in data.items()}
+    def test_installed_value_is_the_source_object(self, data):
+        """put takes the reference: the store holds the very object it
+        was given, unchanged by the install."""
+        pristine = copy_value(data)
         store = VariableStore()
         for var, value in data.items():
-            store.insert_copy(var, value)
-        for var in list(data):
-            if isinstance(data[var], list):
-                data[var].append("tail")
-            elif isinstance(data[var], dict):
-                data[var]["extra"] = 1
-            elif isinstance(data[var], set):
-                data[var].add("extra")
+            store.put(var, value)
+        assert all(store.get(var) is value for var, value in data.items())
         assert dict(store.items()) == pristine
 
     @given(st.dictionaries(st.text(max_size=6), values, min_size=1, max_size=6))
     @settings(max_examples=100)
-    def test_lent_variables_alias_no_store(self, data):
+    def test_lent_variables_are_one_object_everywhere(self, data):
         """The lend path: ``take`` moves the values out of the sender's
-        store into one message that both target replicas ``insert_copy``.
-        The sender keeps nothing, and neither receiver's store shares
-        mutable structure with the message or with the other receiver."""
-        pristine = {var: copy_value(value) for var, value in data.items()}
+        store into one message that both target replicas ``put``.  The
+        sender keeps nothing, message and receivers hold one object per
+        variable, and a receiver that replaces a variable changes
+        neither the message nor the other receiver."""
+        pristine = copy_value(data)
         sender = VariableStore()
         for var, value in data.items():
             sender.put(var, value)
         pairs = tuple((var, sender.take(var)) for var in data)
         assert sender.variables() == []
 
-        receivers = [VariableStore(), VariableStore()]
-        for store in receivers:
+        first, second = VariableStore(), VariableStore()
+        for store in (first, second):
             for var, value in pairs:
-                store.insert_copy(var, value)
-
-        def part_ids(values):
-            return {id(part) for value in values for part in mutable_parts(value)}
-
-        in_flight = part_ids(value for _, value in pairs)
-        first, second = (
-            part_ids(store.get(var) for var in data) for store in receivers
+                store.put(var, value)
+        assert all(
+            first.get(var) is value and second.get(var) is value
+            for var, value in pairs
         )
-        assert not in_flight & first
-        assert not in_flight & second
-        assert not first & second
-        for store in receivers:
-            assert dict(store.items()) == pristine
+
+        for var in data:
+            first.put(var, ("replaced", var))
+        assert dict(pairs) == pristine
+        assert dict(second.items()) == pristine

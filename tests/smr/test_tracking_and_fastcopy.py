@@ -13,7 +13,7 @@ class TestMutationTracking:
         s = VariableStore()
         s.begin_tracking()
         s.put("a", 1)
-        s.insert_copy("b", 2)
+        s.put("b", 2)
         written, removed = s.end_tracking()
         assert written == {"a", "b"}
         assert removed == set()
@@ -23,7 +23,7 @@ class TestMutationTracking:
         s.put("a", 1)
         s.put("b", 2)
         s.begin_tracking()
-        s.remove("a")
+        s.take("a")
         s.discard("b")
         s.discard("never-there")
         written, removed = s.end_tracking()
@@ -42,7 +42,7 @@ class TestMutationTracking:
         s = VariableStore()
         s.put("a", 1)
         s.begin_tracking()
-        s.remove("a")
+        s.take("a")
         s.put("a", 2)
         written, removed = s.end_tracking()
         assert written == {"a"}

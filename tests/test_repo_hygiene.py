@@ -210,3 +210,22 @@ def test_design_module_map_names_modules_that_import():
         if any(p.suffix == ".py" and p.name != "__init__.py" for p in d.iterdir())
     }
     assert packages == on_disk
+
+
+def test_nothing_under_src_copies_a_stored_value():
+    """A value is immutable once it is in a ``VariableStore`` and every
+    holder shares it (DESIGN.md §5), so no module has a reason to
+    copy one.  ``smr/fastcopy.py`` is the test oracle of that contract
+    and the only place a copy may be spelled; a defensive copy added
+    anywhere else has to delete this test to land."""
+    import re
+
+    call = re.compile(r"\b(copy_value|deepcopy|insert_copy)\s*\(")
+    found = sorted(
+        f"{path.relative_to(REPO_ROOT)}:{number}"
+        for path in SRC_REPRO.rglob("*.py")
+        if path != SRC_REPRO / "smr" / "fastcopy.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if call.search(line)
+    )
+    assert found == []

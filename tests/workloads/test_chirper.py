@@ -29,7 +29,7 @@ def small_graph():
 def fresh_store(app):
     store = VariableStore()
     for var, value in app.initial_variables().items():
-        store.insert_copy(var, value)
+        store.put(var, value)
     return store
 
 
@@ -47,12 +47,12 @@ class TestChirperSemantics:
         cmd = Command("c:0", "post", (0, "hello", (1, 2)))
         delivered = self.app.execute(cmd, self.store)
         assert delivered == 2
-        assert self.store.get(user_var(1))["timeline"] == [(0, "hello")]
-        assert self.store.get(user_var(2))["timeline"] == [(0, "hello")]
+        assert self.store.get(user_var(1))["timeline"] == ((0, "hello"),)
+        assert self.store.get(user_var(2))["timeline"] == ((0, "hello"),)
 
     def test_post_does_not_write_own_timeline(self):
         self.app.execute(Command("c:0", "post", (0, "hi", (1,))), self.store)
-        assert self.store.get(user_var(0))["timeline"] == []
+        assert self.store.get(user_var(0))["timeline"] == ()
 
     def test_timeline_newest_first(self):
         self.app.execute(Command("c:0", "post", (0, "first", (1,))), self.store)

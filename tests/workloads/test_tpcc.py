@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.smr import Command
+from repro.smr.fastcopy import copy_value
 from repro.smr.statemachine import VariableStore
 from repro.workloads.tpcc import (
     TPCCApp,
@@ -38,7 +39,7 @@ def small_config():
 def fresh(app):
     store = VariableStore()
     for var, value in app.initial_variables().items():
-        store.insert_copy(var, value)
+        store.put(var, value)
     return store
 
 
@@ -93,8 +94,7 @@ class TestNewOrder:
 
     def test_stock_restock_rule(self):
         stock = self.store.get(stock_key(1, 1))
-        stock["quantity"] = 12
-        self.store.put(stock_key(1, 1), stock)
+        self.store.put(stock_key(1, 1), {**stock, "quantity": 12})
         self.app.execute(new_order_cmd("c:0", lines=((1, 1, 5),)), self.store)
         # 12 < 5+10 -> restock: 12 - 5 + 91
         assert self.store.get(stock_key(1, 1))["quantity"] == 98
@@ -132,7 +132,7 @@ class TestNewOrder:
     def test_updates_undelivered_fifo(self):
         self.app.execute(new_order_cmd("c:0"), self.store)
         self.app.execute(new_order_cmd("c:1"), self.store)
-        assert self.store.get(district_key(1, 1))["undelivered"] == [1, 2]
+        assert self.store.get(district_key(1, 1))["undelivered"] == (1, 2)
 
     def test_variables_of_includes_stock_of_supply_warehouse(self):
         cmd = new_order_cmd("c:0", lines=((3, 2, 1),))
@@ -212,20 +212,17 @@ class TestOrderStatusDeliveryStockLevel:
     def test_stock_level_counts_low_items(self):
         # push stock of item 1 below the threshold
         stock = self.store.get(stock_key(1, 1))
-        stock["quantity"] = 3
-        self.store.put(stock_key(1, 1), stock)
+        self.store.put(stock_key(1, 1), {**stock, "quantity": 3})
         result = self.app.execute(
             Command("c:1", "stock_level", (1, 1, 10)), self.store
         )
         assert result["low_stock"] == 1
 
     def test_read_only_transactions_leave_state_unchanged(self):
-        import copy
-
-        snapshot = {k: copy.deepcopy(v) for k, v in self.store.items()}
+        snapshot = copy_value(dict(self.store.items()))
         self.app.execute(Command("c:1", "order_status", (1, 1, 1)), self.store)
         self.app.execute(Command("c:2", "stock_level", (1, 1, 10)), self.store)
-        assert {k: v for k, v in self.store.items()} == snapshot
+        assert dict(self.store.items()) == snapshot
 
 
 class TestConsistencyConditions:
