@@ -26,6 +26,7 @@ from repro.consensus.messages import (
     Submit,
 )
 from repro.consensus.paxos import Acceptor, PaxosReplica
+from repro.consensus.rangeset import RangeSet
 from repro.consensus.group import PaxosGroup, GroupConfig
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "Submit",
     "Acceptor",
     "PaxosReplica",
+    "RangeSet",
     "PaxosGroup",
     "GroupConfig",
 ]

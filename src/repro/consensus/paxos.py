@@ -27,6 +27,7 @@ from repro.recovery.checkpoint import (
 )
 from repro.recovery.transfer import AdaptiveChunker, SnapshotFetch
 from repro.sim.actors import Actor
+from repro.consensus.rangeset import RangeSet
 from repro.consensus.messages import (
     Accept,
     Accepted,
@@ -219,7 +220,7 @@ class PaxosReplica(Actor):
         #: Running count of the values in delivered instances (``decided``
         #: is only the untruncated suffix, so it cannot be counted there).
         self.values_delivered = 0
-        self.delivered_uids: set = set()
+        self.delivered_uids = RangeSet()
         self._peer_max_decided = -1
         #: Frontier for which a gap repair was already requested.
         self._gap_requested = -1
@@ -472,9 +473,8 @@ class PaxosReplica(Actor):
             return
         uid = getattr(value, "uid", None)
         if uid is not None:
-            if uid in self.delivered_uids:
+            if not self.delivered_uids.add(uid):
                 return
-            self.delivered_uids.add(uid)
             self._pending_uids.discard(uid)
             # delivered_uids answers every later dedup question first.
             self.proposed_uids.discard(uid)
@@ -730,14 +730,14 @@ class PaxosReplica(Actor):
         Subclass overrides extend the dict with their own sections."""
         return {
             "paxos.state": {
-                "delivered_uids": sorted(self.delivered_uids, key=repr),
+                "delivered_uids": self.delivered_uids.capture(),
             },
         }
 
     def install_app_state(self, sections: dict) -> None:
         """Inverse of :meth:`capture_app_state`."""
         state = sections.get("paxos.state", {})
-        self.delivered_uids = set(state.get("delivered_uids", ()))
+        self.delivered_uids.install(state.get("delivered_uids", {}))
 
     def on_checkpoint(self, watermark: int) -> None:
         """Hook run just before state capture (subclasses prune

@@ -109,7 +109,7 @@ class IngressGate:
             return True
         actor = self.actor
         if (
-            msg.uid in actor.adelivered_uids
+            msg.key in actor.adelivered_uids
             or msg.uid in actor.pending_msgs
             or self.settled(payload)
         ):

@@ -222,6 +222,9 @@ class DynaStarClient(Actor):
         self._was_multi = False
         self._timeout_timer = None
         self._retry_timer = None
+        #: uid -> message, for the current command: an attempt is sent once
+        #: per ``Prophecy`` copy, and a uid sent again keeps its number.
+        self._built: dict[str, MulticastMessage] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -266,6 +269,7 @@ class DynaStarClient(Actor):
         self._current = command
         self._seq += 1
         self._attempt = 0
+        self._built.clear()
         self._invoked_at = self.now
         self._was_multi = False
         if self.retry_budget is not None:
@@ -496,11 +500,16 @@ class DynaStarClient(Actor):
             command, self.name, self._attempt, self._seq,
             dispatch=self.dispatch_via_oracle,
         )
-        message = MulticastMessage(
-            uid=f"q:{command.uid}:a{self._attempt}",
-            dests=(self.oracle_group,),
-            payload=query,
+        self._amcast(
+            f"q:{command.uid}:a{self._attempt}", (self.oracle_group,), query
         )
+
+    def _amcast(self, uid: str, dests: tuple, payload: Any) -> None:
+        message = self._built.get(uid)
+        if message is None:
+            message = self._built[uid] = self.directory.make_message(
+                dests, payload, uid=uid, sender=self.name
+            )
         self.directory.amcast(self, message)
 
     def _dispatch(self, locations: tuple, target: str) -> None:
@@ -522,12 +531,7 @@ class DynaStarClient(Actor):
             payload = GlobalCommand(
                 command, self.name, self._attempt, target, locations, self._seq
             )
-        message = MulticastMessage(
-            uid=f"x:{command.uid}:a{self._attempt}",
-            dests=involved,
-            payload=payload,
-        )
-        self.directory.amcast(self, message)
+        self._amcast(f"x:{command.uid}:a{self._attempt}", involved, payload)
 
     # -- replies -----------------------------------------------------------------
 

@@ -627,7 +627,7 @@ class OracleReplica(MulticastReplica):
         # exclude them) but the cutover itself must still reach them.
         dests = [self.group] + self.partition_names
         dests += [p for p in plan.retiring if p not in dests]
-        self._amcast_ordered(dests, plan, uid=f"plan:{plan.version}")
+        self._amcast_ordered(dests, plan, f"plan:{plan.version}", numbered=False)
 
     def _on_plan(self, plan: PartitionPlan) -> None:
         if plan.version <= self.version:
@@ -725,7 +725,7 @@ class OracleReplica(MulticastReplica):
 
     def _publish_reconfig(self, plan: ReconfigPlan) -> None:
         self._amcast_ordered(
-            [self.group], plan, uid=f"reconfig:{plan.epoch}"
+            [self.group], plan, f"reconfig:{plan.epoch}", numbered=False
         )
 
     def _on_reconfig_plan(self, plan: ReconfigPlan) -> None:
@@ -921,9 +921,12 @@ class OracleReplica(MulticastReplica):
 
     # -- helpers -------------------------------------------------------------------------
 
-    def _amcast_ordered(self, dests, payload, uid: str) -> None:
+    def _amcast_ordered(self, dests, payload, uid: str, numbered=True) -> None:
         """a-mcast with a deterministic uid so that every oracle replica
-        can issue the same multicast and it is delivered once."""
+        can issue the same multicast and it is delivered once.  What is
+        sent at a log position (per command) is ``numbered``, the
+        replicas counting alike; a plan leaves from a timer, in an order
+        of its own at each replica, and goes by its uid."""
         command = getattr(payload, "command", None)
         attempt = getattr(payload, "attempt", None)
         if command is not None and attempt is not None and self.tracer.enabled:
@@ -935,7 +938,7 @@ class OracleReplica(MulticastReplica):
                 command.uid, "multicast-order", self.now, disc=attempt,
                 via_oracle=True, attempt=attempt,
             )
-        message = MulticastMessage(
-            uid=uid, dests=tuple(sorted(set(dests))), payload=payload
-        )
+        dests = tuple(sorted(set(dests)))
+        sender, n = (self.group, self.next_number(dests)) if numbered else ("", None)
+        message = self._directory.make_message(dests, payload, uid, sender, n)
         self._directory.amcast_local(self, message)

@@ -1079,10 +1079,10 @@ class PartitionServer(MulticastReplica):
             return
         if self.owned_nodes or self.in_transit or self._outbox:
             return
-        message = MulticastMessage(
+        message = self._directory.make_message(
+            {self.oracle_group, self.partition},
+            DrainComplete(self._drain_version, self.partition),
             uid=f"drain:{self._drain_version}:{self.partition}",
-            dests=tuple(sorted({self.oracle_group, self.partition})),
-            payload=DrainComplete(self._drain_version, self.partition),
         )
         self._directory.amcast_local(self, message)
 
@@ -1180,10 +1180,9 @@ class PartitionServer(MulticastReplica):
         )
         self._hint_vertices.clear()
         self._hint_edges.clear()
-        message = MulticastMessage(
-            uid=f"hint:{self.partition}:{seq}",
-            dests=(self.oracle_group,),
-            payload=hint,
+        message = self._directory.make_message(
+            (self.oracle_group,), hint, f"hint:{self.partition}:{seq}",
+            self.partition, seq,
         )
         self._directory.amcast_local(self, message)
 

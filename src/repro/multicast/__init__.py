@@ -14,8 +14,9 @@ The protocol is *genuine*: only the sender and the destination groups of
 a message exchange messages to order it.
 
 Guarantees (see §2.2 of the paper, tested in ``tests/multicast``):
-validity, uniform agreement, integrity, FIFO order from each sender,
-acyclic delivery order, and prefix order across groups.
+validity, uniform agreement, integrity, acyclic delivery order, and
+prefix order across groups.  One sender's messages keep their order over
+FIFO links; no gate enforces it (clients have one command outstanding).
 """
 
 from repro.multicast.messages import MulticastMessage, OrderEvent, TsEvent, RemoteTs

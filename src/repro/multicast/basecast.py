@@ -8,7 +8,10 @@ the same log position and compute identical final timestamps.
 Message lifecycle for ``m`` with destinations {g, h}:
 
 1. The sender submits ``OrderEvent(m)`` to both groups (to every replica;
-   uid-dedup makes this idempotent and leader-crash tolerant).
+   uid-dedup makes this idempotent and leader-crash tolerant).  What a
+   group remembers of ``m`` afterwards is its ``key`` — the number the
+   sender gave it within its stream — in a
+   :class:`~repro.consensus.rangeset.RangeSet`.
 2. When group ``g`` delivers ``OrderEvent(m)`` from its log it assigns
    local timestamp ``ts_g = ++clock``; its leader sends ``RemoteTs`` to
    the replicas of every other destination group.
@@ -34,6 +37,7 @@ from typing import Any, Callable, Optional
 from repro.consensus.group import GroupConfig, PaxosGroup
 from repro.consensus.messages import Submit
 from repro.consensus.paxos import PaxosReplica, ReplicaConfig
+from repro.consensus.rangeset import RangeSet
 from repro.multicast.messages import MulticastMessage, OrderEvent, RemoteTs, TsEvent
 from repro.sim.network import Network
 
@@ -71,14 +75,15 @@ class MulticastReplica(PaxosReplica):
         self.on_adeliver = on_adeliver
         self.clock = 0
         self.pending_msgs: dict[str, _Pending] = {}
-        self.adelivered_uids: set[str] = set()
+        #: Keys (``MulticastMessage.key``) of the messages a-delivered.
+        self.adelivered_uids = RangeSet()
         self._adelivered_ts: dict[str, int] = {}
         #: Retained-timestamp keys already present at the last checkpoint
         #: (pruned at the next one — two-generation retention).
         self._adelivered_ts_prev: set[str] = set()
         self.adelivered_count = 0
-        self._fifo_next: dict[str, int] = {}
-        self._fifo_blocked: dict[str, dict[int, MulticastMessage]] = {}
+        #: dests -> how many numbered messages this *group* has sent there.
+        self._sent: dict[tuple, int] = {}
         self._early_ts_store: dict[str, dict[str, int]] = {}
         self._directory: Optional["GroupDirectory"] = None
         self._retransmit_timer_armed = False
@@ -89,6 +94,14 @@ class MulticastReplica(PaxosReplica):
         """Give this replica the group-name -> replica-names map it needs
         to exchange timestamps with other groups."""
         self._directory = directory
+
+    def next_number(self, dests: tuple) -> int:
+        """The number of this group's next message to ``dests``.  It is
+        replicated state: draw it at a log position only, so that every
+        replica numbers the same message alike."""
+        n = self._sent.get(dests, 0)
+        self._sent[dests] = n + 1
+        return n
 
     def start(self) -> None:
         super().start()
@@ -126,15 +139,11 @@ class MulticastReplica(PaxosReplica):
                 (uid, entry.message, entry.local_ts, sorted(entry.ts_from.items()))
                 for uid, entry in sorted(self.pending_msgs.items())
             ],
-            "adelivered_uids": sorted(self.adelivered_uids),
+            "adelivered_uids": self.adelivered_uids.capture(),
             "adelivered_ts": sorted(self._adelivered_ts.items()),
             "adelivered_ts_prev": sorted(self._adelivered_ts_prev),
             "adelivered_count": self.adelivered_count,
-            "fifo_next": sorted(self._fifo_next.items()),
-            "fifo_blocked": [
-                (key, sorted(blocked.items()))
-                for key, blocked in sorted(self._fifo_blocked.items())
-            ],
+            "sent": sorted(self._sent.items()),
             "early_ts": [
                 (uid, sorted(per_group.items()))
                 for uid, per_group in sorted(self._early_ts_store.items())
@@ -150,14 +159,11 @@ class MulticastReplica(PaxosReplica):
             uid: _Pending(message=message, local_ts=local_ts, ts_from=dict(ts_from))
             for uid, message, local_ts, ts_from in state.get("pending", ())
         }
-        self.adelivered_uids = set(state.get("adelivered_uids", ()))
+        self.adelivered_uids.install(state.get("adelivered_uids", {}))
         self._adelivered_ts = dict(state.get("adelivered_ts", ()))
         self._adelivered_ts_prev = set(state.get("adelivered_ts_prev", ()))
         self.adelivered_count = state.get("adelivered_count", 0)
-        self._fifo_next = dict(state.get("fifo_next", ()))
-        self._fifo_blocked = {
-            key: dict(blocked) for key, blocked in state.get("fifo_blocked", ())
-        }
+        self._sent = dict(state.get("sent", ()))
         self._early_ts_store = {
             uid: dict(per_group) for uid, per_group in state.get("early_ts", ())
         }
@@ -173,7 +179,7 @@ class MulticastReplica(PaxosReplica):
             super().deliver_value(value)
 
     def _on_order_event(self, msg: MulticastMessage) -> None:
-        if msg.uid in self.adelivered_uids or msg.uid in self.pending_msgs:
+        if msg.key in self.adelivered_uids or msg.uid in self.pending_msgs:
             return
         self.clock += 1
         entry = _Pending(message=msg, local_ts=self.clock)
@@ -209,37 +215,38 @@ class MulticastReplica(PaxosReplica):
         if entry is None:
             # Either already a-delivered, or the remote ts arrived before
             # our own OrderEvent; buffer by re-checking once ordered.
-            if event.msg_uid not in self.adelivered_uids:
-                self._early_ts.setdefault(event.msg_uid, {})[event.from_group] = event.ts
+            if event.msg_key not in self.adelivered_uids:
+                early = self._early_ts_store.setdefault(event.msg_uid, {})
+                early[event.from_group] = event.ts
             self.clock = max(self.clock, event.ts)
             return
         entry.ts_from[event.from_group] = event.ts
         self.clock = max(self.clock, event.ts)
         self._try_adeliver()
 
-    # Early remote timestamps (TsEvent ordered before our OrderEvent).
-    @property
-    def _early_ts(self) -> dict:
-        return self._early_ts_store
-
     def _send_ts(self, entry: _Pending) -> None:
-        """Ship this group's timestamp to the other destination groups.
-
-        Only the current leader sends (followers would duplicate); the
-        periodic retransmitter covers leader crashes.
-        """
+        """Take in the remote timestamps that were ordered before our
+        OrderEvent and ship this group's to the other destinations."""
         msg = entry.message
-        early = self._early_ts.pop(msg.uid, None)
+        early = self._early_ts_store.pop(msg.uid, None)
         if early:
             for from_group, ts in early.items():
                 entry.ts_from[from_group] = ts
                 self.clock = max(self.clock, ts)
-        if self.is_leader and self._directory is not None:
-            notice = RemoteTs(msg.uid, self.group, entry.ts_from[self.group])
-            for dest_group in msg.dests:
-                if dest_group != self.group:
-                    for replica in self._directory.replicas_of(dest_group):
-                        self.send(replica, notice)
+        self._announce_ts(msg, entry.ts_from[self.group])
+
+    def _announce_ts(self, msg: MulticastMessage, ts: int) -> None:
+        """This group's timestamp for ``msg`` to every replica of its
+        other destination groups.  Only the current leader sends
+        (followers would duplicate); the periodic retransmitter covers
+        leader crashes."""
+        if not self.is_leader or self._directory is None:
+            return
+        notice = RemoteTs(msg.uid, self.group, ts, msg.key)
+        for dest_group in msg.dests:
+            if dest_group != self.group:
+                for replica in self._directory.replicas_of(dest_group):
+                    self.send(replica, notice)
 
     def _retransmit_stalled(self) -> None:
         """Leader re-ships state for messages still missing remote
@@ -261,7 +268,9 @@ class MulticastReplica(PaxosReplica):
                 continue
             if self.group not in entry.ts_from:
                 continue
-            notice = RemoteTs(msg.uid, self.group, entry.ts_from[self.group])
+            notice = RemoteTs(
+                msg.uid, self.group, entry.ts_from[self.group], msg.key
+            )
             order = Submit(OrderEvent(msg))
             for dest_group in msg.dests:
                 if dest_group != self.group:
@@ -271,7 +280,7 @@ class MulticastReplica(PaxosReplica):
                             self.send(replica, order)
 
     def submit(self, value: Any) -> None:
-        if isinstance(value, OrderEvent) and value.message.uid in self.adelivered_uids:
+        if isinstance(value, OrderEvent) and value.message.key in self.adelivered_uids:
             # The Paxos layer would silently dedup this re-submitted
             # OrderEvent.  But a duplicate Order for a message we already
             # a-delivered is a probe: some peer group is still pending on
@@ -279,19 +288,11 @@ class MulticastReplica(PaxosReplica):
             # dropped the pending entry).  Staying silent wedges that
             # peer's min-pending gate forever — answer from the retained
             # timestamp instead.
-            self._reanswer_ts(value.message)
+            ts = self._adelivered_ts.get(value.message.uid)
+            if ts is not None:
+                self._announce_ts(value.message, ts)
             return
         super().submit(value)
-
-    def _reanswer_ts(self, msg: MulticastMessage) -> None:
-        ts = self._adelivered_ts.get(msg.uid)
-        if ts is None or not self.is_leader or self._directory is None:
-            return
-        notice = RemoteTs(msg.uid, self.group, ts)
-        for dest_group in msg.dests:
-            if dest_group != self.group:
-                for replica in self._directory.replicas_of(dest_group):
-                    self.send(replica, notice)
 
     # -- replica-to-replica timestamps -------------------------------------------
 
@@ -299,7 +300,9 @@ class MulticastReplica(PaxosReplica):
         if isinstance(message, RemoteTs):
             # Route through our own log so every replica of this group
             # processes the timestamp at the same log position.
-            event = TsEvent(message.msg_uid, message.from_group, message.ts)
+            event = TsEvent(
+                message.msg_uid, message.from_group, message.ts, message.msg_key
+            )
             if event.uid not in self.delivered_uids:
                 self.submit(event)
         else:
@@ -319,38 +322,15 @@ class MulticastReplica(PaxosReplica):
             if head.final_ts is None:
                 return
             del self.pending_msgs[head.message.uid]
-            self.adelivered_uids.add(head.message.uid)
+            self.adelivered_uids.add(head.message.key)
             if not head.message.is_single_group:
                 # Keep our timestamp: a peer group whose copy of our
                 # RemoteTs was lost will probe with a duplicate
                 # OrderEvent after we dropped the pending entry, and we
                 # must still be able to answer (see :meth:`submit`).
                 self._adelivered_ts[head.message.uid] = head.ts_from[self.group]
-            self._fifo_gate(head.message)
-
-    def _fifo_gate(self, msg: MulticastMessage) -> None:
-        """Hold back messages whose FIFO predecessors from the same sender
-        (among those addressed to this group) were not a-delivered yet."""
-        seq = msg.fifo_seq_for(self.group)
-        if not msg.fifo_key or seq is None:
-            self._adeliver(msg)
-            return
-        key = msg.fifo_key
-        expected = self._fifo_next.setdefault(key, 0)
-        if seq > expected:
-            self._fifo_blocked.setdefault(key, {})[seq] = msg
-            return
-        self._adeliver(msg)
-        self._fifo_next[key] = seq + 1
-        blocked = self._fifo_blocked.get(key, {})
-        while self._fifo_next[key] in blocked:
-            nxt = blocked.pop(self._fifo_next[key])
-            self._adeliver(nxt)
-            self._fifo_next[key] += 1
-
-    def _adeliver(self, msg: MulticastMessage) -> None:
-        self.adelivered_count += 1
-        self.adeliver(msg)
+            self.adelivered_count += 1
+            self.adeliver(head.message)
 
     def adeliver(self, msg: MulticastMessage) -> None:
         """A-delivery point; subclasses or the callback consume messages."""
@@ -389,7 +369,8 @@ class GroupDirectory:
         self.network = network
         self.groups: dict[str, MulticastGroup] = {}
         self._seq = itertools.count()
-        self._fifo_counters: dict[tuple[str, str], int] = {}
+        #: stream -> numbers given out (senders that are one actor).
+        self._sent: dict[tuple, int] = {}
         #: Optional ingress hook (compartmentalized mode): called as
         #: ``submit_router(group_name, message)`` and returns the actor
         #: names that should receive the Submit instead of the group's
@@ -439,29 +420,23 @@ class GroupDirectory:
         dests,
         payload: Any,
         uid: Optional[str] = None,
-        fifo_key: str = "",
+        sender: str = "",
+        n: Optional[int] = None,
     ) -> MulticastMessage:
-        """Build a message; when ``fifo_key`` is set, per-(sender, group)
-        sequence numbers are assigned so destinations enforce FIFO order."""
+        """Build a message.  Called once per uid by a ``sender`` that is
+        one actor, the message gets the next number of the stream
+        ``(sender, dests)``; a sender that is a replicated group passes
+        the ``n`` its replicas agree on
+        (:meth:`MulticastReplica.next_number`).  Without a sender the
+        message has no number and is remembered by uid."""
         if uid is None:
             uid = f"m{next(self._seq)}"
         dests = tuple(sorted(dests))
-        fifo_seqs = ()
-        if fifo_key:
-            seqs = []
-            for group in dests:
-                counter_key = (fifo_key, group)
-                seq = self._fifo_counters.get(counter_key, 0)
-                self._fifo_counters[counter_key] = seq + 1
-                seqs.append((group, seq))
-            fifo_seqs = tuple(seqs)
-        return MulticastMessage(
-            uid=uid,
-            dests=dests,
-            payload=payload,
-            fifo_key=fifo_key,
-            fifo_seqs=fifo_seqs,
-        )
+        if sender and n is None:
+            stream = (sender, dests)
+            n = self._sent.get(stream, 0)
+            self._sent[stream] = n + 1
+        return MulticastMessage(uid, dests, payload, sender, n)
 
     def amcast(self, sender, message: MulticastMessage) -> None:
         """Atomically multicast ``message`` from actor ``sender``: submit

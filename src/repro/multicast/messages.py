@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Hashable, Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -13,39 +13,37 @@ class MulticastMessage:
     ``uid`` must be globally unique; ``dests`` is a sorted tuple of group
     names.
 
-    FIFO order is enforced per sender (``fifo_key``): ``fifo_seqs`` holds
-    one ``(group, seq)`` pair per destination, where ``seq`` counts the
-    sender's messages addressed to that group.  Sequencing per (sender,
-    group) — rather than one global per-sender counter — means a group
-    never waits for a predecessor that was not addressed to it, while
-    still guaranteeing that any process delivering two messages from the
-    same sender delivers them in send order.
+    A message with a ``sender`` is the ``n``-th of the *stream*
+    ``(sender, dests)``: the sender counts what it sends to each
+    destination set from 0 without gaps.  ``key`` — ``(stream, n)``, or
+    the uid of a message that has no number — is what the ordering
+    layers remember of a message once they are done with it
+    (:class:`~repro.consensus.rangeset.RangeSet`), so ``uid`` and
+    ``key`` must name each other: a uid that is sent again carries the
+    number it was first given, and a number is never given to a second
+    uid (DESIGN.md §5).
     """
 
     uid: str
     dests: tuple
     payload: Any
-    fifo_key: str = ""
-    fifo_seqs: tuple = ()
+    sender: str = ""
+    n: Optional[int] = None
+    key: Hashable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.dests:
             raise ValueError("multicast needs at least one destination group")
         if tuple(sorted(self.dests)) != self.dests:
             raise ValueError("dests must be a sorted tuple")
-        if self.fifo_key and len(self.fifo_seqs) != len(self.dests):
-            raise ValueError("fifo_seqs must have one (group, seq) per dest")
+        if (self.n is None) == bool(self.sender):
+            raise ValueError("a stream number and a sender go together")
+        key = self.uid if self.n is None else ((self.sender, self.dests), self.n)
+        object.__setattr__(self, "key", key)
 
     @property
     def is_single_group(self) -> bool:
         return len(self.dests) == 1
-
-    def fifo_seq_for(self, group: str):
-        """This sender's per-``group`` sequence number, or ``None``."""
-        for g, seq in self.fifo_seqs:
-            if g == group:
-                return seq
-        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,26 +51,37 @@ class OrderEvent:
     """Group-log event: locally order ``message`` and assign a timestamp."""
 
     message: MulticastMessage
-    #: Log-dedup key, built once: every dedup set of every replica that
-    #: sees this event stores the same string object.
-    uid: str = field(init=False, repr=False, compare=False)
+    #: Log-dedup uid: the message's ``(stream, n)`` when it has one.
+    uid: Hashable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "uid", f"ord:{self.message.uid}")
+        key = self.message.key
+        if self.message.n is None:
+            key = f"ord:{key}"
+        object.__setattr__(self, "uid", key)
 
 
 @dataclass(frozen=True, slots=True)
 class TsEvent:
-    """Group-log event: a remote group's timestamp for a pending message."""
+    """Group-log event: a remote group's timestamp for a pending message
+    (``msg_key`` is that message's ``key``)."""
 
     msg_uid: str
     from_group: str
     ts: int
-    #: Log-dedup key, built once (see :class:`OrderEvent`).
-    uid: str = field(init=False, repr=False, compare=False)
+    msg_key: Hashable
+    #: Log-dedup uid.  Every message of a multi-group stream draws one
+    #: timestamp from every other destination group, so the events from
+    #: one group about one stream are a stream themselves.
+    uid: Hashable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "uid", f"ts:{self.msg_uid}:{self.from_group}")
+        key = self.msg_key
+        if type(key) is tuple:
+            uid = ((*key[0], self.from_group), key[1])
+        else:
+            uid = f"ts:{key}:{self.from_group}"
+        object.__setattr__(self, "uid", uid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,3 +96,4 @@ class RemoteTs:
     msg_uid: str
     from_group: str
     ts: int
+    msg_key: Hashable

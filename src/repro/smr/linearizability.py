@@ -20,7 +20,7 @@ from repro.smr.command import Command
 from repro.smr.statemachine import AppStateMachine, VariableStore
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One completed client operation in the history."""
 

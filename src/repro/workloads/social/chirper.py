@@ -34,9 +34,17 @@ TIMELINE_LIMIT = 50
 POST_LIMIT = 140
 
 
+#: user -> its variable id, one tuple per user for the life of the process
+#: (client caches, client tables and graphs all hold these by the thousand).
+_USER_VARS: dict[int, tuple] = {}
+
+
 def user_var(user: int) -> tuple:
     """The state-variable id for a user."""
-    return ("user", user)
+    var = _USER_VARS.get(user)
+    if var is None:
+        var = _USER_VARS[user] = ("user", user)
+    return var
 
 
 def _new_profile() -> dict:

@@ -1,5 +1,7 @@
 """Shared fixtures for DynaStar core tests."""
 
+from contextlib import contextmanager
+
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import CallbackWorkload, ScriptedWorkload
 from repro.sim import ConstantLatency
@@ -39,6 +41,23 @@ def build_system(
         service_time=service_time,
     )
     return DynaStarSystem(app, config)
+
+
+@contextmanager
+def tapped_sends(system, tap):
+    """Call ``tap(src, dst, message)`` for every message handed to the
+    network while the block runs."""
+    deliver = system.net.send
+
+    def send(src, dst, message, size=1):
+        tap(src, dst, message)
+        deliver(src, dst, message, size)
+
+    system.net.send = send
+    try:
+        yield
+    finally:
+        system.net.send = deliver
 
 
 def run_script(system, commands, until=30.0, **client_kwargs):

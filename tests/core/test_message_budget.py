@@ -28,9 +28,11 @@ however many commands moved it — and workload-graph hints leave once per
 
 from collections import Counter
 
+from repro.consensus.messages import Submit
 from repro.core.client import ScriptedWorkload
 from repro.smr import Command
 
+from tests.core.conftest import tapped_sends
 from tests.core.test_hop_budget import rig
 
 R, A, K = 2, 3, 2
@@ -40,15 +42,13 @@ BACKGROUND = {"Heartbeat", "Frontier"}
 def messages_sent(commands):
     system = rig(hint_period=10.0)  # hints leave after the run ends
     sent = Counter()
-    deliver = system.net.send
 
-    def send(src, dst, message, size=1):
+    def count(src, dst, message):
         sent[type(message).__name__] += 1
-        deliver(src, dst, message, size)
 
-    system.net.send = send
     client = system.add_client(ScriptedWorkload(commands))
-    system.run(until=2.0)
+    with tapped_sends(system, count):
+        system.run(until=2.0)
     assert client.done and client.completed == len(commands)
     assert sum(sent.values()) == system.net.stats()["sent"]
     return sent
@@ -131,3 +131,34 @@ def test_oracle_miss_adds_a_query_round_and_a_second_submission():
     double = cost_of_last(SCRIPT[:3])
     assert double == plus(TWO_PARTITIONS, oracle_miss(resubmits=K * R))
     assert sum(double.values()) == 54 + 15
+
+
+def test_an_attempt_sent_once_per_prophecy_copy_carries_one_number():
+    """What lets the groups remember numbers, not uids (DESIGN.md §5):
+    however often the client sends an attempt, it is one uid under one
+    number, and a stream's numbers have no gaps."""
+    system = rig(hint_period=10.0)
+    keys_of, sends_of = {}, Counter()
+
+    def note(src, dst, message):
+        if src == "client0" and isinstance(message, Submit):
+            sent = message.value.message
+            keys_of.setdefault(sent.uid, set()).add(sent.key)
+            sends_of[sent.uid] += 1
+
+    client = system.add_client(ScriptedWorkload(SCRIPT))
+    with tapped_sends(system, note):
+        system.run(until=2.0)
+    assert client.done and client.completed == len(SCRIPT)
+    # c:0 missed the cache: submitted once per prophecy copy, to R replicas.
+    assert sends_of["x:c:0:a0"] == R * R and sends_of["x:c:1:a0"] == R
+    assert all(len(keys) == 1 for keys in keys_of.values())
+    keys = [key for (key,) in keys_of.values()]
+    assert len(set(keys)) == len(keys)
+    numbers = {}
+    for stream, n in keys:
+        numbers.setdefault(stream, []).append(n)
+    assert all(sorted(ns) == list(range(len(ns))) for ns in numbers.values())
+    assert set(numbers) == {
+        ("client0", ("oracle",)), ("client0", ("p0",)), ("client0", ("p0", "p1"))
+    }

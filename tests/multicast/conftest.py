@@ -45,10 +45,10 @@ class MulticastHarness:
         self.directory.start()
         self.sender = self.net.register(Sender("client0"))
 
-    def amcast(self, dests, payload, fifo=False, sender=None):
+    def amcast(self, dests, payload, numbered=False, sender=None):
         sender = sender or self.sender
         msg = self.directory.make_message(
-            dests, payload, fifo_key=sender.name if fifo else ""
+            dests, payload, sender=sender.name if numbered else ""
         )
         self.directory.amcast(sender, msg)
         return msg
