@@ -15,7 +15,11 @@ import json
 
 import pytest
 
+from repro.core import DynaStarSystem, SystemConfig
+from repro.core.client import ScriptedWorkload
 from repro.experiments import perf
+from repro.sim import ConstantLatency
+from repro.smr import Command, KeyValueApp
 
 ENTRY_KEYS = {"trace_records", "trace_sha256", "metrics_sha256", "counts"}
 
@@ -37,6 +41,23 @@ def only_cell(monkeypatch, name, runner):
 
 def metrics_json(events):
     return json.dumps({"counters": {"done": 1}, "sim": {"events_processed": events}})
+
+
+def small_cell(diverge=False):
+    """A traced two-partition run of a dozen writes; ``diverge`` overwrites
+    one replica's copy afterwards, which no span or counter sees."""
+    system = DynaStarSystem(
+        KeyValueApp({f"k{i}": i for i in range(4)}),
+        SystemConfig(
+            n_partitions=2, seed=5, latency=ConstantLatency(0.001), tracing=True
+        ),
+    )
+    commands = [Command(f"c:{i}", "write", (f"k{i % 4}", i)) for i in range(12)]
+    system.add_client(ScriptedWorkload(commands))
+    system.run(until=5.0)
+    if diverge:
+        system.servers("p0")[1].store.put("k0", -1)
+    return system
 
 
 class TestCommittedBaseline:
@@ -107,8 +128,10 @@ class TestGate:
         self, canned_ablation, monkeypatch, tmp_path, capsys
     ):
         events = itertools.count()
-        only_cell(
-            monkeypatch, "fake", lambda: ('{"kind": "span"}\n', metrics_json(next(events)))
+        only_cell(monkeypatch, "fake", small_cell)
+        monkeypatch.setattr(
+            perf, "fingerprint",
+            lambda system: ('{"kind": "span"}\n', metrics_json(next(events))),
         )
         path = tmp_path / "baseline.json"
         assert perf.main(["--baseline", str(path), "--rebaseline"]) == 1
@@ -116,11 +139,31 @@ class TestGate:
         assert not path.exists()
 
     def test_empty_trace_fails(self, canned_ablation, monkeypatch, tmp_path, capsys):
-        only_cell(monkeypatch, "fake", lambda: ("", metrics_json(7)))
+        only_cell(monkeypatch, "fake", small_cell)
+        monkeypatch.setattr(perf, "fingerprint", lambda system: ("", metrics_json(7)))
         path = tmp_path / "baseline.json"
         assert perf.main(["--baseline", str(path), "--rebaseline"]) == 1
         assert "fake: empty trace: the gate is vacuous" in capsys.readouterr().err
         assert not path.exists()
+
+    def test_matching_digest_of_a_wrong_run_fails_and_is_never_recorded(
+        self, canned_ablation, monkeypatch, tmp_path, capsys
+    ):
+        """A digest says the run is the same, ``check_run`` that it is
+        right: the gate wants both."""
+        only_cell(monkeypatch, "small", small_cell)
+        path = tmp_path / "baseline.json"
+        assert perf.main(["--baseline", str(path), "--rebaseline"]) == 0
+        recorded = path.read_text()
+
+        only_cell(monkeypatch, "small", lambda: small_cell(diverge=True))
+        assert perf.main(["--baseline", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "small: replica state divergence in p0" in err
+        assert "differ" not in err  # both digests are the recorded ones
+        assert perf.main(["--baseline", str(path), "--rebaseline"]) == 1
+        assert "small: replica state divergence in p0" in capsys.readouterr().err
+        assert path.read_text() == recorded
 
 
 class TestLanesCheck:

@@ -13,6 +13,7 @@ Run:  python examples/dynamic_celebrity.py [--duration SECONDS]
 import argparse
 
 from repro.core import DynaStarSystem, SystemConfig
+from repro.experiments.harness import check_run
 from repro.sim import ConstantLatency
 from repro.workloads.social import (
     CelebrityEvent,
@@ -81,6 +82,14 @@ def main() -> None:
     print(f"\ntotal: {system.total_completed()} commands, "
           f"{system.monitor.counter('client', event='retry').value} cache-staleness retries, "
           f"{len(plans)} repartitionings")
+
+    # Let what was in flight when the clients stopped finish, then judge
+    # the run: replicas agree, nothing lost, nothing left half-done.
+    system.run(until=duration + 5.0)
+    problems = check_run(system)
+    print("\nproblems:", "; ".join(problems) or "none")
+    if problems:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -23,8 +23,19 @@ import random
 from repro.compartment import CompartmentConfig
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import ScriptedWorkload
+from repro.experiments.harness import check_run, export_run_artifacts
 from repro.sim import ConstantLatency
-from repro.smr import Command, KeyValueApp
+from repro.smr import Command, History, KeyValueApp
+
+
+def verdict(system, history=None) -> None:
+    """Every mode ends here: the finished run is judged (replicas agree,
+    nothing lost or left half-done, every client answered, the recorded
+    history linearizable) and a problem is a non-zero exit."""
+    problems = check_run(system, history)
+    print("\nproblems:", "; ".join(problems) or "none")
+    if problems:
+        raise SystemExit(1)
 
 
 def run_elastic(args) -> None:
@@ -91,12 +102,11 @@ def run_elastic(args) -> None:
         raise SystemExit("elastic quickstart did not change the partition count")
 
     if args.obs:
-        from repro.experiments.harness import export_run_artifacts
-
         written = export_run_artifacts(system, args.obs)
         print(f"wrote run artifacts to {args.obs}: " + ", ".join(sorted(written)))
         print(f"check them with: python -m repro.obs.report {args.obs} "
               "--check-reconfig")
+    verdict(system)
 
 
 def run_compartment(args) -> None:
@@ -148,12 +158,11 @@ def run_compartment(args) -> None:
         raise SystemExit("compartment quickstart served no local reads")
 
     if args.obs:
-        from repro.experiments.harness import export_run_artifacts
-
         written = export_run_artifacts(system, args.obs)
         print(f"wrote run artifacts to {args.obs}: " + ", ".join(sorted(written)))
         print(f"check them with: python -m repro.obs.report {args.obs} "
               "--check-reads")
+    verdict(system)
 
 
 def main() -> None:
@@ -234,7 +243,8 @@ def main() -> None:
         Command("c:4", "transfer", (key_a, key_b, 50)),  # borrow & return
         Command("c:5", "read", (key_b,)),
     ]
-    client = system.add_client(ScriptedWorkload(commands))
+    history = History()
+    client = system.add_client(ScriptedWorkload(commands), history=history)
 
     # 4. Run the virtual clock.
     system.run(until=10.0)
@@ -260,12 +270,14 @@ def main() -> None:
         print(f"explain them with: python -m repro.obs.explain {args.trace}")
 
     if args.obs:
-        from repro.experiments.harness import export_run_artifacts
-
         written = export_run_artifacts(system, args.obs)
         print(f"\nwrote run artifacts to {args.obs}: "
               + ", ".join(sorted(written)))
         print(f"report on them with: python -m repro.obs.report {args.obs}")
+
+    # 6. One verdict: five commands are few enough to check the recorded
+    #    history for linearizability as well.
+    verdict(system, history)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ Run:  python examples/social_network.py [--duration SECONDS]
 import argparse
 
 from repro.core import DynaStarSystem, SystemConfig
+from repro.experiments.harness import check_run
 from repro.sim import ConstantLatency
 from repro.workloads.social import (
     ChirperApp,
@@ -77,6 +78,14 @@ def main() -> None:
         tput = system.monitor.series("tput", partition=name).total()
         nodes = len(system.servers(name)[0].owned_nodes)
         print(f"  {name}: {tput:7.0f} commands executed, {nodes:4d} users hosted")
+
+    # Let what was in flight when the clients stopped finish, then judge
+    # the run: replicas agree, nothing lost, nothing left half-done.
+    system.run(until=duration + 5.0)
+    problems = check_run(system)
+    print("\nproblems:", "; ".join(problems) or "none")
+    if problems:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import argparse
 
 from repro.baselines import SSMRSystem
 from repro.core import DynaStarSystem, SystemConfig
-from repro.experiments.harness import warehouse_aligned_placement
+from repro.experiments.harness import check_run, warehouse_aligned_placement
 from repro.sim import ConstantLatency
 from repro.workloads.tpcc import TPCCApp, TPCCConfig, TPCCWorkload
 
@@ -52,13 +52,18 @@ def run(mode: str, placement, duration: float):
     # steady state: second half of the run
     series = system.monitor.series("completed").buckets()
     steady = [v for t, v in series if t >= duration / 2]
-    return {
+    row = {
         "tput": sum(steady) / max(1, len(steady)),
         "completed": completed,
         "multi": counters.get("multi_partition_commands", 0),
         "objects": counters.get("objects_exchanged", 0),
         "aborts": counters.get("commands_failed", 0),
     }
+    # Let what was in flight when the clients stopped finish, then judge
+    # the run: replicas agree, nothing lost, nothing left half-done.
+    system.run(until=duration + 5.0)
+    row["problems"] = check_run(system)
+    return row
 
 
 def main() -> None:
@@ -85,6 +90,10 @@ def main() -> None:
     print("\nDynaStar converges to S-SMR*-like throughput without knowing the")
     print("workload in advance; random static placement pays a permanent")
     print("multi-partition tax (the paper's core claim).")
+    problems = [f"{name}: {problem}" for name, r in rows for problem in r["problems"]]
+    print("\nproblems:", "; ".join(problems) or "none")
+    if problems:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

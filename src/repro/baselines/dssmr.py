@@ -9,6 +9,14 @@ non-perfectly-partitionable workloads the same nodes ping-pong between
 partitions, which is the pathology DynaStar's workload-graph
 partitioning avoids.
 
+A source that has shipped is done with the command and with the nodes,
+so nothing may ever be bounced back to it: a target that will not
+execute the attempt (it is stale, or some source is) still waits for
+every source's answer and *adopts* what was shipped — at the command's
+log position, so its replicas adopt alike — exactly where a successful
+attempt would have left the nodes (DESIGN.md §5, "DS-SMR: a one-way
+move has no way back").
+
 Traced runs (``SystemConfig(tracing=True)``) reuse the DynaStar span
 vocabulary: the permanent migration shows up as a ``borrow`` span
 tagged ``permanent=True`` and — since the variables never travel home —
@@ -19,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.messages import GlobalCommand, VarTransfer
+from repro.core.messages import GlobalCommand, TransferFailed, VarTransfer
 from repro.core.server import PartitionServer
 from repro.core.system import DynaStarSystem, SystemConfig
 
@@ -62,15 +70,51 @@ class DSSMRServer(PartitionServer):
             self.monitor.counter("objects_exchanged").inc(len(pairs))
         return True
 
+    def _try_global(self, payload: GlobalCommand) -> bool:
+        """As in DynaStar, except that a target which will not execute
+        the attempt keeps it queued until every source has answered,
+        then adopts what they shipped."""
+        rec = self._attempt((payload.command.uid, payload.attempt))
+        if not rec.sent:
+            if not super()._try_global(payload):
+                return False
+            if not rec.sent:
+                return True  # executed here, or shipped from here
+        answered = rec.transfers.keys() | set(rec.failed or ())
+        if not answered >= set(payload.involved()) - {self.partition}:
+            return False
+        self._adopt(payload, rec.transfers)
+        return True
+
+    def _close_aborted_target(self, payload: GlobalCommand) -> None:
+        """Every way a target ends an attempt without executing it comes
+        through here.  Nothing is bounced and no tombstone is left:
+        ``sent`` — a source's field, free at the target — marks the
+        attempt as answered, and :meth:`_try_global` closes it once the
+        sources have answered too."""
+        self._attempts[(payload.command.uid, payload.attempt)].sent = True
+
+    def _on_transfer_failed(self, msg: TransferFailed) -> None:
+        """Remember *which* sources will not ship (``failed`` stays
+        falsy while none has): the target waits for the others."""
+        if msg.key not in self._closed:
+            rec = self._attempt(msg.key)
+            rec.failed = tuple(sorted({*(rec.failed or ()), msg.from_partition}))
+            self._pump()
+
+    def _adopt(self, payload: GlobalCommand, transfers: dict) -> None:
+        """The nodes the shipping sources gave up settle here."""
+        for source, transfer in transfers.items():
+            self._install_node_vars(transfer.vars, transfer.table)
+            for node in payload.nodes_at(source):
+                self.owned_nodes.add(node)
+                self.last_plan[node] = self.partition
+
     def _global_as_target(self, payload: GlobalCommand, rec) -> bool:
         finished, received = self._gather(payload, rec, permanent=True)
         if received is None:
             return finished
-        for transfer in received.values():
-            self._install_node_vars(transfer.vars, transfer.table)
-        for node, _ in payload.locations:
-            self.owned_nodes.add(node)
-            self.last_plan[node] = self.partition
+        self._adopt(payload, received)
         self._execute_and_reply(
             payload, record_hint_nodes={n for n, _ in payload.locations}
         )

@@ -35,6 +35,12 @@ from typing import Callable, Optional
 
 from repro.core.messages import ServerBusy
 
+#: Expiry for admission slots whose answer never materialized, and the
+#: burst capacity of a client's rate limiter: fixed here, beside their
+#: consumers — no deployment ever set either.
+ADMISSION_TTL = 30.0
+CLIENT_RATE_BURST = 4.0
+
 #: Admission outcomes (:meth:`AdmissionController.offer`).
 ADMIT = "admit"
 #: Refused to protect headroom for higher-priority (multi-partition)
@@ -74,7 +80,6 @@ class IngressGate:
         bound: Optional[int] = None,
         headroom: Optional[int] = None,
         retry_after: float = 0.05,
-        ttl: float = 30.0,
     ):
         self.actor = actor
         self.gated = gated
@@ -82,7 +87,7 @@ class IngressGate:
         self.priority = priority
         self.retry_after = retry_after
         self.controller = (
-            AdmissionController(bound, headroom, retry_after, ttl)
+            AdmissionController(bound, headroom, retry_after)
             if bound is not None
             else None
         )
@@ -185,7 +190,7 @@ class AdmissionController:
         bound: int,
         headroom: Optional[int] = None,
         retry_after: float = 0.05,
-        ttl: float = 30.0,
+        ttl: float = ADMISSION_TTL,
     ):
         if not isinstance(bound, int) or bound < 1:
             raise ValueError(f"admission bound must be a positive int, got {bound!r}")

@@ -19,7 +19,12 @@ import random
 from typing import Any, Optional
 
 from repro.compartment.messages import LocalRead
-from repro.core.admission import CircuitBreaker, RetryBudget, TokenBucket
+from repro.core.admission import (
+    CLIENT_RATE_BURST,
+    CircuitBreaker,
+    RetryBudget,
+    TokenBucket,
+)
 from repro.core.messages import (
     ExecCommand,
     GlobalCommand,
@@ -116,12 +121,10 @@ class DynaStarClient(Actor):
         max_timeout: Optional[float] = None,
         retry_jitter: float = 0.0,
         rate_limit: Optional[float] = None,
-        rate_burst: float = 4.0,
         retry_budget: Optional[float] = None,
         retry_budget_ratio: float = 0.2,
         breaker_threshold: Optional[int] = None,
         breaker_cooldown: float = 1.0,
-        breaker_jitter: float = 0.0,
         think_time: Optional[float] = None,
         idempotency_keys: bool = False,
         learners_of=None,
@@ -164,7 +167,9 @@ class DynaStarClient(Actor):
         # Overload defenses — all opt-in (None disables), all validated
         # eagerly by the admission constructors (ValueError on bad knobs).
         self.rate_limiter = (
-            TokenBucket(rate_limit, rate_burst) if rate_limit is not None else None
+            TokenBucket(rate_limit, CLIENT_RATE_BURST)
+            if rate_limit is not None
+            else None
         )
         self.retry_budget = (
             RetryBudget(retry_budget, retry_budget_ratio)
@@ -172,12 +177,7 @@ class DynaStarClient(Actor):
             else None
         )
         self.breaker = (
-            CircuitBreaker(
-                breaker_threshold,
-                breaker_cooldown,
-                jitter=breaker_jitter,
-                rng=self.rng,
-            )
+            CircuitBreaker(breaker_threshold, breaker_cooldown, rng=self.rng)
             if breaker_threshold is not None
             else None
         )

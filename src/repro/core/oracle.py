@@ -117,7 +117,6 @@ class OracleReplica(MulticastReplica):
         admission_bound: Optional[int] = None,
         admission_headroom: Optional[int] = None,
         admission_retry_after: float = 0.05,
-        admission_ttl: float = 30.0,
         audit: Optional[AuditLog] = None,
         elastic: Optional[ElasticConfig] = None,
         on_provision=None,
@@ -159,7 +158,6 @@ class OracleReplica(MulticastReplica):
             admission_bound,
             admission_headroom,
             admission_retry_after,
-            admission_ttl,
         )
         self.admission = self.ingress.controller
 
@@ -302,7 +300,8 @@ class OracleReplica(MulticastReplica):
                 target=partition,
             )
             return
-        var = command.args[0]
+        # The app names the variable (Chirper's user 7 is ("user", 7)).
+        (var,) = self.app.variables_of(command)
         node = self.app.graph_node_of(var)
         if node in self.location:
             self._prophesize(query, ProphecyStatus.NOK, reason="exists")
@@ -350,7 +349,7 @@ class OracleReplica(MulticastReplica):
                 target=partition,
             )
             return
-        var = command.args[0]
+        (var,) = self.app.variables_of(command)
         node = self.app.graph_node_of(var)
         partition = self.location.get(node)
         if partition is None:

@@ -131,7 +131,6 @@ class PartitionServer(MulticastReplica):
         admission_bound: Optional[int] = None,
         admission_headroom: Optional[int] = None,
         admission_retry_after: float = 0.05,
-        admission_ttl: float = 30.0,
         audit: Optional[AuditLog] = None,
         compartment: Optional[CompartmentConfig] = None,
         learner_names: tuple = (),
@@ -177,7 +176,6 @@ class PartitionServer(MulticastReplica):
             admission_bound,
             admission_headroom,
             admission_retry_after,
-            admission_ttl,
         )
         #: Its admission controller (queue-based load leveling); None
         #: disables it.  Volatile by design — not checkpointed; the TTL

@@ -94,24 +94,18 @@ class SystemConfig:
     admission_headroom: Optional[int] = None
     #: Retry-After hint carried on every ``ServerBusy``.
     admission_retry_after: float = 0.05
-    #: Expiry for admission slots whose answer never materialized.
-    admission_ttl: float = 30.0
     #: Oracle-side admission bound (None disables).
     oracle_admission_bound: Optional[int] = None
-    #: Client token-bucket rate limit in commands/second (None disables)
-    #: and its burst capacity.
+    #: Client token-bucket rate limit in commands/second (None disables).
     client_rate_limit: Optional[float] = None
-    client_rate_burst: float = 4.0
     #: Client retry budget: initial balance (None disables) and the
     #: fraction of fresh commands earned back as retry tokens.
     client_retry_budget: Optional[float] = None
     client_retry_budget_ratio: float = 0.2
     #: Client circuit breaker: consecutive busy/timeout signals before
-    #: tripping (None disables), cooldown before half-opening, and a
-    #: seeded jitter fraction stretching the cooldown per client.
+    #: tripping (None disables) and cooldown before half-opening.
     client_breaker_threshold: Optional[int] = None
     client_breaker_cooldown: float = 1.0
-    client_breaker_jitter: float = 0.0
     #: Mean think time between a client's commands (None = back-to-back
     #: closed loop).  The ``overload_burst`` fault divides it.
     client_think_time: Optional[float] = None
@@ -274,7 +268,6 @@ class DynaStarSystem:
                 admission_bound=cfg.oracle_admission_bound,
                 admission_headroom=cfg.admission_headroom,
                 admission_retry_after=cfg.admission_retry_after,
-                admission_ttl=cfg.admission_ttl,
                 elastic=self._elastic_config,
                 on_provision=(
                     self.elastic.provision if self.elastic is not None else None
@@ -384,7 +377,6 @@ class DynaStarSystem:
                 admission_bound=cfg.admission_bound,
                 admission_headroom=cfg.admission_headroom,
                 admission_retry_after=cfg.admission_retry_after,
-                admission_ttl=cfg.admission_ttl,
                 compartment=cfg.compartment if cfg.compartment.enabled else None,
                 learner_names=self._learner_names_of(kwargs["group"]),
                 **kwargs,
@@ -478,12 +470,10 @@ class DynaStarSystem:
             max_timeout=cfg.client_timeout_cap,
             retry_jitter=cfg.client_retry_jitter,
             rate_limit=cfg.client_rate_limit,
-            rate_burst=cfg.client_rate_burst,
             retry_budget=cfg.client_retry_budget,
             retry_budget_ratio=cfg.client_retry_budget_ratio,
             breaker_threshold=cfg.client_breaker_threshold,
             breaker_cooldown=cfg.client_breaker_cooldown,
-            breaker_jitter=cfg.client_breaker_jitter,
             think_time=cfg.client_think_time,
             idempotency_keys=cfg.idempotency_keys,
             learners_of=(

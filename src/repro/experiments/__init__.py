@@ -19,9 +19,6 @@ from repro.experiments.harness import (
 from repro.experiments import figures, reporting
 
 __all__ = [
-    "FlashCrowdConfig",
-    "build_flash_crowd",
-    "run_flash_crowd",
     "RunResult",
     "build_chirper_system",
     "build_tpcc_system",
@@ -33,12 +30,3 @@ __all__ = [
     "reporting",
 ]
 
-
-def __getattr__(name):
-    # Lazy so `python -m repro.experiments.overload` does not import the
-    # module twice (once via the package, once as __main__).
-    if name in ("FlashCrowdConfig", "build_flash_crowd", "run_flash_crowd"):
-        from repro.experiments import overload
-
-        return getattr(overload, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,42 +7,31 @@ replica of its partition — replication adds fault tolerance, not read
 throughput, so the run saturates at the replicas' service rate.  With
 it on, each read executes at exactly one of the partition's learners
 after a lease-checked sequencing probe, so read capacity scales with
-the learner count; the ``--check-scaling`` gate asserts the 3-learner
-deployment completes at least 2x the leader-only baseline on the same
-offered load.
+the learner count; :meth:`CompartmentScenario.gates` requires the
+3-learner deployment to complete at least 2x the leader-only baseline
+on the same offered load.
 
-Usage::
-
-    python -m repro.experiments.compartment                 # one summary
-    python -m repro.experiments.compartment --quick         # CI smoke
-    python -m repro.experiments.compartment --chaos         # + stage faults
-    python -m repro.experiments.compartment --ablation      # learner x lease grid
-    python -m repro.experiments.compartment --check-scaling
-    python -m repro.experiments.compartment --check-consistency
-    python -m repro.experiments.compartment --obs DIR       # export artifacts
-
-That the traced ``--quick`` scenario replays byte-for-byte in every
-cell of {compartment on, off} x {chaos on, off} is checked by the
-``compartment``, ``compartment_chaos``, ``leader_only`` and
-``leader_only_chaos`` cells of :mod:`repro.experiments.perf`.  ``--chaos``
-fires the two stage fault kinds (``crash_proxy_leader``,
-``expire_lease``) on a fine grid across the run; both resolve
-applicability at fire time, so ticks that land on an idle stage no-op.
+Run and judged by ``python -m repro.experiments compartment [--quick]
+[--chaos]`` (:mod:`repro.experiments.__main__`); :func:`run_ablation` is
+the learner-count x lease grid.  That the traced ``--quick`` scenario
+replays byte-for-byte in every cell of {compartment on, off} x {chaos
+on, off} is checked by the ``compartment``, ``compartment_chaos``,
+``leader_only`` and ``leader_only_chaos`` cells of
+:mod:`repro.experiments.perf`.  ``--chaos`` fires the two stage fault
+kinds (``crash_proxy_leader``, ``expire_lease``) on a fine grid across
+the run; both resolve applicability at fire time, so ticks that land on
+an idle stage no-op.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import sys
 from dataclasses import dataclass, replace
 
 from repro.compartment import CompartmentConfig
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import Workload
-from repro.experiments import harness
-from repro.experiments.harness import export_run_artifacts, verify_consistency
+from repro.experiments.harness import run_scenario
 from repro.faults import FaultSchedule
 from repro.faults.injector import ChaosInjector
 from repro.sim.latency import ConstantLatency
@@ -99,9 +88,88 @@ class CompartmentScenario:
     chaos: bool = False
     tracing: bool = False
 
+    def build(self) -> DynaStarSystem:
+        """The system of one run: clients attached, the stage fault comb
+        armed when ``chaos``."""
+        keys = [f"k{i:02d}" for i in range(self.n_keys)]
+        system = DynaStarSystem(
+            KeyValueApp({key: i for i, key in enumerate(keys)}),
+            SystemConfig(
+                n_partitions=2,
+                seed=self.seed,
+                latency=ConstantLatency(0.001),
+                repartition_enabled=False,
+                service_time=self.service_time,
+                client_timeout=0.25,
+                client_timeout_cap=2.0,
+                idempotency_keys=True,
+                tracing=self.tracing,
+                compartment=CompartmentConfig(
+                    enabled=self.compartment,
+                    n_proxy_leaders=self.n_proxies,
+                    n_learners=self.n_learners,
+                    lease_enabled=self.lease,
+                ),
+            ),
+        )
+        if self.chaos:
+            ChaosInjector(system, chaos_schedule(self)).arm()
+        for i in range(self.n_clients):
+            system.add_client(
+                ReadHeavyWorkload(
+                    keys, self.read_fraction,
+                    seed=self.seed * 1000 + i, client_tag=f"c{i}",
+                ),
+                stop_at=self.duration,
+            )
+        return system
 
-#: ``--quick``: the CI smoke and :mod:`repro.experiments.perf`'s four
-#: compartment gate entries.
+    def summarize(self, system) -> dict:
+        counters = system.monitor.snapshot()["counters"]
+
+        def _sum(prefix: str, event: str = "") -> int:
+            return sum(
+                v for k, v in counters.items() if k.startswith(prefix) and event in k
+            )
+
+        return {
+            "completed": system.total_completed(),
+            "failed": system.total_failed(),
+            "workload_failures": sum(len(c.workload.failures) for c in system.clients),
+            "local_reads_dispatched": sum(c.local_reads for c in system.clients),
+            "local_ok": _sum("reads{event=local_ok"),
+            "local_nok": _sum("reads{event=local_nok"),
+            "local_deadline": _sum("reads{event=local_deadline"),
+            "local_reject": _sum("reads{event=local_reject"),
+            "ordered_reads": _sum("reads{", "event=ordered"),
+            "lease_granted": _sum("lease{", "event=granted"),
+            "lease_expired": _sum("lease{", "event=expired"),
+            "proxy_batches": _sum("proxy{event=batch"),
+            "faults_applied": _sum("fault{"),
+        }
+
+    def gates(self, summary: dict) -> list[str]:
+        """Read throughput: this deployment must complete >= 2x the
+        commands of the leader-only baseline on the identical seeded
+        offered load (a 90%-read closed loop, so the completion ratio
+        tracks the read-throughput ratio).  A claim about the fault-free
+        deployment: the stage fault comb costs the read path more than
+        the baseline, which has no stage to lose."""
+        if self.chaos:
+            return []
+        baseline, _system = run_scenario(replace(self, compartment=False))
+        if summary["completed"] < 2.0 * baseline["completed"]:
+            return [
+                f"{summary['completed']} commands completed, under 2x the "
+                f"leader-only baseline's {baseline['completed']}"
+            ]
+        return []
+
+
+#: What ``python -m repro.experiments compartment`` runs; ``QUICK`` is
+#: the CI smoke and :mod:`repro.experiments.perf`'s four compartment
+#: gate entries.
+FULL = CompartmentScenario()
 QUICK = CompartmentScenario(duration=3.0)
 
 
@@ -130,111 +198,7 @@ def chaos_schedule(scenario: CompartmentScenario) -> FaultSchedule:
     return schedule
 
 
-def build_scenario(scenario: CompartmentScenario):
-    """System + clients (+ armed injector when ``chaos``) for one run."""
-    app = KeyValueApp({f"k{i:02d}": i for i in range(scenario.n_keys)})
-    system = DynaStarSystem(
-        app,
-        SystemConfig(
-            n_partitions=2,
-            seed=scenario.seed,
-            latency=ConstantLatency(0.001),
-            repartition_enabled=False,
-            service_time=scenario.service_time,
-            client_timeout=0.25,
-            client_timeout_cap=2.0,
-            idempotency_keys=True,
-            tracing=scenario.tracing,
-            compartment=CompartmentConfig(
-                enabled=scenario.compartment,
-                n_proxy_leaders=scenario.n_proxies,
-                n_learners=scenario.n_learners,
-                lease_enabled=scenario.lease,
-            ),
-        ),
-    )
-    injector = None
-    if scenario.chaos:
-        injector = ChaosInjector(system, chaos_schedule(scenario)).arm()
-    workloads = []
-    for i in range(scenario.n_clients):
-        workload = ReadHeavyWorkload(
-            [f"k{i:02d}" for i in range(scenario.n_keys)],
-            scenario.read_fraction,
-            seed=scenario.seed * 1000 + i,
-            client_tag=f"c{i}",
-        )
-        workloads.append(workload)
-        system.add_client(workload, stop_at=scenario.duration)
-    return system, injector, workloads
-
-
-def summarize(system, workloads) -> dict:
-    counters = system.monitor.snapshot()["counters"]
-
-    def _sum(prefix: str) -> int:
-        return sum(v for k, v in counters.items() if k.startswith(prefix))
-
-    return {
-        "completed": system.total_completed(),
-        "failed": system.total_failed(),
-        "workload_failures": sum(len(w.failures) for w in workloads),
-        "stuck_clients": sum(1 for c in system.clients if not c.done),
-        "local_reads_dispatched": sum(c.local_reads for c in system.clients),
-        "local_ok": _sum("reads{event=local_ok"),
-        "local_nok": _sum("reads{event=local_nok"),
-        "local_deadline": _sum("reads{event=local_deadline"),
-        "local_reject": _sum("reads{event=local_reject"),
-        "ordered_reads": sum(
-            v for k, v in counters.items()
-            if k.startswith("reads{") and "event=ordered" in k
-        ),
-        "lease_granted": sum(
-            v for k, v in counters.items()
-            if k.startswith("lease{") and "event=granted" in k
-        ),
-        "lease_expired": sum(
-            v for k, v in counters.items()
-            if k.startswith("lease{") and "event=expired" in k
-        ),
-        "proxy_batches": _sum("proxy{event=batch"),
-        "faults_applied": _sum("fault{"),
-    }
-
-
-def run_scenario(scenario: CompartmentScenario):
-    """Run one scenario to completion; returns (summary, system)."""
-    system, _injector, workloads = build_scenario(scenario)
-    # Drain well past stop_at so every in-flight command resolves.
-    system.run(until=scenario.duration + 30.0)
-    return summarize(system, workloads), system
-
-
-def fingerprint(scenario: CompartmentScenario) -> tuple[str, str]:
-    """(trace_jsonl, metrics_json) of one traced run — the exact gate
-    (:mod:`repro.experiments.perf`) compares two of these byte-for-byte."""
-    _summary, system = run_scenario(replace(scenario, tracing=True))
-    return harness.fingerprint(system)
-
-
-def check_scaling(scenario: CompartmentScenario, min_ratio: float = 2.0):
-    """Read throughput gate: the 3-learner lease-read deployment must
-    complete >= ``min_ratio`` x the commands of the leader-only baseline
-    on the identical seeded offered load (a 90%-read closed loop, so the
-    completion ratio tracks the read-throughput ratio)."""
-    on = replace(scenario, compartment=True, lease=True, chaos=False)
-    off = replace(scenario, compartment=False, chaos=False)
-    summary_on, _ = run_scenario(on)
-    summary_off, _ = run_scenario(off)
-    ratio = (
-        summary_on["completed"] / summary_off["completed"]
-        if summary_off["completed"]
-        else float("inf")
-    )
-    return ratio, summary_on, summary_off
-
-
-def run_ablation(scenario: CompartmentScenario) -> list[dict]:
+def run_ablation(scenario: CompartmentScenario = QUICK) -> list[dict]:
     """Learner-count x lease-on/off grid plus the disabled baseline."""
     rows = []
     base_summary, _ = run_scenario(replace(scenario, compartment=False))
@@ -252,81 +216,3 @@ def run_ablation(scenario: CompartmentScenario) -> list[dict]:
                 }
             )
     return rows
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Compartmentalized read-path scenario and gates."
-    )
-    parser.add_argument("--seed", type=int, default=33)
-    parser.add_argument("--duration", type=float, default=6.0)
-    parser.add_argument("--quick", action="store_true",
-                        help="short run for CI smoke")
-    parser.add_argument("--chaos", action="store_true",
-                        help="fire crash_proxy_leader / expire_lease combs "
-                             "across the run")
-    parser.add_argument("--ablation", action="store_true",
-                        help="run the learner-count x lease grid and print "
-                             "one summary row per cell")
-    parser.add_argument("--check-scaling", action="store_true",
-                        help="exit nonzero unless the 3-learner deployment "
-                             "completes >= 2x the disabled baseline")
-    parser.add_argument("--check-consistency", action="store_true",
-                        help="also verify replica agreement, variable "
-                             "conservation, and learner convergence")
-    parser.add_argument("--obs", default=None, metavar="DIR",
-                        help="export run artifacts for repro.obs.report")
-    parser.add_argument("--json", default=None,
-                        help="write the summary to this path")
-    args = parser.parse_args(argv)
-
-    scenario = replace(
-        QUICK if args.quick else CompartmentScenario(duration=args.duration),
-        seed=args.seed,
-        chaos=args.chaos,
-    )
-
-    if args.ablation:
-        rows = run_ablation(scenario)
-        print(json.dumps(rows, indent=2, sort_keys=True), flush=True)
-        return 0
-
-    summary, system = run_scenario(scenario)
-    print(json.dumps(summary, indent=2, sort_keys=True), flush=True)
-    if summary["stuck_clients"]:
-        print("[compartment] stuck clients detected", file=sys.stderr)
-        return 1
-    if args.check_consistency:
-        problems = verify_consistency(system)
-        if problems:
-            for problem in problems:
-                print(f"[compartment] {problem}", file=sys.stderr)
-            return 1
-        print("[compartment] consistency: ok", flush=True)
-    if args.check_scaling:
-        ratio, summary_on, summary_off = check_scaling(scenario)
-        print(
-            f"[compartment] scaling: {summary_on['completed']} vs "
-            f"{summary_off['completed']} completed (ratio {ratio:.2f})",
-            flush=True,
-        )
-        if ratio < 2.0:
-            print(
-                f"[compartment] check-scaling: ratio {ratio:.2f} < 2.0",
-                file=sys.stderr,
-            )
-            return 1
-        print("[compartment] check-scaling: ok", flush=True)
-    if args.obs:
-        written = export_run_artifacts(system, args.obs)
-        print(f"[compartment] wrote {sorted(written)} to {args.obs}", flush=True)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"config": vars(args), "summary": summary}, fh,
-                      indent=2, sort_keys=True)
-        print(f"[compartment] wrote {args.json}", flush=True)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,21 +9,15 @@ handing off half the hot keys through the two-phase reconfiguration
 protocol.  Phase 2 shifts every client to the *other* partition's keys;
 the split halves go idle, fall below the merge factor, and the lighter
 one is drained and retired.  The run demonstrably changes the partition
-count in both directions — the CI elastic smoke asserts exactly that via
-``repro.obs.report --check-reconfig``.
+count in both directions — :meth:`ElasticScenario.gates` requires exactly
+that.
 
-Usage::
-
-    python -m repro.experiments.elastic                   # one summary
-    python -m repro.experiments.elastic --quick           # CI smoke
-    python -m repro.experiments.elastic --chaos           # + reconfig faults
-    python -m repro.experiments.elastic --check-consistency
-    python -m repro.experiments.elastic --obs DIR         # export artifacts
-
-That the traced ``--quick`` scenario replays byte-for-byte, with
-elasticity enabled and disabled, is checked by the ``elastic`` and
-``elastic_static`` cells of :mod:`repro.experiments.perf`.  ``--chaos`` arms
-the three reconfiguration fault kinds (``crash_mid_split``,
+Run and judged by ``python -m repro.experiments elastic [--quick]
+[--chaos]`` (:mod:`repro.experiments.__main__`).  That the traced
+``--quick`` scenario replays byte-for-byte, with elasticity enabled and
+disabled, is checked by the ``elastic`` and ``elastic_static`` cells of
+:mod:`repro.experiments.perf`.  ``--chaos`` arms the three
+reconfiguration fault kinds (``crash_mid_split``,
 ``crash_oracle_during_reconfig``, ``lose_cutover_msgs``) across the
 expected reconfig windows; each resolves applicability at fire time, so
 the schedule is safe to sprinkle densely.
@@ -31,16 +25,11 @@ the schedule is safe to sprinkle densely.
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import Workload
-from repro.experiments import harness
-from repro.experiments.harness import export_run_artifacts, verify_consistency
 from repro.faults import FaultSchedule
 from repro.faults.injector import ChaosInjector
 from repro.obs import audit as audit_mod
@@ -128,8 +117,110 @@ class ElasticScenario:
     chaos: bool = False
     tracing: bool = False
 
+    def build(self) -> DynaStarSystem:
+        """The system of one run: clients attached, the fault comb armed
+        when ``chaos``."""
+        app = KeyValueApp({f"k{i:02d}": i for i in range(self.n_keys)})
+        system = DynaStarSystem(
+            app,
+            SystemConfig(
+                n_partitions=2,
+                seed=self.seed,
+                latency=ConstantLatency(0.001),
+                repartition_enabled=False,
+                service_time=self.service_time,
+                hint_period=self.hint_period,
+                client_think_time=self.think_time,
+                # Retransmit timeouts: chaos runs drop replies, and a client
+                # with no timeout would wait on the lost reply forever.
+                client_timeout=0.25,
+                client_timeout_cap=2.0,
+                audit=True,
+                # Health sampling feeds the edge-cut / imbalance trajectory
+                # in the exported artifacts (pure observer: trace-neutral).
+                health_sample_period=0.5,
+                elastic_enabled=self.elastic,
+                elastic_split_factor=self.split_factor,
+                elastic_merge_factor=self.merge_factor,
+                elastic_eval_interval=self.eval_interval,
+                elastic_cooldown=self.cooldown,
+                max_partitions=self.max_partitions,
+                min_partitions=self.min_partitions,
+                idempotency_keys=self.idempotency_keys,
+                tracing=self.tracing,
+            ),
+        )
+        # The hot set is whatever landed on p0 at placement time — computed
+        # from the seeded initial assignment, so it is run-to-run stable.
+        hot, cold = [], []
+        for i in range(self.n_keys):
+            var = f"k{i:02d}"
+            node = app.graph_node_of(var)
+            (hot if system.initial_assignment[node] == "p0" else cold).append(var)
+        if not hot or not cold:  # degenerate placement; split by index
+            keys = [f"k{i:02d}" for i in range(self.n_keys)]
+            hot, cold = keys[::2], keys[1::2]
+        if self.chaos:
+            ChaosInjector(system, chaos_schedule(self)).arm()
+        for i in range(self.n_clients):
+            system.add_client(
+                PhasedHotspotWorkload(
+                    hot, cold, self.shift_at,
+                    seed=self.seed * 1000 + i, client_tag=f"c{i}",
+                ),
+                stop_at=self.duration,
+            )
+        return system
 
-#: ``--quick``: the CI smoke and :mod:`repro.experiments.perf`'s gate entry.
+    def summarize(self, system) -> dict:
+        """Join the run's reconfig lifecycle into one summary dict."""
+        monitor = system.monitor
+        counters = monitor.counters()
+        records = system.audit.records
+        decisions = [r for r in records if r["kind"] == audit_mod.RECONFIG_DECISION]
+        cutovers = [r for r in records if r["kind"] == audit_mod.RECONFIG_CUTOVER]
+        retired = [r for r in records if r["kind"] == audit_mod.RECONFIG_RETIRED]
+        reconfig_counters = monitor.labeled_counters("reconfig")
+        return {
+            "completed": system.total_completed(),
+            "failed": system.total_failed(),
+            "workload_failures": sum(len(c.workload.failures) for c in system.clients),
+            "splits_decided": sum(1 for r in decisions if r["op"] == "split"),
+            "merges_decided": sum(1 for r in decisions if r["op"] == "merge"),
+            "cutovers": len(cutovers),
+            "partitions_retired": len(retired),
+            "final_partitions": len(system.partition_names),
+            "partition_names": sorted(system.partition_names),
+            "topology_changes": reconfig_counters.get("topology_change", 0),
+            "drain_nacked": sum(
+                v for k, v in reconfig_counters.items()
+                if isinstance(k, tuple) and "nacked" in k
+            ),
+            "drain_redirected": sum(
+                v for k, v in reconfig_counters.items()
+                if isinstance(k, tuple) and "redirected" in k
+            ),
+            "faults_applied": sum(
+                v for k, v in counters.items() if k.startswith("fault{")
+            ),
+        }
+
+    def gates(self, summary: dict) -> list[str]:
+        """The run both split and merged: the partition count changed
+        in both directions."""
+        problems = []
+        if not summary["splits_decided"]:
+            problems.append("no split decided")
+        if not summary["merges_decided"]:
+            problems.append("no merge decided")
+        if summary["topology_changes"] < 2:
+            problems.append("partition count changed fewer than 2 times")
+        return problems
+
+
+#: What ``python -m repro.experiments elastic`` runs; ``QUICK`` is the
+#: CI smoke and :mod:`repro.experiments.perf`'s gate entry.
+FULL = ElasticScenario()
 QUICK = ElasticScenario(duration=8.0, shift_at=4.0)
 
 
@@ -172,181 +263,3 @@ def chaos_schedule(scenario: ElasticScenario) -> FaultSchedule:
             schedule.at(round(t + 0.01, 4), "crash_mid_split", group)
             schedule.at(round(t + 0.32, 4), "recover_leader", group)
     return schedule
-
-
-def build_scenario(scenario: ElasticScenario):
-    """System + clients (+ armed injector when ``chaos``) for one run."""
-    app = KeyValueApp({f"k{i:02d}": i for i in range(scenario.n_keys)})
-    system = DynaStarSystem(
-        app,
-        SystemConfig(
-            n_partitions=2,
-            seed=scenario.seed,
-            latency=ConstantLatency(0.001),
-            repartition_enabled=False,
-            service_time=scenario.service_time,
-            hint_period=scenario.hint_period,
-            client_think_time=scenario.think_time,
-            # Retransmit timeouts: chaos runs drop replies, and a client
-            # with no timeout would wait on the lost reply forever.
-            client_timeout=0.25,
-            client_timeout_cap=2.0,
-            audit=True,
-            # Health sampling feeds the edge-cut / imbalance trajectory
-            # in the exported artifacts (pure observer: trace-neutral).
-            health_sample_period=0.5,
-            elastic_enabled=scenario.elastic,
-            elastic_split_factor=scenario.split_factor,
-            elastic_merge_factor=scenario.merge_factor,
-            elastic_eval_interval=scenario.eval_interval,
-            elastic_cooldown=scenario.cooldown,
-            max_partitions=scenario.max_partitions,
-            min_partitions=scenario.min_partitions,
-            idempotency_keys=scenario.idempotency_keys,
-            tracing=scenario.tracing,
-        ),
-    )
-    # The hot set is whatever landed on p0 at placement time — computed
-    # from the seeded initial assignment, so it is run-to-run stable.
-    hot, cold = [], []
-    for i in range(scenario.n_keys):
-        var = f"k{i:02d}"
-        node = app.graph_node_of(var)
-        (hot if system.initial_assignment[node] == "p0" else cold).append(var)
-    if not hot or not cold:  # degenerate placement; split by index
-        keys = [f"k{i:02d}" for i in range(scenario.n_keys)]
-        hot, cold = keys[::2], keys[1::2]
-    injector = None
-    if scenario.chaos:
-        injector = ChaosInjector(system, chaos_schedule(scenario)).arm()
-    workloads = []
-    for i in range(scenario.n_clients):
-        workload = PhasedHotspotWorkload(
-            hot, cold, scenario.shift_at,
-            seed=scenario.seed * 1000 + i, client_tag=f"c{i}",
-        )
-        workloads.append(workload)
-        system.add_client(workload, stop_at=scenario.duration)
-    return system, injector, workloads
-
-
-def summarize(system, workloads) -> dict:
-    """Join the run's reconfig lifecycle into one summary dict."""
-    monitor = system.monitor
-    counters = monitor.counters()
-    records = system.audit.records
-    decisions = [r for r in records if r["kind"] == audit_mod.RECONFIG_DECISION]
-    cutovers = [r for r in records if r["kind"] == audit_mod.RECONFIG_CUTOVER]
-    retired = [r for r in records if r["kind"] == audit_mod.RECONFIG_RETIRED]
-    reconfig_counters = monitor.labeled_counters("reconfig")
-    return {
-        "completed": system.total_completed(),
-        "failed": system.total_failed(),
-        "workload_failures": sum(len(w.failures) for w in workloads),
-        "stuck_clients": sum(1 for c in system.clients if not c.done),
-        "splits_decided": sum(1 for r in decisions if r["op"] == "split"),
-        "merges_decided": sum(1 for r in decisions if r["op"] == "merge"),
-        "cutovers": len(cutovers),
-        "partitions_retired": len(retired),
-        "final_partitions": len(system.partition_names),
-        "partition_names": sorted(system.partition_names),
-        "topology_changes": reconfig_counters.get("topology_change", 0),
-        "drain_nacked": sum(
-            v for k, v in reconfig_counters.items()
-            if isinstance(k, tuple) and "nacked" in k
-        ),
-        "drain_redirected": sum(
-            v for k, v in reconfig_counters.items()
-            if isinstance(k, tuple) and "redirected" in k
-        ),
-        "faults_applied": sum(
-            v for k, v in counters.items() if k.startswith("fault{")
-        ),
-    }
-
-
-def run_scenario(scenario: ElasticScenario):
-    """Run one scenario to completion; returns (summary, system)."""
-    system, _injector, workloads = build_scenario(scenario)
-    # Drain well past stop_at so every in-flight command (and drain
-    # announcement) resolves.
-    system.run(until=scenario.duration + 30.0)
-    return summarize(system, workloads), system
-
-
-def fingerprint(scenario: ElasticScenario) -> tuple[str, str]:
-    """(trace_jsonl, metrics_json) of one traced run — the exact gate
-    (:mod:`repro.experiments.perf`) compares two of these byte-for-byte."""
-    _summary, system = run_scenario(replace(scenario, tracing=True))
-    return harness.fingerprint(system)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Elastic split/merge scenario."
-    )
-    parser.add_argument("--seed", type=int, default=21)
-    parser.add_argument("--duration", type=float, default=16.0)
-    parser.add_argument("--quick", action="store_true",
-                        help="short run for CI smoke")
-    parser.add_argument("--chaos", action="store_true",
-                        help="fire the reconfiguration fault kinds during "
-                             "the split and merge windows")
-    parser.add_argument("--check-consistency", action="store_true",
-                        help="also verify replica agreement, variable "
-                             "conservation, and retired-store emptiness")
-    parser.add_argument("--check-reconfig", action="store_true",
-                        help="exit nonzero unless the run both split and "
-                             "merged (partition count changed twice)")
-    parser.add_argument("--obs", default=None, metavar="DIR",
-                        help="export run artifacts for repro.obs.report")
-    parser.add_argument("--json", default=None,
-                        help="write the summary to this path")
-    args = parser.parse_args(argv)
-
-    scenario = replace(
-        QUICK
-        if args.quick
-        else ElasticScenario(duration=args.duration, shift_at=args.duration / 2.0),
-        seed=args.seed,
-        chaos=args.chaos,
-    )
-
-    summary, system = run_scenario(scenario)
-    print(json.dumps(summary, indent=2, sort_keys=True), flush=True)
-    if summary["stuck_clients"]:
-        print("[elastic] stuck clients detected", file=sys.stderr)
-        return 1
-    if args.check_consistency:
-        problems = verify_consistency(system)
-        if problems:
-            for problem in problems:
-                print(f"[elastic] {problem}", file=sys.stderr)
-            return 1
-        print("[elastic] consistency: ok", flush=True)
-    if args.check_reconfig:
-        problems = []
-        if not summary["splits_decided"]:
-            problems.append("no split decided")
-        if not summary["merges_decided"]:
-            problems.append("no merge decided")
-        if summary["topology_changes"] < 2:
-            problems.append("partition count changed fewer than 2 times")
-        if problems:
-            for problem in problems:
-                print(f"[elastic] check-reconfig: {problem}", file=sys.stderr)
-            return 1
-        print("[elastic] check-reconfig: ok", flush=True)
-    if args.obs:
-        written = export_run_artifacts(system, args.obs)
-        print(f"[elastic] wrote {sorted(written)} to {args.obs}", flush=True)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"config": vars(args), "summary": summary}, fh,
-                      indent=2, sort_keys=True)
-        print(f"[elastic] wrote {args.json}", flush=True)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -10,10 +10,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.baselines import DSSMRSystem, SSMRSystem
-from repro.core import DynaStarSystem, SystemConfig
+from repro.compartment.messages import LeaseGrant
+from repro.core import DynaStarSystem, PartitionServer, SystemConfig
 from repro.partitioning import WorkloadGraph, partition_graph
 from repro.partitioning.graph import Partitioning
 from repro.sim.latency import LatencyModel, lan_default
+from repro.smr import History, check_linearizable
 from repro.workloads.social import (
     ChirperApp,
     ChirperWorkload,
@@ -156,21 +158,56 @@ def fingerprint(system) -> tuple[str, str]:
     return buf.getvalue(), metrics
 
 
-def verify_consistency(system) -> list[str]:
-    """Cheap safety invariants of a drained run (full linearizability
-    checking is exponential in history length and lives in the test
-    suite over short scripted histories): the replicas of every live
-    partition agree, learner mirrors equal their partition's state,
-    retired partitions hold nothing, and no initial variable is lost or
-    owned twice.  Returns violation descriptions; empty means clean."""
+#: Virtual seconds a scenario runs on after its clients stop, so every
+#: command in flight resolves before the run is summarized and judged.
+DRAIN = 30.0
+
+
+def run_scenario(scenario) -> tuple:
+    """Build one seeded scenario (``repro.experiments.overload`` /
+    ``elastic`` / ``compartment``, ``repro.recovery.demo``), run it
+    :data:`DRAIN` past ``scenario.duration`` and return ``(summary,
+    system)``: the drained system is what :func:`check_run` judges and
+    :func:`fingerprint` digests."""
+    system = scenario.build()
+    system.run(until=scenario.duration + DRAIN)
+    return scenario.summarize(system), system
+
+
+def check_run(system, history: Optional[History] = None) -> list[str]:
+    """The verdict on one finished, *drained* run: every way it breaks
+    the paper's correctness claim (replicas that deliver the same
+    sequence stay identical and clients see a linearizable history),
+    one line each; empty means clean.  DESIGN.md, "What ``check_run``
+    asserts and what it assumes", gives the argument for each line.
+
+    Replicas that are down are skipped, as ``all_store_variables`` skips
+    them: a scenario that ends with one down asserts on it itself.
+    Linearizability is checked only when a ``history`` was recorded, and
+    is exponential in its length.  That no actor raised is implied: the
+    run returned.
+    """
     problems = []
+    now = system.sim.now
+    next_event = system.sim.peek_time()
+    if next_event is not None and next_event < now:
+        problems.append(
+            f"virtual clock moved backwards: an event is due at {next_event}, now is {now}"
+        )
+
     for partition in system.partition_names:
-        replicas = system.servers(partition)
-        baseline = dict(replicas[0].store.items())
-        if any(dict(r.store.items()) != baseline for r in replicas[1:]):
-            problems.append(f"replica state divergence in {partition}")
-        for learner in system.directory.groups[partition].learners:
-            if dict(learner.store.items()) != baseline:
+        group = system.directory.groups[partition]
+        live = [r for r in group.replicas if not r.crashed]
+        if not live:
+            continue
+        first, stores = live[0], dict(live[0].store.items())
+        for replica in live[1:]:
+            if dict(replica.store.items()) != stores:
+                problems.append(f"replica state divergence in {partition}")
+            if replica.owned_nodes != first.owned_nodes:
+                problems.append(f"replica ownership divergence in {partition}")
+        for learner in group.learners:
+            if not learner.crashed and dict(learner.store.items()) != stores:
                 problems.append(
                     f"learner {learner.name} diverged from {partition} state"
                 )
@@ -191,7 +228,59 @@ def verify_consistency(system) -> list[str]:
             problems.append(
                 f"initial variables owned by no partition: {sorted(lost, key=repr)}"
             )
+
+    for client in system.clients:
+        if not client.done:
+            problems.append(f"{client.name} stuck (completed={client.completed})")
+        elif len(client.results) != client.completed + client.failed:
+            problems.append(
+                f"{client.name} holds {len(client.results)} results for "
+                f"{client.completed} completed + {client.failed} failed commands"
+            )
+
+    for group in system.directory.groups.values():
+        for replica in group.replicas:
+            if replica.crashed:
+                continue
+            left = [f"{name} {n}" for name, n in _attempt_state(replica).items() if n]
+            if left:
+                problems.append(
+                    f"{replica.name} still holds per-attempt state: {', '.join(left)}"
+                )
+
+    if history is not None and not check_linearizable(history, system.app):
+        problems.append(f"history of {len(history)} operations is not linearizable")
     return problems
+
+
+def _attempt_state(replica) -> dict:
+    """How much a server or oracle replica holds of what it keeps per
+    unfinished attempt — all zero once the run is drained.  A lease
+    renewal in the Paxos pipeline does not count: it is periodic, like a
+    heartbeat."""
+    proposed = [
+        value
+        for _ballot, batch in replica.proposals.values()
+        for value in getattr(batch, "values", (batch,))
+    ]
+    held = {
+        "pending_msgs": len(replica.pending_msgs),
+        "paxos pending": sum(not isinstance(v, LeaseGrant) for v in replica.pending),
+        "paxos proposals": sum(not isinstance(v, LeaseGrant) for v in proposed),
+    }
+    if replica.admission is not None:
+        held["admission slots"] = replica.admission.depth
+    if isinstance(replica, PartitionServer):
+        held.update(
+            {
+                "queue": len(replica.queue),
+                "_attempts": len(replica._attempts),
+                "_outbox": len(replica._outbox),
+                "in_transit": len(replica.in_transit),
+                "_early_plan_transfers": len(replica._early_plan_transfers),
+            }
+        )
+    return held
 
 
 # ---------------------------------------------------------------------------

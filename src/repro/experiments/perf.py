@@ -12,12 +12,14 @@ module is where it is held (EXPERIMENTS.md, "The exact gate")::
 :func:`run_gate` replays every cell of :data:`GATE_SCENARIOS` against the
 digests committed in ``benchmarks/perf/baseline.json``, and
 :func:`check_lanes` holds the TPC-C lanes ablation to its committed
-counts.  Any mismatch fails; the failure says which counts moved and who
-recorded the baseline, because whether the digests depend on the
-machine's libm (``lognormvariate``) is unverified.  ``--rebaseline``
-rewrites the file from this run — refused when a cell does not repeat or
-the ablation reports a problem — and its diff then shows reviewers what
-the change moved.
+counts.  A digest says a run is the *same*, not that it is *right*: each
+cell is then drained and judged by ``harness.check_run``, and fails on a
+problem whether or not its digests match.  Any mismatch fails; the
+failure says which counts moved and who recorded the baseline, because
+whether the digests depend on the machine's libm (``lognormvariate``) is
+unverified.  ``--rebaseline`` rewrites the file from this run — refused
+when a cell does not repeat or is not clean, or the ablation reports a
+problem — and its diff then shows reviewers what the change moved.
 
 Nothing here reads a clock: host time and memory are measured by
 ``benchmarks/e2e`` and nowhere else.
@@ -39,10 +41,11 @@ from repro.experiments import compartment, elastic, overload
 from repro.experiments.harness import (
     build_chirper_system,
     build_tpcc_system,
+    check_run,
     fingerprint,
     make_social_graph,
+    run_scenario,
     tpcc_workload,
-    verify_consistency,
     warehouse_aligned_placement,
 )
 from repro.faults import ChaosConfig, ChaosInjector, generate_for_system
@@ -65,7 +68,7 @@ def _traced(system):
     return system
 
 
-def _social(mode: str) -> tuple[str, str]:
+def _social(mode: str):
     """Chirper (85 % timeline / 15 % post) on DynaStar with
     repartitioning, or on a baseline: ``mode="ssmr"`` / ``"dssmr"`` are
     the only digests that cover :mod:`repro.baselines`."""
@@ -79,10 +82,10 @@ def _social(mode: str) -> tuple[str, str]:
     for _ in range(3):
         system.add_client(workload, stop_at=3.0)
     system.run(until=3.0)
-    return fingerprint(system)
+    return system
 
 
-def _chaos() -> tuple[str, str]:
+def _chaos():
     """Chirper under 2 % message loss, crashes, link cuts and
     client-timeout retries: the one cell on the lossy send path."""
     graph = make_social_graph(80, seed=SOCIAL_SEED)
@@ -98,7 +101,7 @@ def _chaos() -> tuple[str, str]:
     for _ in range(3):
         system.add_client(workload, stop_at=4.0)
     system.run(until=6.0)
-    return fingerprint(system)
+    return system
 
 
 #: Lane counts compared by the ablation (1 = the serial baseline).
@@ -134,10 +137,8 @@ def run_lanes_ablation() -> dict:
     """Commands completed in 4 virtual seconds by 12 clients at each lane
     count, on identical seeded offered load.  Virtual-time completion
     counts are deterministic, so the speedup ratios are exact and
-    replayable.  Each run is drained after the clients stop and must
-    then pass :func:`verify_consistency` (``problems``), so a ratio is
-    never quoted from a run whose replicas diverged.
-    """
+    replayable.  Each run is then drained and judged (``problems``): no
+    ratio is quoted from a run that fails :func:`check_run`."""
     results: dict = {}
     for lanes in LANE_COUNTS:
         system = _run_tpcc_lanes(lanes, n_clients=12, duration=4.0, traced=False)
@@ -146,8 +147,7 @@ def run_lanes_ablation() -> dict:
         system.run(until=6.0)
         results[f"lanes{lanes}"] = {
             "commands_completed": completed,
-            "problems": verify_consistency(system)
-            + [f"{c.name} hung" for c in system.clients if not c.done],
+            "problems": check_run(system),
         }
     base = results["lanes1"]["commands_completed"]
     for lanes in LANE_COUNTS[1:]:
@@ -156,32 +156,35 @@ def run_lanes_ablation() -> dict:
     return results
 
 
-#: Every digest-gated cell.  The first five run the protocol core on the
-#: LAN latency model; the rest are the ``--quick`` scenarios of the three
-#: subsystem CLIs (admission, elastic retirement NACKs, the compartment
-#: read path), each beside the variant with its subsystem switched off.
+#: Virtual seconds a cell runs on once its fingerprint is taken (the
+#: ``social_*`` and ``tpcc_lanes`` cells stop with their clients): only
+#: a drained run can be judged.
+GATE_DRAIN = 5.0
+
+
+def _scenario(scenario):
+    return run_scenario(replace(scenario, tracing=True))[1]
+
+
+#: Every digest-gated cell, as a callable returning the finished traced
+#: system.  The first five run the protocol core on the LAN latency
+#: model; the rest are the ``--quick`` scenarios of the scenario runner
+#: (admission, elastic retirement NACKs, the compartment read path), each
+#: beside the variant with its subsystem switched off.
 GATE_SCENARIOS = {
     "social_macro": lambda: _social("dynastar"),
     "social_ssmr": lambda: _social("ssmr"),
     "social_dssmr": lambda: _social("dssmr"),
     "chaos": _chaos,
     # the lane scheduler itself must be deterministic
-    "tpcc_lanes": lambda: fingerprint(
-        _run_tpcc_lanes(4, n_clients=6, duration=2.0, traced=True)
-    ),
-    "overload": lambda: overload.fingerprint(overload.QUICK),
-    "elastic": lambda: elastic.fingerprint(elastic.QUICK),
-    "elastic_static": lambda: elastic.fingerprint(
-        replace(elastic.QUICK, elastic=False)
-    ),
-    "compartment": lambda: compartment.fingerprint(compartment.QUICK),
-    "compartment_chaos": lambda: compartment.fingerprint(
-        replace(compartment.QUICK, chaos=True)
-    ),
-    "leader_only": lambda: compartment.fingerprint(
-        replace(compartment.QUICK, compartment=False)
-    ),
-    "leader_only_chaos": lambda: compartment.fingerprint(
+    "tpcc_lanes": lambda: _run_tpcc_lanes(4, n_clients=6, duration=2.0, traced=True),
+    "overload": lambda: _scenario(overload.QUICK),
+    "elastic": lambda: _scenario(elastic.QUICK),
+    "elastic_static": lambda: _scenario(replace(elastic.QUICK, elastic=False)),
+    "compartment": lambda: _scenario(compartment.QUICK),
+    "compartment_chaos": lambda: _scenario(replace(compartment.QUICK, chaos=True)),
+    "leader_only": lambda: _scenario(replace(compartment.QUICK, compartment=False)),
+    "leader_only_chaos": lambda: _scenario(
         replace(compartment.QUICK, compartment=False, chaos=True)
     ),
 }
@@ -212,12 +215,15 @@ def run_gate(baseline: Optional[dict]) -> tuple[dict, list[str]]:
     """Run every cell of :data:`GATE_SCENARIOS` twice; return
     ``(entries, failures)``: one baseline entry per cell, and one line
     per thing wrong with it — the two runs differ, the trace is empty,
-    or a digest is not the committed one.  ``baseline`` is ``None`` on a
+    a digest is not the committed one, or the drained run fails
+    :func:`check_run` (the fingerprint is taken before the drain, which
+    can therefore move no digest).  ``baseline`` is ``None`` on a
     recording run, which has nothing to compare with.
     """
     entries, failures = {}, []
     for name, runner in GATE_SCENARIOS.items():
-        trace, metrics = runner()
+        system = runner()
+        trace, metrics = fingerprint(system)
         dump = json.loads(metrics)
         entry = entries[name] = {
             "trace_records": trace.count("\n"),
@@ -228,8 +234,9 @@ def run_gate(baseline: Optional[dict]) -> tuple[dict, list[str]]:
                 **{f"sim.{key}": value for key, value in dump["sim"].items()},
             },
         }
-        problems = []
-        if runner() != (trace, metrics):
+        system.run(until=system.sim.now + GATE_DRAIN)
+        problems = check_run(system)
+        if fingerprint(runner()) != (trace, metrics):
             problems.append("two runs of one seed differ")
         if not trace:
             problems.append("empty trace: the gate is vacuous")

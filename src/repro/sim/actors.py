@@ -78,6 +78,10 @@ class Timer:
         self.cancel()
         self._arm()
 
+    def __repr__(self) -> str:
+        callback = getattr(self._callback, "__qualname__", repr(self._callback))
+        return f"<Timer {self._actor.name} {callback}>"
+
 
 class Actor:
     """A named process in the simulated distributed system.

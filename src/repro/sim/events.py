@@ -75,6 +75,23 @@ class Event:
         return f"<Event t={self.time:.6f} seq={self.seq} fn={self.fn!r}{state}>"
 
 
+def _describe(event: Event) -> str:
+    """``Owner.method(arguments)`` of a callback: names as they are,
+    everything else by type, so a delivery reads ``Network._deliver('p0/rep0',
+    'client3', Reply)``; plus the bound object when it describes itself (a
+    timer names its actor and what it fires)."""
+    fn = event.fn
+    args = ", ".join(
+        repr(arg) if isinstance(arg, str) else type(arg).__name__
+        for arg in event.args
+    )
+    text = f"{getattr(fn, '__qualname__', repr(fn))}({args})"
+    owner = getattr(fn, "__self__", None)
+    if owner is not None and type(owner).__repr__ is not object.__repr__:
+        text += f" of {owner!r}"
+    return text
+
+
 class Simulator:
     """A deterministic discrete-event simulator with a virtual clock.
 
@@ -188,6 +205,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         processed = 0
+        event = None
         try:
             # self._heap is re-read every iteration on purpose: a
             # callback may cancel events and trigger compaction, which
@@ -213,6 +231,16 @@ class Simulator:
                 if next_live is None or next_live > until:
                     self._now = until
             return processed
+        except BaseException as exc:
+            # Fail with context: here, outside the loop, the note costs a
+            # run that does not fail nothing.  The same exception object
+            # is re-raised.
+            if event is not None and event.fn is not None:
+                exc.add_note(
+                    f"while the simulator ran {_describe(event)} at virtual time "
+                    f"{self._now:.6f} (event {self.events_processed})"
+                )
+            raise
         finally:
             self._running = False
 

@@ -6,10 +6,10 @@ import random
 
 from repro.compartment import CompartmentConfig
 from repro.core.client import ScriptedWorkload
-from repro.smr import Command, History, check_linearizable
+from repro.smr import Command, History
 
-from tests.core.conftest import assert_replicas_agree
-from tests.faults.conftest import assert_no_stuck_clients, build_chaos_system
+from tests.core.conftest import assert_clean
+from tests.faults.conftest import build_chaos_system
 
 N_KEYS = 8
 STAGE_COUNTERS = ("proxy{", "reads{", "lease{", "learner_reads{")
@@ -61,7 +61,6 @@ class TestLocalReads:
         scripts = read_heavy_scripts()
         history, clients = run_scripts(system, scripts)
 
-        assert_no_stuck_clients(system)
         for client, cmds in zip(clients, scripts):
             assert client.completed == len(cmds)
             assert client.failed == 0
@@ -78,8 +77,7 @@ class TestLocalReads:
             if k.startswith("lease{") and "event=granted" in k
         )
         assert granted >= len(system.partition_names)
-        assert check_linearizable(history, system.app)
-        assert_replicas_agree(system)
+        assert_clean(system, history)
 
     def test_reads_spread_across_learner_fleet(self):
         system = build_compartment_system(n_learners=3)
@@ -87,7 +85,7 @@ class TestLocalReads:
         scripts = read_heavy_scripts(n_clients=6, n_commands=50)
         run_scripts(system, scripts)
 
-        assert_no_stuck_clients(system)
+        assert_clean(system)
         counters = system.monitor.snapshot()["counters"]
         per_learner = {
             k: v for k, v in counters.items() if k.startswith("learner_reads{")
@@ -102,7 +100,7 @@ class TestLocalReads:
         scripts = read_heavy_scripts(read_fraction=0.5)
         run_scripts(system, scripts)
 
-        assert_no_stuck_clients(system)
+        assert_clean(system)
         for partition in system.partition_names:
             baseline = dict(system.servers(partition)[0].store.items())
             for learner in system.directory.groups[partition].learners:
@@ -115,7 +113,6 @@ class TestLocalReads:
         scripts = read_heavy_scripts()
         history, clients = run_scripts(system, scripts)
 
-        assert_no_stuck_clients(system)
         for client, cmds in zip(clients, scripts):
             assert client.completed == len(cmds)
         assert sum(c.local_reads for c in system.clients) == 0
@@ -123,7 +120,7 @@ class TestLocalReads:
         assert not any("event=local_ok" in k for k in counters)
         # Proxies still batch the ordered traffic in this ablation arm.
         assert any(k.startswith("proxy{") for k in counters)
-        assert check_linearizable(history, system.app)
+        assert_clean(system, history)
 
     def test_proxy_stage_carries_client_traffic(self):
         system = build_compartment_system()
@@ -155,7 +152,7 @@ class TestLocalReads:
         scripts = read_heavy_scripts(n_clients=2, n_commands=20)
         _, clients = run_scripts(system, scripts, until=30.0)
 
-        assert_no_stuck_clients(system)
+        assert_clean(system)
         assert sum(c.local_reads for c in system.clients) == 0
         for group in system.directory.groups.values():
             assert not group.proxy_names

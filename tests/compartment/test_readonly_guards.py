@@ -21,7 +21,7 @@ from tests.compartment.test_local_reads import (
     build_compartment_system,
     run_scripts,
 )
-from tests.faults.conftest import assert_no_stuck_clients
+from tests.core.conftest import assert_clean
 
 N_KEYS = 8
 
@@ -52,7 +52,7 @@ class TestClientEligibility:
             ]
         ]
         history, clients = run_scripts(system, scripts)
-        assert_no_stuck_clients(system)
+        assert_clean(system)
         assert clients[0].failed == 0
 
         placement = {

@@ -4,6 +4,7 @@ from contextlib import contextmanager
 
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import CallbackWorkload, ScriptedWorkload
+from repro.experiments.harness import check_run
 from repro.sim import ConstantLatency
 from repro.smr import Command, KeyValueApp
 
@@ -76,21 +77,10 @@ def ok_results(client):
     }
 
 
-def assert_replicas_agree(system):
-    for partition in system.partition_names:
-        replicas = system.servers(partition)
-        baseline = dict(replicas[0].store.items())
-        for replica in replicas[1:]:
-            assert dict(replica.store.items()) == baseline, (
-                f"replica state divergence in {partition}"
-            )
-        owned = replicas[0].owned_nodes
-        for replica in replicas[1:]:
-            assert replica.owned_nodes == owned
-
-
-def assert_conservation(system, expected_vars):
-    merged = system.all_store_variables()
-    assert set(merged) == set(expected_vars), (
-        f"variables lost or duplicated: {set(merged) ^ set(expected_vars)}"
-    )
+def assert_clean(system, history=None):
+    """The one verdict on a finished, drained run
+    (:func:`repro.experiments.harness.check_run`): live replicas agree,
+    nothing is lost or left in flight, every client is done, and
+    ``history``, when one was recorded, is linearizable."""
+    problems = check_run(system, history)
+    assert not problems, "\n".join(problems)

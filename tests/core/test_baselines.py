@@ -14,6 +14,7 @@ from repro.baselines import (
 from repro.core import SystemConfig
 from repro.core.client import CallbackWorkload, ScriptedWorkload
 from repro.core.messages import GlobalCommand
+from repro.experiments.harness import check_run
 from repro.multicast.messages import MulticastMessage
 from repro.partitioning import WorkloadGraph
 from repro.sim import ConstantLatency
@@ -312,3 +313,82 @@ class TestDSSMR:
         assert victim.executed_count == survivor.executed_count == 1
         for server in system.servers("p0"):
             assert not server.owned_nodes and not len(server.store)
+
+
+class TestDSSMRAbortedGather:
+    """A DS-SMR source is done with its nodes once it has shipped them,
+    so a target that will not execute the attempt has nobody to bounce
+    them to: it adopts them (DESIGN.md §5, "DS-SMR: a one-way move has
+    no way back").  At the parent of the fix the bounce was dropped by
+    the closed source and the variables were gone for good — the
+    ``social_dssmr`` gate cell lost ``('user', 25)`` this way."""
+
+    @staticmethod
+    def build(**placement):
+        system = DSSMRSystem(
+            KeyValueApp({key: 7 for key in placement}),
+            SystemConfig(
+                n_partitions=1 + max(placement.values()),
+                seed=1,
+                latency=ConstantLatency(0.001),
+                placement=placement,
+            ),
+        )
+        system.run(until=1.0)
+        return system
+
+    @staticmethod
+    def adeliver(system, uid, target, locations, partitions):
+        """A-deliver one multi-partition ``sum`` over the keys of
+        ``locations`` at ``partitions``, in that order."""
+        keys = tuple(key for key, _ in locations)
+        payload = GlobalCommand(
+            Command(uid, "sum", keys), "nobody", 0, target, locations, seq=int(uid[-1])
+        )
+        dests = tuple(sorted({partition for _, partition in locations}))
+        message = MulticastMessage(f"m:{uid}", dests, payload)
+        for partition in partitions:
+            for server in system.servers(partition):
+                server.adeliver(message)
+
+    @pytest.mark.parametrize("order", [("p0", "p1"), ("p1", "p0")], ids=["shipped_first", "aborted_first"])
+    def test_stale_target_adopts_what_the_source_shipped(self, order):
+        """The shape of the cell: a move the oracle never heard of (a
+        client dispatched it from its cache) took ``z`` from p1 to p0;
+        the next command, placed by the stale map, names p1 as the
+        target and still lists ``z`` there.  p1 aborts, p0 ships ``x``
+        and closes — in either order."""
+        system = self.build(x=0, y=1, z=1)
+        self.adeliver(system, "c:1", "p0", (("x", "p0"), ("z", "p1")), ("p0", "p1"))
+        system.run(until=2.0)
+        assert system.servers("p0")[0].owned_nodes == {"x", "z"}
+
+        stale = (("x", "p0"), ("y", "p1"), ("z", "p1"))
+        self.adeliver(system, "c:2", "p1", stale, order)
+        system.run(until=3.0)
+        for server in system.servers("p1"):
+            assert server.owned_nodes == {"x", "y"} and server.store.get("x") == 7
+            assert server._closed[("c:2", 0)] is False  # nothing left to bounce
+            assert server.executed_count == 0  # answered RETRY, not run
+        for server in system.servers("p0"):
+            assert server.owned_nodes == {"z"}
+        assert check_run(system) == []
+
+    def test_target_waits_for_the_source_that_ships_when_another_fails(self):
+        """Three partitions: p2 no longer owns its node and reports
+        ``TransferFailed``; the target aborts on that but closes only
+        once p0's transfer is in, adopted by both replicas alike."""
+        system = self.build(x=0, y=1, w=2)
+        self.adeliver(system, "c:1", "p1", (("w", "p2"), ("y", "p1")), ("p1", "p2"))
+        system.run(until=2.0)
+
+        stale = (("w", "p2"), ("x", "p0"), ("y", "p1"))
+        self.adeliver(system, "c:2", "p1", stale, ("p2", "p1"))
+        system.run(until=3.0)
+        for server in system.servers("p1"):
+            assert list(server.queue) and server._attempts[("c:2", 0)].failed == ("p2",)
+        self.adeliver(system, "c:2", "p1", stale, ("p0",))
+        system.run(until=4.0)
+        for server in system.servers("p1"):
+            assert server.owned_nodes == {"w", "x", "y"}
+        assert check_run(system) == []

@@ -11,7 +11,7 @@ from repro.sim import ConstantLatency
 from repro.smr import Command, KeyValueApp
 from repro.smr.command import ReplyStatus
 
-from tests.core.conftest import assert_replicas_agree, kv_app
+from tests.core.conftest import assert_clean, kv_app
 
 
 class RecordingWorkload(ScriptedWorkload):
@@ -129,7 +129,7 @@ class TestBackpressure:
             if isinstance(key, tuple) and key[0] in ("busy", "shed")
         }
         assert sum(refusals.values()) > 0
-        assert_replicas_agree(system)
+        assert_clean(system)
 
     def test_acked_commands_execute_exactly_once_under_shedding(self):
         system, clients = self.build_saturated()
@@ -141,7 +141,7 @@ class TestBackpressure:
         written = {c * 100 + i for c in range(4) for i in range(5)}
         merged = system.all_store_variables()
         assert merged["k0"] in written
-        assert_replicas_agree(system)
+        assert_clean(system)
 
 
 class TestCircuitBreaker:
@@ -195,11 +195,11 @@ class TestKnobValidation:
         "kwargs",
         [
             {"client_rate_limit": 0.0},
-            {"client_rate_limit": 5.0, "client_rate_burst": 0.0},
+            {"client_rate_limit": -5.0},
             {"client_retry_budget": -1.0},
             {"client_breaker_threshold": 0},
             {"client_breaker_threshold": 2, "client_breaker_cooldown": 0.0},
-            {"client_breaker_threshold": 2, "client_breaker_jitter": 1.5},
+            {"client_breaker_threshold": 2, "client_breaker_cooldown": -1.0},
             {"client_think_time": 0.0},
         ],
     )
@@ -214,7 +214,7 @@ class TestKnobValidation:
             {"admission_bound": 0},
             {"admission_bound": 4, "admission_headroom": -1},
             {"admission_bound": 4, "admission_retry_after": 0.0},
-            {"admission_bound": 4, "admission_ttl": -1.0},
+            {"admission_bound": 4, "admission_retry_after": -1.0},
             {"oracle_admission_bound": -2},
         ],
     )

@@ -19,13 +19,12 @@ from hypothesis import strategies as st
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.clienttable import ClientTable
 from repro.core.messages import ExecCommand, GlobalCommand, PartitionPlan
-from repro.experiments.harness import verify_consistency
 from repro.multicast.messages import MulticastMessage
 from repro.sim import ConstantLatency
 from repro.smr import Command, KeyValueApp
 from repro.smr.command import ReplyStatus
 
-from tests.core.conftest import assert_replicas_agree, ok_results, run_script
+from tests.core.conftest import assert_clean, ok_results, run_script
 from tests.core.test_lanes import ReplyProbe
 
 INITIAL = {"w": 40, "x": 10, "y": 20, "z": 30}
@@ -164,7 +163,7 @@ class TestLateDuplicates:
         assert [r for r in answers(probe, replies) if r[0] == "probe:2"] == [
             ("probe:2", ReplyStatus.OK, probe.replies[replies - 1].result)
         ] * 2
-        assert verify_consistency(system) == []
+        assert_clean(system)
 
     @pytest.mark.parametrize("target", ["p0", "p1"])
     def test_two_node_command_split_by_a_plan(self, target):
@@ -189,7 +188,7 @@ class TestLateDuplicates:
         for partition in system.partition_names:
             for server in system.servers(partition):
                 assert not server.queue and not server._attempts
-        assert verify_consistency(system) == []
+        assert_clean(system)
 
 
 class TestReplicasDecideAlike:
@@ -247,7 +246,7 @@ class TestReplicasDecideAlike:
         assert lagging.clients.capture() == ahead.clients.capture()
         assert values(system, "z") == [32, 32]
         assert sorted(r.uid for r in probe.replies) == ["probe:1"] * 2 + ["probe:2"] * 2
-        assert_replicas_agree(system)
+        assert_clean(system)
 
 
 # -- the component alone ------------------------------------------------------------

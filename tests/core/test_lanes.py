@@ -20,17 +20,14 @@ from repro.consensus.paxos import ReplicaConfig
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import ScriptedWorkload
 from repro.core.messages import ExecCommand, GlobalCommand
-from repro.experiments.harness import (
-    verify_consistency,
-    warehouse_aligned_placement,
-)
+from repro.experiments.harness import warehouse_aligned_placement
 from repro.multicast.messages import MulticastMessage
 from repro.sim import Actor, ConstantLatency, LogNormalLatency
-from repro.smr import Command, History, KeyValueApp, check_linearizable
+from repro.smr import Command, History, KeyValueApp
 from repro.smr.command import Reply, ReplyStatus
 from repro.workloads.tpcc import TPCCApp, TPCCConfig, TPCCWorkload
 
-from tests.core.conftest import assert_replicas_agree, build_system, kv_app
+from tests.core.conftest import assert_clean, build_system, kv_app
 
 
 def mixed_scripts(n_clients=3, n_cmds=10, n_keys=8):
@@ -153,8 +150,7 @@ class TestParallelExecution:
         system.run(until=60.0)
         for client, cmds in zip(clients, scripts):
             assert client.completed + client.failed == len(cmds)
-        assert check_linearizable(history, system.app)
-        assert_replicas_agree(system)
+        assert_clean(system, history)
 
     @staticmethod
     def _bypass_counts(execution_lanes):
@@ -175,8 +171,7 @@ class TestParallelExecution:
         b = system.add_client(ScriptedWorkload(writes), history=history)
         system.run(until=30.0)
         assert a.completed == 1 and b.completed == len(writes)
-        assert check_linearizable(history, system.app)
-        assert_replicas_agree(system)
+        assert_clean(system, history)
         ops = {op.command.uid: op for op in history.operations}
         transfer_returned = ops["t:0"].returned_at
         return sum(
@@ -214,8 +209,7 @@ class TestParallelExecution:
         ]
         system.run(until=30.0)
         assert all(c.completed == 8 for c in clients)
-        assert check_linearizable(history, system.app)
-        assert_replicas_agree(system)
+        assert_clean(system, history)
 
 
 class ExemptingKeyValueApp(KeyValueApp):
@@ -287,7 +281,7 @@ class TestMovesAreWrites:
         }
         for server in system.servers("p0"):
             assert server.store.get("x") == 7 and not server.queue
-        assert verify_consistency(system) == []
+        assert_clean(system)
 
 
 class TestMultiPartitionTPCC:
@@ -333,8 +327,7 @@ class TestMultiPartitionTPCC:
         for _ in range(3):
             system.add_client(workload, stop_at=2.5)
         system.run(until=4.5)
-        assert verify_consistency(system) == []
-        assert all(client.done for client in system.clients)
+        assert_clean(system)
         assert system.total_completed() > 3000
 
 
@@ -365,7 +358,7 @@ class TestRelocationBarrier:
             client = system.add_client(ScriptedWorkload(cmds))
             system.run(until=90.0)
             assert client.completed + client.failed == 120
-            assert_replicas_agree(system)
+            assert_clean(system)
             return {
                 "results": dict(client.results),
                 "events": system.sim.events_processed,

@@ -7,20 +7,16 @@ import random
 import pytest
 
 from repro.core.client import ScriptedWorkload
-from repro.smr import Command, History, KeyValueApp, check_linearizable
+from repro.smr import Command, History, KeyValueApp
 
-from tests.core.conftest import build_system
+from tests.core.conftest import assert_clean, build_system
 
 
 def run_with_history(system, scripts, until=60.0):
     history = History()
-    clients = [
+    for cmds in scripts:
         system.add_client(ScriptedWorkload(cmds), history=history)
-        for cmds in scripts
-    ]
     system.run(until=until)
-    for client in clients:
-        assert client.done, f"{client.name} did not finish"
     return history
 
 
@@ -32,7 +28,7 @@ class TestLinearizableExecutions:
             [Command(f"b:{i}", "read", ("k0",)) for i in range(5)],
         ]
         history = run_with_history(system, scripts)
-        assert check_linearizable(history, system.app)
+        assert_clean(system, history)
 
     def test_cross_partition_transfers_and_sums(self):
         system = build_system(n_keys=4, n_partitions=2, seed=7)
@@ -46,7 +42,7 @@ class TestLinearizableExecutions:
             [Command(f"c:{i}", "read", (ka,)) for i in range(4)],
         ]
         history = run_with_history(system, scripts)
-        assert check_linearizable(history, system.app)
+        assert_clean(system, history)
 
     @pytest.mark.parametrize("seed", [1, 2, 9])
     def test_random_mixed_workload(self, seed):
@@ -75,7 +71,7 @@ class TestLinearizableExecutions:
                     )
             scripts.append(cmds)
         history = run_with_history(system, scripts)
-        assert check_linearizable(history, system.app)
+        assert_clean(system, history)
 
     def test_linearizable_across_repartitioning(self):
         system = build_system(
@@ -95,7 +91,7 @@ class TestLinearizableExecutions:
         scripts.append([Command(f"r:{i}", "sum", (f"k{2*(i%4)}", f"k{2*(i%4)+1}")) for i in range(10)])
         history = run_with_history(system, scripts, until=200.0)
         assert system.oracle_replicas()[0].version >= 1, "no plan applied"
-        assert check_linearizable(history, system.app)
+        assert_clean(system, history)
 
     def test_linearizable_in_ssmr_mode(self):
         from repro.baselines import SSMRSystem
@@ -114,7 +110,7 @@ class TestLinearizableExecutions:
             [Command(f"b:{i}", "sum", ("k0", "k3")) for i in range(4)],
         ]
         history = run_with_history(system, scripts)
-        assert check_linearizable(history, system.app)
+        assert_clean(system, history)
 
     def test_linearizable_in_dssmr_mode(self):
         from repro.baselines import DSSMRSystem
@@ -133,4 +129,4 @@ class TestLinearizableExecutions:
             [Command(f"b:{i}", "sum", (("k0"), ("k3"))) for i in range(4)],
         ]
         history = run_with_history(system, scripts)
-        assert check_linearizable(history, system.app)
+        assert_clean(system, history)

@@ -1,9 +1,12 @@
 """Tests for the experiment harness and reporting helpers."""
 
+import dataclasses
+import json
 import math
 
 import pytest
 
+from repro.experiments import __main__ as runner
 from repro.experiments.harness import (
     build_chirper_system,
     build_tpcc_system,
@@ -15,6 +18,7 @@ from repro.experiments.harness import (
     warehouse_aligned_placement,
 )
 from repro.experiments.reporting import downsample, render_series, render_table
+from repro.recovery import demo
 from repro.workloads.social import ChirperWorkload
 from repro.workloads.tpcc import TPCCConfig, district_node, warehouse_node
 
@@ -68,6 +72,45 @@ class TestBuilders:
         assert result.throughput > 0
         assert not math.isnan(result.latency_mean)
         assert result.counters["commands_completed"] == result.completed
+
+
+class TestScenarioRunner:
+    """``python -m repro.experiments``: run, drain, judge — every time."""
+
+    def test_clean_scenario_exits_zero_and_says_so(self, tmp_path, capsys):
+        out = tmp_path / "run.json"
+        assert runner.main(["recovery", "--json", str(out), "--obs", str(tmp_path)]) == 0
+        assert "[recovery] problems: none" in capsys.readouterr().out
+        written = json.loads(out.read_text())
+        assert written["problems"] == []
+        assert written["scenario"]["seed"] == 3
+        assert written["summary"]["snapshot_recoveries"] >= 1
+        assert (tmp_path / "trace.jsonl").stat().st_size > 0
+
+    def test_a_problem_is_named_and_exits_nonzero(self, monkeypatch, capsys):
+        """No flag asks for the check and none can skip it: a scenario
+        whose gate does not hold fails the run."""
+        monkeypatch.setattr(
+            demo.RecoveryScenario, "gates", lambda self, summary: ["no recovery"]
+        )
+        assert runner.main(["recovery", "--seed", "4"]) == 1
+        captured = capsys.readouterr()
+        assert "[recovery] no recovery" in captured.err
+        assert "[recovery] problems: 1" in captured.out
+
+    def test_chaos_needs_a_fault_comb(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            runner.main(["overload", "--chaos"])
+        assert caught.value.code == 2
+        assert "overload has no fault comb" in capsys.readouterr().err
+
+    def test_every_scenario_offers_what_the_runner_drives(self):
+        for module in runner.SCENARIOS.values():
+            for scenario in (module.FULL, module.QUICK):
+                assert scenario.duration > 0 and isinstance(scenario.seed, int)
+                assert dataclasses.replace(scenario, tracing=True).tracing
+                for method in ("build", "summarize", "gates"):
+                    assert callable(getattr(scenario, method))
 
 
 class TestReporting:

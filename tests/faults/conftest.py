@@ -1,6 +1,9 @@
 """Shared helpers for chaos/fault-injection tests."""
 
+from dataclasses import replace
+
 from repro.core import DynaStarSystem, SystemConfig
+from repro.experiments import harness
 from repro.sim import ConstantLatency
 from repro.smr import KeyValueApp
 
@@ -32,6 +35,9 @@ def build_chaos_system(
     return DynaStarSystem(app, config)
 
 
-def assert_no_stuck_clients(system):
-    for client in system.clients:
-        assert client.done, f"{client.name} stuck (completed={client.completed})"
+def scenario_fingerprint(scenario):
+    """``(trace_jsonl, metrics_json)`` of one traced run of a scenario of
+    the runner (``python -m repro.experiments``), as the exact gate
+    digests it."""
+    _summary, system = harness.run_scenario(replace(scenario, tracing=True))
+    return harness.fingerprint(system)

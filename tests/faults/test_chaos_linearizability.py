@@ -7,10 +7,10 @@ import pytest
 
 from repro.core.client import ScriptedWorkload
 from repro.faults import ChaosConfig, ChaosInjector, FaultSchedule, generate_for_system
-from repro.smr import Command, History, check_linearizable
+from repro.smr import Command, History
 
-from tests.core.conftest import assert_replicas_agree
-from tests.faults.conftest import assert_no_stuck_clients, build_chaos_system
+from tests.core.conftest import assert_clean
+from tests.faults.conftest import build_chaos_system
 
 
 def mixed_scripts(n_clients=3, n_cmds=8, n_keys=8):
@@ -53,15 +53,13 @@ class TestLossyNetwork:
             for cmds in scripts
         ]
         system.run(until=120.0)
-        assert_no_stuck_clients(system)
         for client, cmds in zip(clients, scripts):
             assert client.completed == len(cmds), f"{client.name} lost commands"
             assert client.failed == 0
             for command in cmds:
                 assert command.uid in client.results
         assert system.net.drops_by_reason.get("loss", 0) > 0
-        assert check_linearizable(history, system.app)
-        assert_replicas_agree(system)
+        assert_clean(system, history)
         merged = system.all_store_variables()
         assert set(merged) == {f"k{i}" for i in range(8)}
 
@@ -79,7 +77,7 @@ class TestLossyNetwork:
         cmds = [Command(f"c:{i}", "transfer", (f"k{i % 4}", f"k{(i + 1) % 4}", 1)) for i in range(12)]
         client = system.add_client(ScriptedWorkload(cmds))
         system.run(until=120.0)
-        assert_no_stuck_clients(system)
+        assert_clean(system)
         assert client.completed + client.failed == 12
         merged = system.all_store_variables()
         # transfers move value around but conserve the total
@@ -137,10 +135,9 @@ class TestRandomizedChaos:
         bursts, spikes) with client timeouts: every client finishes, no
         variable is lost, surviving replicas agree."""
         fingerprint, system = chaos_fingerprint(seed=9, chaos_seed=chaos_seed)
-        assert_no_stuck_clients(system)
         assert sum(fingerprint["completed"]) > 0
         assert all(not r.crashed for p in system.partition_names for r in system.servers(p))
-        assert_replicas_agree(system)
+        assert_clean(system)
         merged = system.all_store_variables()
         assert set(merged) == {f"k{i}" for i in range(8)}
 
@@ -174,10 +171,8 @@ class TestRandomizedChaos:
             for cmds in mixed_scripts(n_clients=4, n_cmds=12)
         ]
         system.run(until=300.0)
-        assert_no_stuck_clients(system)
         for client in clients:
             assert client.completed + client.failed == 12
-        assert check_linearizable(history, system.app)
-        assert_replicas_agree(system)
+        assert_clean(system, history)
         merged = system.all_store_variables()
         assert set(merged) == {f"k{i}" for i in range(8)}

@@ -7,7 +7,9 @@ import pytest
 
 from dataclasses import replace
 
-from repro.experiments.compartment import CompartmentScenario, fingerprint
+from repro.experiments.compartment import CompartmentScenario
+
+from tests.faults.conftest import scenario_fingerprint as fingerprint
 
 SCENARIO = CompartmentScenario(duration=2.0, n_clients=8)
 

@@ -4,7 +4,11 @@ with elasticity enabled, disabled, and under the reconfig fault comb."""
 
 import pytest
 
-from repro.experiments.elastic import ElasticScenario, fingerprint
+from dataclasses import replace
+
+from repro.experiments.elastic import ElasticScenario
+
+from tests.faults.conftest import scenario_fingerprint as fingerprint
 
 SCENARIO = ElasticScenario(duration=3.0, shift_at=1.5)
 
@@ -26,20 +30,16 @@ class TestElasticDeterminism:
         assert '"reconfigs_applied"' in metrics or "reconfigs_applied" in metrics
 
     def test_static_run_is_byte_identical(self):
-        assert_identical(
-            ElasticScenario(duration=3.0, shift_at=1.5, elastic=False)
-        )
+        assert_identical(replace(SCENARIO, elastic=False))
 
     def test_elastic_and_static_runs_differ(self):
         # Sanity: the elasticity knob is not a no-op in this scenario.
         trace_elastic, _ = fingerprint(SCENARIO)
-        trace_static, _ = fingerprint(
-            ElasticScenario(duration=3.0, shift_at=1.5, elastic=False)
-        )
+        trace_static, _ = fingerprint(replace(SCENARIO, elastic=False))
         assert trace_elastic != trace_static
 
     @pytest.mark.slow
     def test_chaos_run_is_byte_identical(self):
         assert_identical(
-            ElasticScenario(duration=8.0, shift_at=4.0, chaos=True)
+            replace(SCENARIO, duration=8.0, shift_at=4.0, chaos=True)
         )

@@ -6,11 +6,11 @@ import pytest
 
 from repro.core.client import ScriptedWorkload
 from repro.faults import ChaosConfig, ChaosInjector, generate_for_system
-from repro.smr import Command, History, check_linearizable
+from repro.smr import Command, History
 
-from tests.core.conftest import assert_replicas_agree
+from tests.core.conftest import assert_clean
 from tests.core.test_lanes import mixed_scripts as core_mixed_scripts
-from tests.faults.conftest import assert_no_stuck_clients, build_chaos_system
+from tests.faults.conftest import build_chaos_system
 
 
 def mixed_scripts():
@@ -37,12 +37,10 @@ class TestLanesUnderChaos:
             for cmds in scripts
         ]
         system.run(until=120.0)
-        assert_no_stuck_clients(system)
         for client, cmds in zip(clients, scripts):
             assert client.completed == len(cmds)
             assert client.failed == 0
-        assert check_linearizable(history, system.app)
-        assert_replicas_agree(system)
+        assert_clean(system, history)
 
     def test_loss_with_lanes_conserves_transfer_sum(self):
         system = build_lanes_chaos_system(
@@ -54,7 +52,7 @@ class TestLanesUnderChaos:
         ]
         client = system.add_client(ScriptedWorkload(cmds))
         system.run(until=120.0)
-        assert_no_stuck_clients(system)
+        assert_clean(system)
         assert client.completed + client.failed == 12
         merged = system.all_store_variables()
         assert sum(merged.values()) == sum(range(4))
@@ -76,10 +74,8 @@ class TestLanesUnderChaos:
             for cmds in mixed_scripts()
         ]
         system.run(until=120.0)
-        assert_no_stuck_clients(system)
         assert sum(c.completed for c in clients) > 0
-        assert check_linearizable(history, system.app)
-        assert_replicas_agree(system)
+        assert_clean(system, history)
         merged = system.all_store_variables()
         assert set(merged) == {f"k{i}" for i in range(8)}
 

@@ -15,8 +15,7 @@ from repro.sim import LogNormalLatency
 from repro.smr import History
 from repro.workloads.social import ChirperApp, ChirperWorkload, generate_social_graph
 
-from tests.core.conftest import assert_replicas_agree
-from tests.faults.conftest import assert_no_stuck_clients
+from tests.core.conftest import assert_clean
 
 WINDOW, DRAIN = 24.0, 6.0
 
@@ -57,6 +56,5 @@ def test_two_leader_crashes_per_group_leave_no_client_waiting():
 
     crashes = [kind for _, kind, _ in injector.applied if kind == "crash_leader"]
     assert len(crashes) == 6  # two reign changes per group, oracle included
-    assert_no_stuck_clients(system)
     assert all(client.failed == 0 for client in system.clients)
-    assert_replicas_agree(system)
+    assert_clean(system)

@@ -7,11 +7,10 @@ here as a diff."""
 import json
 from dataclasses import replace
 
-from repro.experiments.overload import (
-    FlashCrowdConfig,
-    fingerprint,
-    run_flash_crowd,
-)
+from repro.experiments import harness
+from repro.experiments.overload import FlashCrowdConfig
+
+from tests.faults.conftest import scenario_fingerprint as fingerprint
 
 # Small but genuinely overloaded: the assertions below require that the
 # run actually sheds, not just that an idle system replays identically.
@@ -36,12 +35,10 @@ class TestFlashCrowdDeterminism:
         assert '"backpressure"' in trace_a or '"shed"' in trace_a or '"busy"' in trace_a
 
     def test_overload_decisions_visible_in_fingerprint(self):
-        summary, _system = run_flash_crowd(QUICK)
-        assert summary["stuck_clients"] == 0
-        assert summary["shed"] + summary["busy"] > 0, (
-            "flash crowd never hit the admission gate — the determinism "
-            "fingerprint would not cover the overload path"
-        )
+        summary, system = harness.run_scenario(QUICK)
+        assert harness.check_run(system) == []
+        # the determinism fingerprint covers the overload path
+        assert QUICK.gates(summary) == []
         _trace, metrics = fingerprint(QUICK)
         dump = json.loads(metrics)
         assert json.dumps(dump, sort_keys=True) == metrics  # canonical form

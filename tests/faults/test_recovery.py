@@ -5,11 +5,11 @@ import pytest
 
 from repro.core.client import ScriptedWorkload
 from repro.faults import ChaosInjector, FaultSchedule
-from repro.smr import Command, History, check_linearizable
+from repro.smr import Command, History
 from repro.smr.command import ReplyStatus
 
-from tests.core.conftest import assert_replicas_agree, ok_results
-from tests.faults.conftest import assert_no_stuck_clients, build_chaos_system
+from tests.core.conftest import assert_clean, ok_results
+from tests.faults.conftest import build_chaos_system
 
 
 class TestReplicaRecovery:
@@ -41,11 +41,10 @@ class TestReplicaRecovery:
         assert ok_results(client)["c:final"] == 29
         assert not leader.crashed and not oracle.crashed
         # the recovered replicas rejoined: same store as their peers
-        assert_replicas_agree(system)
         assert dict(leader.store.items()) == dict(
             system.servers(part)[1].store.items()
         )
-        assert check_linearizable(history, system.app)
+        assert_clean(system, history)
 
     def test_recovered_replica_serves_post_recovery_reads(self):
         """Writes land while a replica is down; a read issued *after* the
@@ -89,11 +88,10 @@ class TestReplicaRecovery:
         cmds.append(Command("c:final", "read", ("k0",)))
         client = system.add_client(ScriptedWorkload(cmds))
         system.run(until=60.0)
-        assert_no_stuck_clients(system)
         assert client.completed == 6
         assert client.timeouts > 0, "outage should have triggered timeouts"
         assert ok_results(client)["c:final"] == 4
-        assert_replicas_agree(system)
+        assert_clean(system)
 
     def test_acceptor_crash_and_recover(self):
         """An acceptor crashing and recovering never disturbs the
@@ -137,7 +135,7 @@ class TestReplicaRecovery:
         assert client.completed == 80
         merged = system.all_store_variables()
         assert set(merged) == {f"k{i}" for i in range(16)}
-        assert_replicas_agree(system)
+        assert_clean(system)
 
     def test_repeated_crash_recover_cycles(self):
         """Two crash/recover cycles of the same replica; state converges
@@ -157,7 +155,7 @@ class TestReplicaRecovery:
         system.run(until=60.0)
         assert client.completed == 41
         assert ok_results(client)["c:final"] == 39
-        assert_replicas_agree(system)
+        assert_clean(system)
 
     def test_crash_plus_background_loss_no_timestamp_livelock(self):
         """Regression: with a replica crashed *and* background message
@@ -200,9 +198,8 @@ class TestReplicaRecovery:
             scripts.append(cmds)
         clients = [system.add_client(ScriptedWorkload(cmds)) for cmds in scripts]
         system.run(until=120.0)
-        assert_no_stuck_clients(system)
         for client in clients:
             assert client.completed == 10
         merged = system.all_store_variables()
         assert set(merged) == {f"k{i}" for i in range(8)}, "variable lost"
-        assert_replicas_agree(system)
+        assert_clean(system)

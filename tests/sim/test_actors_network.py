@@ -414,3 +414,27 @@ def test_drop_reasons_surface_through_monitor():
     sim.run()
     counters = monitor.labeled_counters("net_drop")
     assert counters == {"link_cut": 2}
+
+
+def test_failure_note_names_the_delivery_and_the_timer():
+    """An actor that raises fails the run with the message's type and
+    both endpoints — or the timer's actor and callback — in the note."""
+
+    class Fragile(Actor):
+        def on_message(self, sender, message):
+            raise ValueError("cannot handle this")
+
+        def tick(self):
+            raise LookupError("nothing to do")
+
+    sim, net = make_net()
+    a, b = net.register(Fragile("a")), net.register(Fragile("b"))
+    a.send("b", ("ping", 1))
+    with pytest.raises(ValueError) as caught:
+        sim.run()
+    assert "Network._deliver('a', 'b', tuple)" in caught.value.__notes__[0]
+    a.set_timer(0.5, a.tick)
+    with pytest.raises(LookupError) as caught:
+        sim.run()
+    assert "<Timer a " in caught.value.__notes__[0]
+    assert "Fragile.tick>" in caught.value.__notes__[0]

@@ -227,6 +227,26 @@ def test_callback_exception_leaves_consistent_state():
     assert sim.now == 10.0
 
 
+def test_escaping_exception_is_the_same_object_with_a_note():
+    """Fail with context: what the simulator was running, when, and how
+    far in — attached to the exception that escapes, not wrapped around
+    it, so every ``pytest.raises`` keeps matching."""
+    sim = Simulator()
+    failure = KeyError("no such variable")
+
+    def boom(who, payload):
+        raise failure
+
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(2.5, boom, "p0/rep1", {"a": 1})
+    with pytest.raises(KeyError) as caught:
+        sim.run()
+    assert caught.value is failure
+    (note,) = failure.__notes__
+    assert "boom('p0/rep1', dict)" in note  # names as they are, the rest by type
+    assert "virtual time 2.500000" in note and "(event 2)" in note
+
+
 def test_schedule_at_clamps_negative_float_residue():
     """``schedule_at(t)`` with ``t`` an ulp below ``now`` (arithmetic
     residue, not genuine past scheduling) must not raise."""

@@ -4,7 +4,7 @@
 Stores, transfers, returns, plan moves, checkpoints and learner mirrors
 share values by reference, so an ``execute`` that mutates what
 ``store.get`` returned would apply its write to every holder at once —
-and ``verify_consistency`` could not see it, because the stores stay
+and ``check_run`` could not see it, because the stores stay
 equal.  Two searches for such a mutation:
 
 * the **alias guard** keeps a deep copy of every value at ``put`` time

@@ -229,3 +229,63 @@ def test_nothing_under_src_copies_a_stored_value():
         if call.search(line)
     )
     assert found == []
+
+
+def test_one_verdict_one_runner():
+    """``harness.check_run`` is the one statement of what a correct run
+    is and ``python -m repro.experiments`` the one scenario command line:
+    the partial checks, the per-scenario CLIs and the flags that made
+    checking optional must not come back."""
+    import re
+
+    banned = (
+        "verify_consistency", "--check-consistency", "--check-scaling",
+        "stuck_clients", "run_flash_crowd", "build_flash_crowd",
+    )
+    sources = {
+        path: path.read_text()
+        for root in (SRC_REPRO, REPO_ROOT / "tests", REPO_ROOT / "examples")
+        for path in root.rglob("*.py")
+        if path != Path(__file__)
+    }
+    found = sorted(
+        (name, str(path.relative_to(REPO_ROOT)))
+        for path, text in sources.items()
+        for name in banned
+        if name in text
+    )
+    assert found == []
+    helpers = ("assert_replicas_agree", "assert_no_stuck_clients",
+               "assert_conservation", "assert_variables_conserved")
+    assert [n for n in helpers for text in sources.values() if n in text] == []
+
+    src = {p: t for p, t in sources.items() if SRC_REPRO in p.parents}
+    entry_points = sorted(
+        str(path.relative_to(SRC_REPRO))
+        for path, text in src.items()
+        if '__name__ == "__main__"' in text
+    )
+    assert entry_points == [
+        "experiments/__main__.py", "experiments/perf.py",
+        "experiments/run_all.py", "obs/explain.py", "obs/report.py",
+    ]
+    flags = [
+        flag
+        for text in src.values()
+        for flag in re.findall(r'add_argument\(\s*"(--[a-z-]+)"', text)
+    ]
+    assert len(flags) <= 30, flags
+    # --check-reconfig / --check-reads judge a *report*, not a run.
+    assert {f for f in flags if f.startswith("--check-")} == {
+        "--check-reconfig", "--check-reads", "--check-integrity",
+    }
+
+
+def test_knobs_nobody_set_stay_constants():
+    import dataclasses
+
+    from repro.core import SystemConfig
+
+    fields = {field.name for field in dataclasses.fields(SystemConfig)}
+    assert not fields & {"admission_ttl", "client_rate_burst", "client_breaker_jitter"}
+    assert len(fields) <= 48  # a simplification PR adds no option

@@ -244,3 +244,30 @@ class TestChirperEndToEnd:
         assert client.completed == 3
         assert client.results["c:1"][1] == [(0, "hello world")]
         assert client.results["c:2"][1] == []
+
+    def test_celebrity_really_joins_and_is_followed_e2e(self):
+        """The oracle names a created variable through the app
+        (``variables_of``), not by the command's raw argument: Chirper's
+        user 9999 is ``("user", 9999)``.  Before, the create settled
+        under ``9999``, the user never existed, and every follow and
+        celebrity post came back ``NOK missing`` — Fig. 6 without its
+        event; ``check_run`` says so (the graph has a user no store
+        holds)."""
+        from repro.experiments.harness import check_run
+
+        g = generate_social_graph(100, avg_follows=6, seed=1)
+        system = DynaStarSystem(
+            ChirperApp(g),
+            SystemConfig(n_partitions=2, seed=2, latency=ConstantLatency(0.0005)),
+        )
+        event = CelebrityEvent(time=0.5, celebrity=9999, follow_prob=0.6)
+        wl = ChirperWorkload(g, mix="mix", seed=3, event=event)
+        for _ in range(3):
+            system.add_client(wl, stop_at=1.5)
+        system.run(until=6.5)
+        assert wl.stats["create"] == 1
+        # only the commands that raced the create itself may miss her
+        assert system.total_failed() < 10 < wl.stats["follow"]
+        celebrity = system.all_store_variables()[user_var(9999)]
+        assert len(celebrity["followers"]) > 10 and celebrity["posts"] > 0
+        assert check_run(system) == []
