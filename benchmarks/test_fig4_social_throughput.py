@@ -4,7 +4,9 @@ Paper shape: with timeline-only commands both systems scale almost
 linearly and perform similarly (no moves needed, no synchronization).
 With the 85/15 mix, throughput still scales but multi-partition posts
 temper it; DynaStar rivals S-SMR* despite starting with no workload
-knowledge.
+knowledge.  DS-SMR, the naive-migration baseline (§7), comes last on the
+mix: its moves are for good, so the partition scheduler lets nothing
+pass one (DESIGN.md §10, safety point 2) and the hot users ping-pong.
 """
 
 from repro.experiments import figures, reporting
@@ -41,6 +43,14 @@ def test_fig4_social_throughput(benchmark):
     m_dyna = rows[("mix", 4)]["dynastar_tput"]
     m_ssmr = rows[("mix", 4)]["ssmr_star_tput"]
     assert m_dyna > 0.6 * m_ssmr, (m_dyna, m_ssmr)
+
+    # DynaStar > S-SMR* > DS-SMR on the mix.
+    naive = figures.fig4_social_throughput(
+        partition_counts=(4,), mixes=("mix",), n_users=800, duration=20.0,
+        clients_per_partition=5, seed=1, modes=("dssmr",),
+    )["rows"][0]
+    emit(f"DS-SMR, mix / 4 partitions: {naive['dssmr_tput']:.1f} cmds/s")
+    assert m_dyna > m_ssmr > naive["dssmr_tput"] > 0, (m_dyna, m_ssmr, naive)
 
     # Latency is sane and reported for every cell.
     for row in result["rows"]:

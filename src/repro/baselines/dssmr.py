@@ -37,6 +37,13 @@ class DSSMRServer(PartitionServer):
 
     sends_hints = False
 
+    #: A multi-partition command hands its nodes over for good, and with
+    #: them every variable they hold, named by the command or not: it
+    #: changes ownership like a plan does, so like a plan it is a barrier
+    #: of the scheduler — nothing passes it while it gathers, whatever
+    #: the lane count.
+    moves_are_final = True
+
     def _global_as_source(self, payload: GlobalCommand, rec) -> bool:
         """Ship every variable of the claimed nodes to the target and
         relinquish ownership; the command is over for this partition."""

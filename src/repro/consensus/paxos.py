@@ -432,9 +432,6 @@ class PaxosReplica(Actor):
         votes.add(sender)
         if len(votes) >= self._quorum():
             value = proposal[1]
-            del self.proposals[msg.instance]
-            self._proposal_time.pop(msg.instance, None)
-            del self._accept_votes[msg.instance]
             self.send_all(self.peers, Decision(msg.instance, value))
             self._on_decision(msg.instance, value)
             self._flush_pending()
@@ -442,6 +439,16 @@ class PaxosReplica(Actor):
     # -- learning / delivery ------------------------------------------------------
 
     def _on_decision(self, instance: int, value: Any) -> None:
+        # However the decision is learnt — our quorum of Accepteds, a
+        # peer's Decision or LearnReply, the acceptors on recovery — our
+        # own proposal for the instance has nothing left to win; kept, it
+        # is retransmitted for ever to acceptors that have truncated it.
+        proposal = self.proposals.pop(instance, None)
+        if proposal is not None:
+            self._proposal_time.pop(instance, None)
+            self._accept_votes.pop(instance, None)
+            if proposal[1] is not value and proposal[1] != value:
+                self._requeue(proposal[1])  # lost to a higher ballot
         if instance < self.log_floor or instance in self.decided:
             # Below the floor: already delivered *and* truncated — a
             # re-proposal from a behind leader must not resurrect it.
@@ -546,18 +553,22 @@ class PaxosReplica(Actor):
         self.phase1_done = False
         self._promises.clear()
         for instance in sorted(self.proposals, reverse=True):
-            batch = self.proposals[instance][1]
-            for value in reversed(batch.values):
-                uid = getattr(value, "uid", None)
-                if uid is None or isinstance(value, NoOp) or uid in self.delivered_uids:
-                    continue
-                self.proposed_uids.discard(uid)
-                if uid not in self._pending_uids:
-                    self._pending_uids.add(uid)
-                    self.pending.appendleft(value)
+            self._requeue(self.proposals[instance][1])
         self.proposals.clear()
         self._proposal_time.clear()
         self._accept_votes.clear()
+
+    def _requeue(self, batch: Batch) -> None:
+        """The undelivered uid values of a proposal that was not seen
+        chosen, back at the head of ``pending`` in their order."""
+        for value in reversed(batch.values):
+            uid = getattr(value, "uid", None)
+            if uid is None or isinstance(value, NoOp) or uid in self.delivered_uids:
+                continue
+            self.proposed_uids.discard(uid)
+            if uid not in self._pending_uids:
+                self._pending_uids.add(uid)
+                self.pending.appendleft(value)
 
     def _on_nack(self, msg: Nack) -> None:
         if msg.ballot > self.ballot:

@@ -14,7 +14,7 @@ servers' exactly-once bookkeeping, :mod:`repro.core.clienttable`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.smr.command import Command
@@ -50,6 +50,13 @@ class ExecCommand:
     client: str
     attempt: int
     seq: int
+    #: The scheduler's cache: the command's
+    #: :class:`~repro.smr.statemachine.Signature`, compiled by the first
+    #: server that needs it and read by every other replica of every
+    #: involved partition (payloads travel by reference).  Derived from
+    #: the payload, so no part of its value; set once, with
+    #: ``object.__setattr__``.
+    sched: Any = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,6 +75,8 @@ class GlobalCommand:
     target: str
     locations: tuple  # ((node, partition), ...)
     seq: int
+    #: As :attr:`ExecCommand.sched`.
+    sched: Any = field(default=None, init=False, repr=False, compare=False)
 
     def involved(self) -> tuple:
         return tuple(sorted({p for _, p in self.locations}))

@@ -12,14 +12,17 @@ order (the SMR contract).  A command cannot finish while
 * a node this partition now owns is still in transit under a
   repartitioning plan.
 
-With one execution lane nothing passes an unfinished command, so
-everything behind it waits — multi-partition commands really are
-expensive here, which is precisely the cost DynaStar's repartitioning
-optimizes away.  With more lanes a command behind it may run iff it
-conflicts with no unfinished command ahead, where a multi-partition
-command — it *moves* the variables it names — counts as a writer of all
-of them.  Plan-driven relocation itself does **not** block the queue:
-only commands touching a still-in-transit node wait.
+None of these waits holds a CPU, so none holds the queue: a command
+behind an unfinished one may run iff it conflicts with no unfinished
+command ahead, where a multi-partition command — it *moves* the
+variables it names — counts as a writer of all of them.  What it touches
+does wait, and it costs its partitions the messages and round trips of
+the exchange — multi-partition commands really are expensive here, which
+is precisely the cost DynaStar's repartitioning optimizes away.  An
+execution holds one of ``lanes`` virtual CPUs for ``service_time``; the
+lane count bounds how many overlap, nothing else.  Plan-driven
+relocation itself does **not** block the queue: only commands touching a
+still-in-transit node wait.
 
 Staleness: if a command's believed locations disagree with the current
 plan, the server answers ``RETRY`` and aborts the gather (notifying the
@@ -62,12 +65,7 @@ from repro.sim.monitor import Monitor
 from repro.smr.command import Reply, ReplyStatus
 # Not called here: kept importable for the benchmark (see fastcopy).
 from repro.smr.fastcopy import copy_value  # noqa: F401
-from repro.smr.statemachine import (
-    AppStateMachine,
-    VariableStore,
-    footprints_conflict,
-    scheduling_footprints,
-)
+from repro.smr.statemachine import AppStateMachine, Signature, VariableStore
 
 #: Commands touching more nodes than this record a star instead of a
 #: clique in the workload-graph hint (keeps hint sizes linear for e.g.
@@ -80,10 +78,9 @@ class _Attempt:
     command.  The record lives from first mention — the a-delivered
     command or a message about it, whichever comes first — until the
     command leaves the queue; a tombstone in ``_closed`` after.
-    Checkpointed, except ``nodes`` and ``fps``: derivable from app +
-    command and volatile by design."""
+    Checkpointed, except ``admitted``: volatile by design."""
 
-    __slots__ = ("checked", "sent", "transfers", "returns", "failed", "nodes", "fps")
+    __slots__ = ("checked", "sent", "transfers", "returns", "failed", "admitted")
 
     def __init__(self, checked=False, sent=False, transfers=(), returns=(), failed=False):
         #: Judged fresh, its claimed nodes owned and settled.
@@ -96,10 +93,9 @@ class _Attempt:
         self.returns: dict = dict(returns)
         #: Some involved partition reported ``TransferFailed``.
         self.failed = failed
-        #: Node set of an admitted single-partition command, and the
-        #: scheduling footprints (:meth:`PartitionServer._footprints`).
-        self.nodes: Optional[frozenset] = None
-        self.fps: Optional[tuple] = None
+        #: A single-partition command that passed its checks and waits
+        #: for a lane (:meth:`PartitionServer._try_exec`).
+        self.admitted = False
 
     def capture(self) -> tuple:
         return (
@@ -117,6 +113,11 @@ class PartitionServer(MulticastReplica):
     #: Workload-graph hints feed the oracle's repartitioning; the static
     #: and naive-migration baselines (``repro.baselines``) send none.
     sends_hints = True
+
+    #: Whether a multi-partition command changes node ownership for good.
+    #: Here it lends and takes back, so only what conflicts with it
+    #: waits; where it does (DS-SMR) it is a barrier of the scheduler.
+    moves_are_final = False
 
     def __init__(
         self,
@@ -471,40 +472,41 @@ class PartitionServer(MulticastReplica):
         """The one scheduler: scan the decided prefix front to back and
         run what may run now.
 
-        A command that cannot finish yet (borrowed variables in flight,
-        lent ones not home, a node in transit) becomes a *blocker*; a
-        command behind it dispatches iff it conflicts with no blocker
-        (:meth:`_footprints`), so conflicting commands keep log order.
-        With one lane nothing passes an unfinished command — the scan
-        ends at it, which is strict delivery-order execution.  With
-        more, it ends at the first command the service gate refuses:
-        every lane is busy, and the gate's timer re-pumps.  Footprints
-        are computed only against a blocker or to become one; a queue
-        whose commands finish in order never computes any.
+        A lane is a CPU: an execution holds one for ``service_time`` and
+        nothing else does.  A command that waits on the network instead
+        (borrowed variables in flight, lent ones not home, a node in
+        transit) becomes a *blocker*; a command behind it dispatches iff
+        it conflicts with no blocker (:class:`Signature`), so
+        conflicting commands keep log order and independent ones use the
+        lane the blocker leaves idle — at one lane as at four.  The scan
+        ends at the first command the service gate refuses: every lane
+        is busy, and the gate's timer re-pumps.  A queue whose commands
+        finish in order compares nothing.
 
-        Ownership-changing payloads (create/delete/plan/drain) are
-        barriers: they run only at the very front of the queue and
-        nothing may pass them — they are the only payloads that change
-        node ownership, which is what makes the passing commands'
+        Ownership-changing payloads (create/delete/plan/drain, and a
+        multi-partition command where :attr:`moves_are_final`) are
+        barriers: they run only with nothing unfinished ahead and nothing
+        may pass them — they are the only payloads that change node
+        ownership, which is what makes the passing commands'
         ownership/RETRY checks order-insensitive.
         """
         queue = self.queue
-        blockers: list = []
+        blockers: list = []  # signatures of the unfinished commands passed
         self._gate_refused = False
         idx = 0
         while idx < len(queue):
             payload = queue[idx]
             if isinstance(payload, (ExecCommand, GlobalCommand)):
+                multi = isinstance(payload, GlobalCommand)
+                barrier = multi and self.moves_are_final
                 if blockers:
-                    fps = self._footprints(payload)
-                    if any(
-                        footprints_conflict(fps[1 + b[0]], b[1 + fps[0]])
-                        for b in blockers
-                    ):
-                        blockers.append(fps)
+                    if barrier:
+                        return  # runs only with nothing unfinished ahead
+                    sig = self._signature(payload)
+                    if any(sig.conflicts(blocker) for blocker in blockers):
+                        blockers.append(sig)
                         idx += 1
                         continue
-                multi = isinstance(payload, GlobalCommand)
                 if multi:
                     done = self._try_global(payload)
                 else:
@@ -518,10 +520,10 @@ class PartitionServer(MulticastReplica):
                         self._closed.setdefault(key, False)
                     if self.admission is not None:
                         self.admission.release(key[0])
-                elif self.lanes == 1 or self._gate_refused:
+                elif self._gate_refused or barrier:
                     return
                 else:
-                    blockers.append(self._footprints(payload))
+                    blockers.append(self._signature(payload))
                     idx += 1
                 continue
             if idx > 0:
@@ -536,22 +538,19 @@ class PartitionServer(MulticastReplica):
                 self._apply_drain_complete(payload)
             queue.popleft()  # unknown payloads are skipped
 
-    def _footprints(self, payload) -> tuple:
-        """Cached ``(moves, footprint against a command that leaves its
-        variables in place, footprint against one that moves them)`` of
-        a queued command; a multi-partition command is the kind that
-        moves (see :func:`scheduling_footprints`).  Two commands keep
-        log order iff each one's footprint against the other's kind
-        conflicts."""
-        rec = self._attempt((payload.command.uid, payload.attempt))
-        fps = rec.fps
-        if fps is None:
-            moves = isinstance(payload, GlobalCommand)
-            fps = rec.fps = (
-                moves,
-                *scheduling_footprints(self.app, payload.command, moves),
+    def _signature(self, payload) -> Signature:
+        """The payload's scheduling signature, compiled by whichever
+        server asks first: the payload object is shared by every replica
+        of every partition it was multicast to, and its signature is a
+        function of application and command alone.  A multi-partition
+        command is the kind that moves what it names."""
+        sig = payload.sched
+        if sig is None or sig.app is not self.app:
+            sig = Signature(
+                self.app, payload.command, isinstance(payload, GlobalCommand)
             )
-        return fps
+            object.__setattr__(payload, "sched", sig)
+        return sig
 
     def _attempt(self, key: tuple) -> _Attempt:
         """The record of attempt ``key``, created at first mention."""
@@ -600,16 +599,15 @@ class PartitionServer(MulticastReplica):
     def _try_exec(self, payload: ExecCommand) -> bool:
         command = payload.command
         # Admitted — its nodes owned, settled and the attempt judged
-        # fresh — stays true while the command is queued; the node set is
-        # kept only if the service gate refuses (the command is tried
-        # again at every pump until a lane frees), so a command that runs
-        # at its first pump allocates no record.
+        # fresh — stays true while the command is queued; it is noted
+        # only if the service gate refuses (the command is tried again
+        # at every pump until a lane frees), so a command that runs at
+        # its first pump allocates no record.
         key = (command.uid, payload.attempt)
         rec = self._attempts.get(key)
-        nodes = None if rec is None else rec.nodes
-        if nodes is None:
-            nodes = self.app.nodes_of(command)
-            if any(node not in self.owned_nodes for node in nodes):
+        nodes = self._signature(payload).nodes
+        if rec is None or not rec.admitted:
+            if not nodes <= self.owned_nodes:
                 if self.tracer.enabled:
                     self.tracer.finish(
                         command.uid, "queue", self.now, disc=payload.attempt,
@@ -617,12 +615,12 @@ class PartitionServer(MulticastReplica):
                     )
                 self._reply(payload, ReplyStatus.RETRY)
                 return True
-            if any(node in self.in_transit for node in nodes):
+            if not nodes.isdisjoint(self.in_transit):
                 return False  # wait for the node's variables to arrive
             if self._answer_repeat(payload, nodes):
                 return True
         if not self._gate_service():
-            self._attempt(key).nodes = nodes
+            self._attempt(key).admitted = True
             return False
         self._consume_service()
         self._execute_and_reply(payload, record_hint_nodes=nodes)
@@ -691,7 +689,6 @@ class PartitionServer(MulticastReplica):
     # -- multi-partition commands ----------------------------------------------------------
 
     def _try_global(self, payload: GlobalCommand) -> bool:
-        claimed = payload.nodes_at(self.partition)
         rec = self._attempt((payload.command.uid, payload.attempt))
 
         # Judged once, before this partition does anything for the
@@ -700,6 +697,7 @@ class PartitionServer(MulticastReplica):
         # and already holds the VarReturn of this (or a later) command,
         # which changes nothing until it is consumed below.
         if not rec.checked:
+            claimed = payload.nodes_at(self.partition)
             if any(node not in self.owned_nodes for node in claimed):
                 self._abort_global(payload)
                 return True

@@ -64,10 +64,11 @@ class SystemConfig:
     #: (0 = infinitely fast servers; benchmarks use ~1-2 ms so throughput
     #: saturates with the number of partitions as on real hardware).
     service_time: float = 0.0
-    #: Virtual execution lanes per partition replica (dependency-aware
-    #: parallel execution).  1 = strict delivery order, nothing passes an
-    #: unfinished command; >1 lets commands that conflict with no
-    #: unfinished command ahead overlap in service time and pass it.
+    #: Virtual CPUs per partition replica: how many executions may overlap
+    #: in ``service_time``.  At every count a command that conflicts with
+    #: no unfinished command ahead of it may pass one that waits on the
+    #: network (a borrow, a return, a node in transit), which holds no
+    #: CPU; 1 means one execution at a time, not strict delivery order.
     execution_lanes: int = 1
     latency: Optional[LatencyModel] = None
     oracle_dispatch: bool = False  # base protocol: oracle forwards commands

@@ -17,6 +17,7 @@ from repro.experiments.harness import (
     DEFAULT_SERVICE_TIME,
     build_chirper_system,
     build_tpcc_system,
+    check_run,
     make_social_graph,
     run_clients,
     social_optimized_placement,
@@ -161,60 +162,37 @@ def fig4_social_throughput(
     duration: float = 40.0,
     seed: int = 1,
     clients_per_partition: int = 6,
+    modes=("dynastar", "ssmr_star"),
 ) -> dict:
     """Peak throughput and latency (~75 % of peak load; mean + p95) for
-    timeline-only and mixed workloads, DynaStar vs S-SMR* (paper Fig 4)."""
+    timeline-only and mixed workloads, DynaStar vs S-SMR* (paper Fig 4);
+    ``modes`` may add ``"dssmr"``, the naive-migration baseline."""
+
+    def run(mode, k, mix, n_clients):
+        graph = make_social_graph(n_users, seed=seed + 10)
+        if mode == "dynastar":
+            system = build_chirper_system(
+                k, graph, placement="random", seed=seed, repartition_threshold=4000 * k
+            )
+        elif mode == "ssmr_star":
+            system = build_chirper_system(
+                k, graph, mode="ssmr", seed=seed,
+                placement=social_optimized_placement(graph, k, seed=seed),
+            )
+        else:
+            system = build_chirper_system(k, graph, mode=mode, placement="random", seed=seed)
+        workload = ChirperWorkload(graph, mix=mix, seed=seed + 2)
+        return run_clients(system, workload, n_clients, duration, warmup=duration / 2)
+
     rows = []
     for mix in mixes:
         for k in partition_counts:
             n_clients = clients_per_partition * k
             row = {"mix": mix, "partitions": k}
-            for mode in ("dynastar", "ssmr_star"):
-                graph = make_social_graph(n_users, seed=seed + 10)
-                if mode == "dynastar":
-                    system = build_chirper_system(
-                        k,
-                        graph,
-                        mode="dynastar",
-                        placement="random",
-                        seed=seed,
-                        repartition_threshold=4000 * k,
-                    )
-                else:
-                    system = build_chirper_system(
-                        k,
-                        graph,
-                        mode="ssmr",
-                        placement=social_optimized_placement(graph, k, seed=seed),
-                        seed=seed,
-                    )
-                workload = ChirperWorkload(graph, mix=mix, seed=seed + 2)
-                peak = run_clients(
-                    system, workload, n_clients, duration, warmup=duration / 2
-                )
-                row[f"{mode}_tput"] = peak.throughput
-
+            for mode in modes:
+                row[f"{mode}_tput"] = run(mode, k, mix, n_clients).throughput
                 # latency at ~75% of saturating load: rerun with 3/4 clients
-                graph2 = make_social_graph(n_users, seed=seed + 10)
-                if mode == "dynastar":
-                    system2 = build_chirper_system(
-                        k, graph2, mode="dynastar", placement="random",
-                        seed=seed, repartition_threshold=4000 * k,
-                    )
-                else:
-                    system2 = build_chirper_system(
-                        k, graph2, mode="ssmr",
-                        placement=social_optimized_placement(graph2, k, seed=seed),
-                        seed=seed,
-                    )
-                workload2 = ChirperWorkload(graph2, mix=mix, seed=seed + 2)
-                res75 = run_clients(
-                    system2,
-                    workload2,
-                    max(1, (3 * n_clients) // 4),
-                    duration,
-                    warmup=duration / 2,
-                )
+                res75 = run(mode, k, mix, max(1, (3 * n_clients) // 4))
                 row[f"{mode}_lat_mean_ms"] = res75.latency_mean * 1e3
                 row[f"{mode}_lat_p95_ms"] = res75.latency_p95 * 1e3
             rows.append(row)
@@ -436,3 +414,56 @@ def fig8_oracle_load(
         "duration": duration,
         "total_queries": system.monitor.counters().get("oracle_queries_total", 0),
     }
+
+
+# ---------------------------------------------------------------------------
+# Execution lanes on Chirper (not a paper figure; DESIGN.md §10)
+# ---------------------------------------------------------------------------
+
+
+def chirper_lanes(
+    lane_counts=(1, 2, 4),
+    mixes=(("mix", 0.15, 0.0), ("posts", 0.5, 0.1)),
+    n_users: int = 300,
+    n_clients: int = 8,
+    duration: float = 8.0,
+    seed: int = 1,
+) -> dict:
+    """``execution_lanes`` on the paper's workload: the Chirper mix (85 %
+    timeline / 15 % post) and the post-heavy variant (50 % post, 10 %
+    follow / unfollow, ~45 % multi-partition) on 2 partitions with
+    repartitioning, Zipf 0.95, 2 ms service time, saturated by
+    ``n_clients`` closed-loop clients — the deployments of the
+    ``chirper_mix`` / ``chirper_posts`` benchmark workloads.  Virtual
+    time: exact at equal seeds; ``speedup`` is against the first lane
+    count.  Each run is drained and judged by ``check_run``; ``problems``
+    lists what it found."""
+    rows, one_lane = [], {}
+    for name, post_fraction, follow_fraction in mixes:
+        for lanes in lane_counts:
+            graph = make_social_graph(n_users, seed=seed + 10)
+            system = build_chirper_system(
+                2, graph, seed=seed, repartition_threshold=4000, execution_lanes=lanes
+            )
+            workload = ChirperWorkload(
+                graph, mix="mix", rho=0.95, seed=seed + 2,
+                post_fraction=post_fraction, follow_fraction=follow_fraction,
+                rank_by="random",
+            )
+            result = run_clients(system, workload, n_clients, duration, warmup=2.0)
+            system.run(until=duration + 3.0)
+            multi = result.counters.get("multi_partition_commands", 0)
+            base = one_lane.setdefault(name, result.throughput)
+            rows.append(
+                {
+                    "mix": name,
+                    "lanes": lanes,
+                    "tput": result.throughput,
+                    "speedup": result.throughput / base if base else 0.0,
+                    "lat_mean_ms": result.latency_mean * 1e3,
+                    "lat_p95_ms": result.latency_p95 * 1e3,
+                    "multi_frac": multi / max(result.completed, 1),
+                    "problems": check_run(system),
+                }
+            )
+    return {"rows": rows, "duration": duration, "n_users": n_users, "n_clients": n_clients}

@@ -85,7 +85,7 @@ def _social(mode: str):
     return system
 
 
-def _chaos():
+def _chaos(chaos_seed: int = 77):
     """Chirper under 2 % message loss, crashes, link cuts and
     client-timeout retries: the one cell on the lossy send path."""
     graph = make_social_graph(80, seed=SOCIAL_SEED)
@@ -94,7 +94,7 @@ def _chaos():
     system.config.client_timeout = 0.25
     system.config.client_timeout_cap = 2.0
     schedule = generate_for_system(
-        system, ChaosConfig(duration=3.0, start_after=0.5), seed=77
+        system, ChaosConfig(duration=3.0, start_after=0.5), seed=chaos_seed
     )
     ChaosInjector(system, schedule).arm()
     workload = ChirperWorkload(graph, mix="mix", seed=WORKLOAD_SEED)

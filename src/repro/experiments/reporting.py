@@ -136,6 +136,31 @@ def render_fig4(result: dict) -> str:
     )
 
 
+def render_chirper_lanes(result: dict) -> str:
+    table = render_table(
+        result["rows"],
+        [
+            ("mix", "mix", 0),
+            ("lanes", "lanes", 0),
+            ("tput", "cmds/s", 1),
+            ("speedup", "vs 1 lane", 2),
+            ("lat_mean_ms", "lat ms", 2),
+            ("lat_p95_ms", "p95 ms", 2),
+            ("multi_frac", "multi", 2),
+        ],
+        title=(
+            f"Execution lanes on Chirper — 2 partitions, {result['n_clients']} "
+            f"clients, {result['duration']:.0f} virtual s"
+        ),
+    )
+    problems = [
+        f"  {row['mix']} lanes={row['lanes']}: {problem}"
+        for row in result["rows"]
+        for problem in row["problems"]
+    ]
+    return "\n".join([table, *problems])
+
+
 def render_fig5(result: dict) -> str:
     lines = ["Figure 5 — latency CDFs (ms at p50 / p80 / p99)"]
     for (mode, k), cdf in sorted(result["cdfs"].items(), key=repr):

@@ -92,6 +92,11 @@ def main() -> None:
             ),
             reporting.render_fig8,
         ),
+        (
+            "chirper_lanes",
+            lambda: figures.chirper_lanes(duration=5.0 if quick else 8.0),
+            reporting.render_chirper_lanes,
+        ),
     ]
 
     for name, experiment, render in plan:

@@ -146,6 +146,42 @@ def footprints_conflict(a: CommandFootprint, b: CommandFootprint) -> bool:
     return False
 
 
+class Signature:
+    """What a scheduler orders one command by, compiled once and shared
+    by everyone who holds the command: the graph nodes it touches, and —
+    only once it shares a node with a command it is compared against —
+    its :func:`scheduling_footprints`.  A pure function of ``app``,
+    ``command`` and ``moves`` (whether the command relocates what it
+    names: a multi-partition command does)."""
+
+    __slots__ = ("app", "command", "moves", "nodes", "_fps")
+
+    def __init__(self, app: "AppStateMachine", command: Command, moves: bool):
+        self.app = app
+        self.command = command
+        self.moves = moves
+        self.nodes = app.nodes_of(command)
+        self._fps: Optional[tuple] = None
+
+    def against(self, moves: bool) -> CommandFootprint:
+        """The footprint against a command that moves its variables, or
+        against one that leaves them in place."""
+        fps = self._fps
+        if fps is None:
+            fps = self._fps = scheduling_footprints(self.app, self.command, self.moves)
+        return fps[moves]
+
+    def conflicts(self, other: "Signature") -> bool:
+        """True iff the two commands must keep their log order.  Every
+        variable lives on one node and a wildcard names one, so commands
+        with no node in common cannot conflict and compile nothing."""
+        if self.nodes.isdisjoint(other.nodes):
+            return False
+        return footprints_conflict(
+            self.against(other.moves), other.against(self.moves)
+        )
+
+
 class VariableStore:
     """The variables a partition currently holds.
 

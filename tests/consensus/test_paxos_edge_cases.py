@@ -10,6 +10,7 @@ from repro.consensus import PaxosGroup, GroupConfig
 from repro.consensus.messages import (
     Accept,
     Accepted,
+    Decision,
     Nack,
     Prepare,
     Promise,
@@ -216,6 +217,47 @@ class TestLeadsTwice:
         assert first.ballot == 1 and not first.proposals
         assert "orphan" not in first.proposed_uids
         self.second_reign(sim, group)
+
+
+class TestDecisionLearntByAnotherPath:
+    """A leader whose ``Accepted`` replies are lost learns the decision
+    from a peer (``Decision`` / ``LearnReply``) or from the acceptors on
+    recovery.  Its own proposal for the instance then has nothing left to
+    win; kept, the heartbeat retransmits its ``Accept`` for ever
+    (``tests/faults/test_chaos_cell.py`` is where that was seen)."""
+
+    def propose_and_lose_the_replies(self):
+        sim, net, group = make_group(n_replicas=2)
+        leader, peer = group.replicas
+        for acc in group.acceptor_names:
+            net.cut_oneway(acc, leader.name)
+        leader.submit(Cmd("mine"))
+        sim.run(until=0.01)
+        assert list(leader.proposals) == [0] and leader.next_deliver == 0
+        return sim, group, leader, peer
+
+    def assert_no_proposer_state(self, leader):
+        assert not leader.proposals
+        assert not leader._proposal_time and not leader._accept_votes
+
+    def test_the_chosen_value_closes_the_proposal(self):
+        sim, group, leader, peer = self.propose_and_lose_the_replies()
+        peer.send(leader.name, Decision(0, leader.proposals[0][1]))
+        sim.run(until=0.02)
+        self.assert_no_proposer_state(leader)
+        assert group.delivered_log(0) == [Cmd("mine")]
+        assert not leader.pending
+
+    def test_another_value_chosen_requeues_ours(self):
+        sim, group, leader, peer = self.propose_and_lose_the_replies()
+        peer.send(leader.name, Decision(0, Batch((Cmd("theirs"),))))
+        sim.run(until=0.02)
+        self.assert_no_proposer_state(leader)
+        assert group.delivered_log(0) == [Cmd("theirs")]
+        # ours lost instance 0 to a higher ballot: free to be proposed
+        # again, by whoever leads at the next catch-up tick
+        assert list(leader.pending) == [Cmd("mine")]
+        assert "mine" not in leader.proposed_uids
 
 
 class TestChaosAgreement:

@@ -1,33 +1,52 @@
 """The partition scheduler across lane counts (``execution_lanes``).
 
-Guarantees under test:
+A lane is a CPU: an execution holds one for ``service_time`` and nothing
+else does.  Guarantees under test, each at K = 1, 2 and 4 lanes:
 
 1. ``execution_lanes=1`` is the default — same events, messages, stores,
    results for the same seed;
-2. with more lanes, an independent command passes a command stalled on
-   in-transit borrowed variables, while conflicting commands retain log
-   order (histories stay linearizable, replicas agree);
+2. an independent command passes a command that waits on the network
+   (a transfer held back on the link), while conflicting commands retain
+   log order (histories stay linearizable, replicas agree);
 3. a multi-partition command *moves* the variables it declares, so it is
    a writer of all of them: nothing that touches a lent variable —
    declared read-only or exempted from conflicts — runs until it is home;
-4. ownership-changing payloads (repartition plans et al.) act as
-   barriers, so relocation under lanes stays deterministic and correct.
+4. ownership-changing payloads (plans, creates, deletes) are barriers:
+   nothing passes them, so relocation under lanes stays deterministic
+   and correct;
+5. K lanes are K CPUs: at one lane no replica starts two executions
+   closer than ``service_time``;
+6. whatever passed whatever, final stores and per-command results are
+   those of a strict-serial execution of each partition's log.
 """
+
+from contextlib import contextmanager
 
 import pytest
 
 from repro.consensus.paxos import ReplicaConfig
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import ScriptedWorkload
-from repro.core.messages import ExecCommand, GlobalCommand
+from repro.core.messages import (
+    CreateVar,
+    DeleteVar,
+    ExecCommand,
+    GlobalCommand,
+    PartitionPlan,
+    ReliableMsg,
+    VarTransfer,
+)
 from repro.experiments.harness import warehouse_aligned_placement
 from repro.multicast.messages import MulticastMessage
 from repro.sim import Actor, ConstantLatency, LogNormalLatency
 from repro.smr import Command, History, KeyValueApp
-from repro.smr.command import Reply, ReplyStatus
+from repro.smr.command import CommandKind, Reply, ReplyStatus
+from repro.smr.statemachine import VariableStore
 from repro.workloads.tpcc import TPCCApp, TPCCConfig, TPCCWorkload
 
 from tests.core.conftest import assert_clean, build_system, kv_app
+
+LANE_COUNTS = [1, 2, 4]
 
 
 def mixed_scripts(n_clients=3, n_cmds=10, n_keys=8):
@@ -72,6 +91,29 @@ def fingerprint(system, scripts, until=60.0):
             for p in system.partition_names
         },
     }
+
+
+@contextmanager
+def held_back(system, kind):
+    """Keep every reliable message carrying a ``kind`` off the network
+    while the block runs (retransmissions too) and hand them to it, in
+    order, on exit; yields the list of what is being held."""
+    deliver = system.net.send
+    held = []
+
+    def send(src, dst, message, size=1):
+        if isinstance(message, ReliableMsg) and isinstance(message.payload, kind):
+            held.append((src, dst, message, size))
+        else:
+            deliver(src, dst, message, size)
+
+    system.net.send = send
+    try:
+        yield held
+    finally:
+        system.net.send = deliver
+        for args in held:
+            deliver(*args)
 
 
 class TestConfig:
@@ -152,41 +194,37 @@ class TestParallelExecution:
             assert client.completed + client.failed == len(cmds)
         assert_clean(system, history)
 
-    @staticmethod
-    def _bypass_counts(execution_lanes):
-        """One cross-partition transfer (stalls on the borrowed k2) racing
-        a stream of independent writes to k1; returns how many writes
-        returned before the transfer did."""
+    @pytest.mark.parametrize("execution_lanes", LANE_COUNTS)
+    def test_independent_writes_complete_while_a_transfer_is_held_back(
+        self, execution_lanes
+    ):
+        """One cross-partition transfer whose ``VarTransfer`` is kept off
+        the link, and a stream of writes to ``k1``, which it does not
+        name: p0 has the transfer unfinished at the head of its queue —
+        gathering as the target, or with ``k0`` lent as the source — and
+        holds no CPU for it, so every write completes meanwhile."""
         system = build_system(
             n_keys=3,
             n_partitions=2,
             seed=5,
             placement={"k0": 0, "k1": 0, "k2": 1},
             execution_lanes=execution_lanes,
+            service_time=0.001,
         )
         history = History()
         transfer = Command("t:0", "transfer", ("k0", "k2", 1))
         writes = [Command(f"w:{i}", "write", ("k1", i)) for i in range(12)]
         a = system.add_client(ScriptedWorkload([transfer]), history=history)
         b = system.add_client(ScriptedWorkload(writes), history=history)
-        system.run(until=30.0)
-        assert a.completed == 1 and b.completed == len(writes)
+        with held_back(system, VarTransfer) as held:
+            system.run(until=10.0)
+            assert held, "no transfer was sent"
+            assert a.completed == 0 and b.completed == len(writes)
+            for server in system.servers("p0"):
+                assert [payload.command.uid for payload in server.queue] == ["t:0"]
+        system.run(until=20.0)
+        assert a.completed == 1
         assert_clean(system, history)
-        ops = {op.command.uid: op for op in history.operations}
-        transfer_returned = ops["t:0"].returned_at
-        return sum(
-            1
-            for w in writes
-            if ops[w.uid].returned_at < transfer_returned
-        )
-
-    def test_independent_writes_bypass_stalled_transfer(self):
-        serial = self._bypass_counts(execution_lanes=1)
-        lanes = self._bypass_counts(execution_lanes=4)
-        assert lanes > serial, (
-            f"expected lanes to let independent writes pass the stalled "
-            f"transfer (serial={serial}, lanes={lanes})"
-        )
 
     def test_conflicting_writes_keep_log_order(self):
         """Two clients hammer the same key: every interleaving the lane
@@ -234,6 +272,26 @@ class ReplyProbe(Actor):
             self.replies.append(message)
 
 
+def probed_system(app_class, execution_lanes):
+    """``x`` on p0, ``y`` and ``z`` on p1, leaders elected and nothing in
+    flight; the probe stands in for the client of hand-delivered
+    payloads."""
+    system = DynaStarSystem(
+        app_class({"x": 7, "y": 1, "z": 2}),
+        SystemConfig(
+            n_partitions=2,
+            seed=1,
+            latency=ConstantLatency(0.001),
+            placement={"x": 0, "y": 1, "z": 1},
+            repartition_enabled=False,
+            execution_lanes=execution_lanes,
+        ),
+    )
+    probe = system.net.register(ReplyProbe())
+    system.run(until=1.0)
+    return system, probe
+
+
 class TestMovesAreWrites:
     """p0 lends ``x`` as a source of the two-partition ``sum(x, y, z)``
     (target p1, which holds two of the three); a single-partition
@@ -241,21 +299,17 @@ class TestMovesAreWrites:
     p1 gets the sum only later — so ``x`` is provably away while the read
     sits in p0's queue."""
 
-    @pytest.mark.parametrize("app_class", [KeyValueApp, ExemptingKeyValueApp])
-    def test_read_waits_until_lent_variable_is_home(self, app_class):
-        system = DynaStarSystem(
-            app_class({"x": 7, "y": 1, "z": 2}),
-            SystemConfig(
-                n_partitions=2,
-                seed=1,
-                latency=ConstantLatency(0.001),
-                placement={"x": 0, "y": 1, "z": 1},
-                repartition_enabled=False,
-                execution_lanes=4,
-            ),
-        )
-        probe = system.net.register(ReplyProbe())
-        system.run(until=1.0)  # leaders elected, nothing in flight
+    @pytest.mark.parametrize(
+        "app_class, execution_lanes",
+        [
+            # four lanes, where the test began, keeps its bare id
+            pytest.param(app, k, id=app.__name__ if k == 4 else f"{app.__name__}-{k}")
+            for app in (KeyValueApp, ExemptingKeyValueApp)
+            for k in LANE_COUNTS
+        ],
+    )
+    def test_read_waits_until_lent_variable_is_home(self, app_class, execution_lanes):
+        system, probe = probed_system(app_class, execution_lanes)
 
         total = GlobalCommand(
             Command("sum:0", "sum", ("x", "y", "z")), "probe", 0, "p1",
@@ -282,6 +336,206 @@ class TestMovesAreWrites:
         for server in system.servers("p0"):
             assert server.store.get("x") == 7 and not server.queue
         assert_clean(system)
+
+
+class TestNothingPassesABarrier:
+    """p1 holds, in this order, the two-partition ``sum(x, y)`` (target
+    p1; p0 gets it only later, so it cannot finish), an ownership-changing
+    payload about ``z``, and a ``read z`` — which ``sum`` does not name,
+    so it would pass the ``sum``.  It must not pass the barrier: in log
+    order it sees the ownership the barrier leaves behind."""
+
+    BARRIERS = {
+        # z leaves p1: the read behind it is stale
+        "plan": (
+            PartitionPlan(1, (("x", "p0"), ("y", "p1"), ("z", "p0"))),
+            ReplyStatus.RETRY,
+        ),
+        "delete": (
+            DeleteVar(
+                Command("del:0", "delete", ("z",), CommandKind.DELETE),
+                "z", "z", "p1", "probe", 0, seq=2,
+            ),
+            ReplyStatus.RETRY,
+        ),
+        # z is re-created: the read sees the initial value, not 2
+        "create": (
+            CreateVar(
+                Command("new:0", "create", ("z",), CommandKind.CREATE),
+                "z", "z", "p1", "probe", 0, seq=2,
+            ),
+            ReplyStatus.OK,
+        ),
+    }
+
+    @pytest.mark.parametrize("execution_lanes", LANE_COUNTS)
+    @pytest.mark.parametrize("kind", sorted(BARRIERS))
+    def test_read_behind_the_barrier_waits(self, kind, execution_lanes):
+        system, probe = probed_system(KeyValueApp, execution_lanes)
+        barrier, read_status = self.BARRIERS[kind]
+        total = GlobalCommand(
+            Command("sum:0", "sum", ("x", "y")), "probe", 0, "p1",
+            (("x", "p0"), ("y", "p1")), seq=1,
+        )
+        read = ExecCommand(Command("read:0", "read", ("z",)), "probe", 0, seq=3)
+        for server in system.servers("p1"):
+            server.adeliver(MulticastMessage("m:sum", ("p0", "p1"), total))
+            server.adeliver(MulticastMessage("m:bar", ("p1",), barrier))
+            server.adeliver(MulticastMessage("m:read", ("p1",), read))
+        system.run(until=2.0)
+        for server in system.servers("p1"):
+            assert list(server.queue) == [total, barrier, read]
+            assert server.store.get("z") == 2
+        assert probe.replies == []
+
+        for server in system.servers("p0"):
+            server.adeliver(MulticastMessage("m:sum", ("p0", "p1"), total))
+            if kind == "plan":
+                server.adeliver(MulticastMessage("m:bar", ("p0",), barrier))
+        system.run(until=3.0)
+        replies = {r.uid: r for r in probe.replies}
+        assert replies["sum:0"].result == 8
+        assert replies["read:0"].status == read_status
+        if kind == "create":
+            assert replies["read:0"].result == 0
+        for partition in system.partition_names:
+            for server in system.servers(partition):
+                assert not server.queue and not server.in_transit
+
+
+class TestALaneIsACPU:
+    def test_one_lane_spaces_executions_by_the_service_time(self):
+        """Commands pass each other at one lane, executions do not
+        overlap: on every replica two consecutive ones are at least
+        ``service_time`` apart."""
+        service_time = 0.002
+        system = build_system(
+            n_keys=8, n_partitions=2, seed=7, service_time=service_time
+        )
+        executions = {}
+        for partition in system.partition_names:
+            for server in system.servers(partition):
+                record_executions(server, executions.setdefault(server.name, []))
+        clients = [
+            system.add_client(ScriptedWorkload(cmds))
+            for cmds in mixed_scripts(n_clients=4, n_cmds=24)
+        ]
+        system.run(until=60.0)
+        assert all(client.done for client in clients)
+        assert any(passed for log in executions.values() for _, _, passed in log)
+        for log in executions.values():
+            times = [time for time, _, _ in log]
+            assert len(times) > 20
+            assert min(b - a for a, b in zip(times, times[1:])) >= service_time - 1e-12
+
+
+def record_executions(server, into):
+    """Append ``(virtual time, command uid, passed)`` to ``into`` for
+    every execution of ``server`` (single-partition, or as a target);
+    ``passed`` says that an earlier command was still queued."""
+    execute = server._tracked_execute
+
+    def tracked(command):
+        passed = server.queue[0].command is not command
+        into.append((server.now, command.uid, passed))
+        return execute(command)
+
+    server._tracked_execute = tracked
+
+
+class TestSerialEquivalenceOfTheSystem:
+    """What ``tests/smr/test_conflicts.py`` checks on the model, checked
+    on the system: record each partition's log (its a-deliveries), then
+    re-execute the logs strictly serially — a multi-partition command
+    when it heads the log of every partition it involves — on plain
+    stores.  Final stores and per-command results must be the system's.
+    Static placement and a reliable network: no retry, plan or repeat,
+    which the model does not know."""
+
+    PLACEMENT = {f"k{i}": i % 2 for i in range(8)}
+
+    @staticmethod
+    def serial_reexecution(app, placement, logs):
+        home = {key: f"p{index}" for key, index in placement.items()}
+        stores = {partition: VariableStore() for partition in logs}
+        for var, value in app.initial_variables().items():
+            stores[home[var]].put(var, value)
+        results = {}
+        heads = {partition: 0 for partition in logs}
+
+        def head(partition):
+            log = logs[partition]
+            return log[heads[partition]] if heads[partition] < len(log) else None
+
+        while any(head(partition) is not None for partition in logs):
+            for partition in logs:
+                payload = head(partition)
+                if payload is None:
+                    continue
+                involved = (
+                    payload.involved()
+                    if isinstance(payload, GlobalCommand)
+                    else (partition,)
+                )
+                if any(head(other) is not payload for other in involved):
+                    continue  # not yet at the head everywhere
+                gathered = VariableStore()
+                for other in involved:
+                    for var, value in stores[other].items():
+                        gathered.put(var, value)
+                results[payload.command.uid] = app.execute(payload.command, gathered)
+                for var, value in gathered.items():
+                    stores[home[var]].put(var, value)
+                for other in involved:
+                    heads[other] += 1
+                break
+            else:
+                raise AssertionError("the partitions' logs order two commands differently")
+        return stores, results
+
+    @pytest.mark.parametrize("execution_lanes", LANE_COUNTS)
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_stores_and_results_equal_a_serial_reexecution(self, seed, execution_lanes):
+        app = kv_app(8)
+        system = DynaStarSystem(
+            app,
+            SystemConfig(
+                n_partitions=2,
+                seed=seed,
+                latency=LogNormalLatency(median=0.00035, sigma=0.35, floor=0.00008),
+                placement=self.PLACEMENT,
+                repartition_enabled=False,
+                service_time=0.002,
+                execution_lanes=execution_lanes,
+            ),
+        )
+        logs, executed = {}, {}
+        for partition in system.partition_names:
+            server = system.servers(partition)[0]
+            log = logs[partition] = []
+            server.adeliver = lambda msg, log=log, deliver=server.adeliver: (
+                log.append(msg.payload), deliver(msg)
+            )
+            record_executions(server, executed.setdefault(partition, []))
+        clients = [
+            system.add_client(ScriptedWorkload(cmds))
+            for cmds in mixed_scripts(n_clients=4, n_cmds=24)
+        ]
+        system.run(until=60.0)
+        assert_clean(system)
+        assert all(client.failed == 0 for client in clients)
+
+        stores, results = self.serial_reexecution(app, self.PLACEMENT, logs)
+        for partition in system.partition_names:
+            assert dict(system.servers(partition)[0].store.items()) == dict(
+                stores[partition].items()
+            )
+        for client in clients:
+            assert {uid: result for uid, (_, result) in client.results.items()} == {
+                uid: results[uid] for uid in client.results
+            }
+        # Not vacuous: some command ran ahead of one delivered before it.
+        assert any(passed for log in executed.values() for _, _, passed in log)
 
 
 class TestMultiPartitionTPCC:

@@ -18,9 +18,11 @@ from repro.smr import Command, KeyValueApp
 from repro.smr.statemachine import (
     AppStateMachine,
     NodeWildcard,
+    Signature,
     VariableStore,
     footprint_of,
     footprints_conflict,
+    scheduling_footprints,
 )
 
 KEYS = [f"k{i}" for i in range(6)]
@@ -156,6 +158,52 @@ class TestConflictExemption:
         assert "k0" in app.variables_of(Command("u", "sum", ("k0", "k1")))
         assert not footprints_conflict(f, fp(app, "write", "k0", 1))
         assert footprints_conflict(f, fp(app, "write", "k1", 1))
+
+
+# ---------------------------------------------------------------------------
+# Signatures: the node test first, footprints only behind it
+# ---------------------------------------------------------------------------
+
+
+class TestSignature:
+    def test_commands_with_no_node_in_common_compile_nothing(self):
+        app = kv_app()
+        a = Signature(app, Command("a", "write", ("k0", 1)), moves=False)
+        b = Signature(app, Command("b", "transfer", ("k1", "k2", 1)), moves=True)
+        assert not a.conflicts(b) and not b.conflicts(a)
+        assert a._fps is None and b._fps is None
+
+    def test_a_node_in_common_falls_to_the_variable_sets(self):
+        app = WildcardApp()
+        poke_a0 = Signature(app, Command("p", "poke", (("a", 0),)), moves=False)
+        poke_a1 = Signature(app, Command("q", "poke", (("a", 1),)), moves=False)
+        scan_a = Signature(app, Command("s", "scan", ("a",)), moves=False)
+        assert poke_a0.nodes == poke_a1.nodes == scan_a.nodes == frozenset({"a"})
+        assert not poke_a0.conflicts(poke_a1)  # one node, two variables
+        assert poke_a0.conflicts(scan_a) and scan_a.conflicts(poke_a1)
+        assert not scan_a.conflicts(scan_a)  # read/read
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.tuples(st.sampled_from(["read", "write", "sum"]), st.sampled_from(KEYS)),
+        b=st.tuples(st.sampled_from(["read", "write", "sum"]), st.sampled_from(KEYS)),
+        a_moves=st.booleans(),
+        b_moves=st.booleans(),
+    )
+    def test_equals_the_footprint_predicate_on_both_kinds(self, a, b, a_moves, b_moves):
+        """Two commands keep log order iff each one's footprint against
+        the other's kind conflicts: the signature adds a shortcut, not a
+        relation."""
+        app = kv_app()
+        args = {"read": lambda k: (k,), "write": lambda k: (k, 1), "sum": lambda k: (k, "k0")}
+        first = Command("a", a[0], args[a[0]](a[1]))
+        second = Command("b", b[0], args[b[0]](b[1]))
+        expected = footprints_conflict(
+            scheduling_footprints(app, first, a_moves)[b_moves],
+            scheduling_footprints(app, second, b_moves)[a_moves],
+        )
+        one, other = Signature(app, first, a_moves), Signature(app, second, b_moves)
+        assert one.conflicts(other) == other.conflicts(one) == expected
 
 
 # ---------------------------------------------------------------------------
