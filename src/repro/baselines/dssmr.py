@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.messages import GlobalCommand, TransferFailed, VarTransfer
+from repro.core.messages import GlobalCommand, VarTransfer
 from repro.core.server import PartitionServer
 from repro.core.system import DynaStarSystem, SystemConfig
 
@@ -87,7 +87,7 @@ class DSSMRServer(PartitionServer):
                 return False
             if not rec.sent:
                 return True  # executed here, or shipped from here
-        answered = rec.transfers.keys() | set(rec.failed or ())
+        answered = rec.transfers.keys() | set(rec.failed)
         if not answered >= set(payload.involved()) - {self.partition}:
             return False
         self._adopt(payload, rec.transfers)
@@ -100,14 +100,6 @@ class DSSMRServer(PartitionServer):
         attempt as answered, and :meth:`_try_global` closes it once the
         sources have answered too."""
         self._attempts[(payload.command.uid, payload.attempt)].sent = True
-
-    def _on_transfer_failed(self, msg: TransferFailed) -> None:
-        """Remember *which* sources will not ship (``failed`` stays
-        falsy while none has): the target waits for the others."""
-        if msg.key not in self._closed:
-            rec = self._attempt(msg.key)
-            rec.failed = tuple(sorted({*(rec.failed or ()), msg.from_partition}))
-            self._pump()
 
     def _adopt(self, payload: GlobalCommand, transfers: dict) -> None:
         """The nodes the shipping sources gave up settle here."""

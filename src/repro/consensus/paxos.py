@@ -15,7 +15,6 @@ leader change deliver exactly once.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -27,6 +26,7 @@ from repro.recovery.checkpoint import (
 )
 from repro.recovery.transfer import AdaptiveChunker, SnapshotFetch
 from repro.sim.actors import Actor
+from repro.sim.rto import Retransmitter
 from repro.consensus.rangeset import RangeSet
 from repro.consensus.messages import (
     Accept,
@@ -206,13 +206,18 @@ class PaxosReplica(Actor):
         # Proposer state
         self.next_instance = 0
         self.proposals: dict[int, tuple[int, Any]] = {}
-        self._proposal_time: dict[int, float] = {}
         self._accept_votes: dict[int, set[str]] = {}
-        self.pending: deque = deque()
-        self._pending_uids: set = set()
-        self._pending_seen: set = set()
+        #: Submitted values not yet proposed here nor delivered, in
+        #: arrival order: uid -> value (a value without a uid under a key
+        #: of its own).  A delivery removes its value at once.
+        self.pending: dict = {}
         self.proposed_uids: set = set()
         self._batch_timer = None
+        #: Volatile loss recovery (``repro.sim.rto``): the leader times
+        #: each Accept until its quorum, a follower each buffered
+        #: submission until its delivery.
+        self._accepts = Retransmitter(self, self._resend_accept, "accept")
+        self._forwards = Retransmitter(self, self._forward, "forward")
 
         # Learner state
         self.decided: dict[int, Any] = {}
@@ -280,6 +285,8 @@ class PaxosReplica(Actor):
     def crash(self) -> None:
         super().crash()
         self._batch_timer = None
+        self._accepts.clear()
+        self._forwards.clear()
 
     def on_recover(self) -> None:
         """Rebuild volatile state after a crash (crash-recovery, §2.1).
@@ -367,19 +374,24 @@ class PaxosReplica(Actor):
 
     def submit(self, value: Any) -> None:
         """Enqueue ``value`` for ordering.  Any replica accepts submissions;
-        only the leader proposes, others buffer in case they take over."""
+        only the leader proposes.  A follower buffers the value, in case
+        it takes over, and forwards it to the leader if it is not
+        delivered within its timeout (the leader's copy may be lost)."""
         uid = getattr(value, "uid", None)
-        if uid is not None and (
+        if uid is None:
+            self.pending[object()] = value
+        elif (
             uid in self.delivered_uids
-            or uid in self._pending_uids
+            or uid in self.pending
             or (self.is_leader and uid in self.proposed_uids)
         ):
             return
-        self.pending.append(value)
-        if uid is not None:
-            self._pending_uids.add(uid)
+        else:
+            self.pending[uid] = value
         if self.is_leader:
             self._schedule_flush()
+        elif uid is not None:
+            self._forwards.arm(uid)
 
     def _schedule_flush(self) -> None:
         """Self-clocked batching: an idle leader proposes in this tick;
@@ -395,13 +407,13 @@ class PaxosReplica(Actor):
     def _flush_pending(self) -> None:
         if not self.is_leader:
             return
-        while self.pending and len(self.proposals) < self.config.window:
+        pending = self.pending
+        while pending and len(self.proposals) < self.config.window:
             batch_values = []
-            while self.pending and len(batch_values) < self.config.max_batch:
-                value = self.pending.popleft()
+            while pending and len(batch_values) < self.config.max_batch:
+                value = pending.pop(next(iter(pending)))
                 uid = getattr(value, "uid", None)
                 if uid is not None:
-                    self._pending_uids.discard(uid)
                     if uid in self.proposed_uids or uid in self.delivered_uids:
                         continue
                     self.proposed_uids.add(uid)
@@ -413,9 +425,9 @@ class PaxosReplica(Actor):
 
     def _propose(self, instance: int, value: Any) -> None:
         self.proposals[instance] = (self.ballot, value)
-        self._proposal_time[instance] = self.now
         self._accept_votes[instance] = set()
         self._send_accept(self.ballot, instance, value)
+        self._accepts.arm(instance)
 
     def _send_accept(self, ballot: int, instance: int, value: Any) -> None:
         """Every Accept tells the acceptors the current floor."""
@@ -434,7 +446,6 @@ class PaxosReplica(Actor):
             value = proposal[1]
             self.send_all(self.peers, Decision(msg.instance, value))
             self._on_decision(msg.instance, value)
-            self._flush_pending()
 
     # -- learning / delivery ------------------------------------------------------
 
@@ -445,16 +456,18 @@ class PaxosReplica(Actor):
         # is retransmitted for ever to acceptors that have truncated it.
         proposal = self.proposals.pop(instance, None)
         if proposal is not None:
-            self._proposal_time.pop(instance, None)
+            self._accepts.done(instance)
             self._accept_votes.pop(instance, None)
             if proposal[1] is not value and proposal[1] != value:
                 self._requeue(proposal[1])  # lost to a higher ballot
-        if instance < self.log_floor or instance in self.decided:
-            # Below the floor: already delivered *and* truncated — a
-            # re-proposal from a behind leader must not resurrect it.
-            return
-        self.decided[instance] = value
-        self._deliver_ready()
+                self._time_forwards()
+        # Below the floor: already delivered *and* truncated — a
+        # re-proposal from a behind leader must not resurrect it.
+        if instance >= self.log_floor and instance not in self.decided:
+            self.decided[instance] = value
+            self._deliver_ready()
+        if proposal is not None:
+            self._flush_pending()  # the instance's slot in the window is free
 
     def _deliver_ready(self) -> None:
         while self.next_deliver in self.decided:
@@ -482,9 +495,10 @@ class PaxosReplica(Actor):
         if uid is not None:
             if not self.delivered_uids.add(uid):
                 return
-            self._pending_uids.discard(uid)
             # delivered_uids answers every later dedup question first.
+            self.pending.pop(uid, None)
             self.proposed_uids.discard(uid)
+            self._forwards.done(uid)
         self.deliver_value(value)
 
     def deliver_value(self, value: Any) -> None:
@@ -511,12 +525,21 @@ class PaxosReplica(Actor):
             self._floor_told = self.log_floor
             self.send_all(self.acceptors, beat)
         self.send_all(self.peers, beat)
-        # Retransmit stalled proposals (Accepts lost to partitions/drops).
-        stale_cutoff = self.now - self.config.leader_timeout / 2
-        for instance, (ballot, value) in self.proposals.items():
-            if self._proposal_time.get(instance, self.now) <= stale_cutoff:
-                self._proposal_time[instance] = self.now
-                self._send_accept(ballot, instance, value)
+
+    def _resend_accept(self, instance: int) -> bool:
+        """An Accept without a quorum after its timeout (the Accept or an
+        Accepted was lost): send it again to the acceptors that have not
+        voted."""
+        proposal = self.proposals.get(instance)
+        if proposal is None or not self.is_leader:
+            return False
+        ballot, value = proposal
+        votes = self._accept_votes[instance]
+        accept = Accept(ballot, instance, value, self.log_floor)
+        for acceptor in self.acceptors:
+            if acceptor not in votes:
+                self.send(acceptor, accept)
+        return True
 
     def _on_heartbeat(self, sender: str, msg: Heartbeat) -> None:
         self._on_frontier(sender, msg.frontier)
@@ -546,29 +569,60 @@ class PaxosReplica(Actor):
         """Leadership ends (higher ballot, crash, new phase 1): drop the
         proposer bookkeeping.  In-flight values this replica never saw
         chosen may not have reached a quorum, so they go back to the head
-        of ``pending`` for the next reign or ``_forward_pending``; if a new
-        leader also recovers them from the acceptors, delivery-time uid
-        dedup absorbs the double proposal (values without a uid cannot be
-        deduplicated and are left to the acceptors' copy alone)."""
+        of ``pending`` for the next reign, and every buffered value is
+        timed for forwarding; if a new leader also recovers them from the
+        acceptors, delivery-time uid dedup absorbs the double proposal
+        (values without a uid cannot be deduplicated and are left to the
+        acceptors' copy alone)."""
         self.phase1_done = False
         self._promises.clear()
-        for instance in sorted(self.proposals, reverse=True):
-            self._requeue(self.proposals[instance][1])
+        latest_first = sorted(self.proposals, reverse=True)
+        self._requeue(*(self.proposals[instance][1] for instance in latest_first))
         self.proposals.clear()
-        self._proposal_time.clear()
+        self._accepts.clear()
         self._accept_votes.clear()
+        self._time_forwards()
 
-    def _requeue(self, batch: Batch) -> None:
-        """The undelivered uid values of a proposal that was not seen
-        chosen, back at the head of ``pending`` in their order."""
-        for value in reversed(batch.values):
-            uid = getattr(value, "uid", None)
-            if uid is None or isinstance(value, NoOp) or uid in self.delivered_uids:
-                continue
-            self.proposed_uids.discard(uid)
-            if uid not in self._pending_uids:
-                self._pending_uids.add(uid)
-                self.pending.appendleft(value)
+    def _requeue(self, *batches: Batch) -> None:
+        """The undelivered uid values of proposals that were not seen
+        chosen (the latest instance first), back at the head of
+        ``pending``, lowest instance first and each in its order."""
+        front: dict = {}
+        for batch in batches:
+            for value in reversed(batch.values):
+                uid = getattr(value, "uid", None)
+                if uid is None or isinstance(value, NoOp) or uid in self.delivered_uids:
+                    continue
+                self.proposed_uids.discard(uid)
+                if uid not in self.pending and uid not in front:
+                    front[uid] = value
+        if front:
+            front = dict(reversed(front.items()))
+            front.update(self.pending)
+            self.pending = front
+
+    def _time_forwards(self) -> None:
+        """A follower times every buffered value for forwarding."""
+        if self.is_leader:
+            return
+        for key, value in self.pending.items():
+            if getattr(value, "uid", None) is not None:
+                self._forwards.arm(key)
+
+    def _forward(self, uid) -> bool:
+        """A buffered submission still undelivered after its timeout: the
+        leader's copy may be lost, so forward this one (the leader dedups
+        by uid)."""
+        value = self.pending.get(uid)
+        if value is None:
+            return False
+        if self.is_leader:
+            self._schedule_flush()
+            return False
+        leader = self.leader_of(self.ballot)
+        if leader != self.name:  # else: a candidate, waiting for promises
+            self.send(leader, Submit(value))
+        return True
 
     def _on_nack(self, msg: Nack) -> None:
         if msg.ballot > self.ballot:
@@ -599,7 +653,13 @@ class PaxosReplica(Actor):
         )
         self._recover_instances()
         # Values buffered while following are now this leader's duty.
+        self._forwards.clear()
         self._flush_pending()
+        self.on_leadership()
+
+    def on_leadership(self) -> None:
+        """Hook run when this replica completes phase 1: what a leader
+        alone re-sends is now its duty (subclasses)."""
 
     def _recover_instances(self) -> None:
         """Re-propose the highest-ballot accepted value for every in-flight
@@ -692,35 +752,6 @@ class PaxosReplica(Actor):
             and self.next_deliver not in self.decided
         ):
             self.send_all(self.peers, LearnRequest(self.next_deliver, behind))
-        self._forward_pending()
-
-    def _forward_pending(self) -> None:
-        """Follower liveness: re-route buffered submissions to the current
-        leader (covers Submits lost with a crashed leader or dropped on a
-        lossy link).  Uid deduplication at the leader makes this safe."""
-        while self.pending:
-            uid = getattr(self.pending[0], "uid", None)
-            if uid is not None and uid in self.delivered_uids:
-                self._pending_uids.discard(uid)
-                self.pending.popleft()
-            else:
-                break
-        if not self.pending:
-            self._pending_seen.clear()
-            return
-        if self.is_leader:
-            self._schedule_flush()
-            return
-        leader = self.leader_of(self.ballot)
-        if leader != self.name:
-            # Only values that survived a full catch-up period are
-            # forwarded — fresh submissions are normally already in
-            # flight at the leader.
-            for value in self.pending:
-                uid = getattr(value, "uid", None)
-                if uid is not None and uid in self._pending_seen:
-                    self.send(leader, Submit(value))
-        self._pending_seen = set(self._pending_uids)
 
     def _on_learn_request(self, sender: str, msg: LearnRequest) -> None:
         if msg.low < self.log_floor:
@@ -749,6 +780,10 @@ class PaxosReplica(Actor):
         """Inverse of :meth:`capture_app_state`."""
         state = sections.get("paxos.state", {})
         self.delivered_uids.install(state.get("delivered_uids", {}))
+        # What the snapshot delivered is nobody's to propose or forward.
+        for uid in [uid for uid in self.pending if uid in self.delivered_uids]:
+            del self.pending[uid]
+            self._forwards.forget(uid)
 
     def on_checkpoint(self, watermark: int) -> None:
         """Hook run just before state capture (subclasses prune

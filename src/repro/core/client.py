@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections.abc import Mapping
 from typing import Any, Optional
 
 from repro.compartment.messages import LocalRead
@@ -43,6 +44,51 @@ from repro.sim.randomness import stable_hash
 from repro.smr.command import Command, CommandKind, Reply, ReplyStatus
 from repro.smr.linearizability import History, Operation
 from repro.smr.statemachine import AppStateMachine
+
+
+class Outcomes(Mapping):
+    """uid -> ``(status, result)`` of every command a client finished.
+
+    A client that records a :class:`History` keeps its OK outcomes there
+    only, and this table reads them back from it on every access (read
+    it once, after the run); the other outcomes are kept here.  Its
+    length counts uids, not records, so a command recorded twice or an
+    OK missing from the history shows as ``len(results) != completed +
+    failed``."""
+
+    __slots__ = ("_client", "_history", "_kept")
+
+    def __init__(self, client: str, history: Optional[History]):
+        self._client = client
+        self._history = history
+        self._kept: dict[str, tuple] = {}
+
+    def record(self, uid: str, status: ReplyStatus, result: Any) -> None:
+        if status is not ReplyStatus.OK or self._history is None:
+            self._kept[uid] = (status, result)
+
+    def _table(self) -> dict:
+        if self._history is None:
+            return self._kept
+        table = {
+            op.command.uid: (ReplyStatus.OK, op.result)
+            for op in self._history.operations
+            if op.client == self._client
+        }
+        table.update(self._kept)
+        return table
+
+    def __getitem__(self, uid: str) -> tuple:
+        return self._table()[uid]
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def __len__(self) -> int:
+        return len(self._table())
+
+    def __repr__(self) -> str:
+        return repr(self._table())
 
 
 class Workload:
@@ -211,7 +257,7 @@ class DynaStarClient(Actor):
         self.timeouts = 0
         self.busy_rejections = 0
         self.gave_up = 0
-        self.results: dict[str, Any] = {}
+        self.results = Outcomes(name, history)
         self.done = False
 
         self._current: Optional[Command] = None
@@ -632,7 +678,7 @@ class DynaStarClient(Actor):
                 status=status.name.lower(), latency=latency,
                 attempts=self._attempt + 1, multi=self._was_multi,
             )
-        self.results[command.uid] = (status, result)
+        self.results.record(command.uid, status, result)
         if status == ReplyStatus.OK:
             self.completed += 1
             self.monitor.histogram("latency").observe(latency)

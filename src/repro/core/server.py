@@ -42,6 +42,7 @@ from repro.compartment.serverside import ReadPath
 from repro.consensus.messages import Submit
 from repro.core.admission import IngressGate
 from repro.core.clienttable import ClientTable
+from repro.core.reliable import ReliableChannel
 from repro.core.messages import (
     CreateVar,
     DeleteVar,
@@ -82,7 +83,7 @@ class _Attempt:
 
     __slots__ = ("checked", "sent", "transfers", "returns", "failed", "admitted")
 
-    def __init__(self, checked=False, sent=False, transfers=(), returns=(), failed=False):
+    def __init__(self, checked=False, sent=False, transfers=(), returns=(), failed=()):
         #: Judged fresh, its claimed nodes owned and settled.
         self.checked = checked
         #: Source side: our variables were shipped to the target.
@@ -91,8 +92,8 @@ class _Attempt:
         #: (the first copy wins: every replica of the sender ships one).
         self.transfers: dict = dict(transfers)
         self.returns: dict = dict(returns)
-        #: Some involved partition reported ``TransferFailed``.
-        self.failed = failed
+        #: The involved partitions that reported ``TransferFailed``.
+        self.failed: tuple = tuple(failed)
         #: A single-partition command that passed its checks and waits
         #: for a lane (:meth:`PartitionServer._try_exec`).
         self.admitted = False
@@ -162,10 +163,13 @@ class PartitionServer(MulticastReplica):
         self._gate_refused = False
         #: The attempts ``(uid, attempt)`` this replica has heard of and
         #: not finished with, and a tombstone for every multi-partition
-        #: one that left the queue: True iff aborted here as the target,
-        #: where a late transfer is bounced, not dropped.  Checkpointed.
+        #: one that left the queue (:meth:`_close`): a bit per closed
+        #: attempt under its uid — most commands have one attempt — and,
+        #: for one that aborted here as the target, the sources that had
+        #: not shipped yet, whose transfers it still bounces.  Checkpointed.
         self._attempts: dict[tuple, _Attempt] = {}
-        self._closed: dict[tuple, bool] = {}
+        self._closed: dict[str, int] = {}
+        self._unbounced: dict[tuple, tuple] = {}
 
         #: The one place a fresh client submission may be refused: by
         #: admission control, or because the group is retiring.
@@ -223,16 +227,16 @@ class PartitionServer(MulticastReplica):
         #: Exactly-once under client retries (stable: checkpointed).
         self.clients = ClientTable()
 
-        # Reliable replica-to-replica channel (transfer/return/abort and
-        # plan-move traffic must survive loss and receiver crashes).
-        #: 0 disables retransmission (pure reliable-network runs).
-        self.retransmit_period = retransmit_period
-        self._outbox: dict[tuple, ReliableMsg] = {}
-        self._reliable_seen: set = set()
+        #: Transfer / return / abort and plan-move traffic, which must
+        #: survive loss and receiver crashes; ``retransmit_period`` is its
+        #: back-off cap (0 turns it off).
+        self.reliable = ReliableChannel(self, retransmit_period)
 
         self._hint_vertices: Counter = Counter()
         self._hint_edges: Counter = Counter()
-        self._hint_seq = 0
+        #: When this replica's group started: hints are cut every
+        #: ``hint_period`` from here, at every replica alike.
+        self._hint_origin: Optional[float] = None
 
         self.executed_count = 0
         self.multi_partition_count = 0
@@ -254,11 +258,19 @@ class PartitionServer(MulticastReplica):
     def start(self) -> None:
         super().start()
         if self.sends_hints:
-            self.set_periodic_timer(self.hint_period, self._flush_hints)
-        if self.retransmit_period > 0:
-            self.set_periodic_timer(self.retransmit_period, self._retransmit_outbox)
+            if self._hint_origin is None:
+                self._hint_origin = self.now
+                self.set_periodic_timer(self.hint_period, self._flush_hints)
+            else:
+                # Recovering: rejoin the group's cadence of hint cuts.
+                since = (self.now - self._hint_origin) % self.hint_period
+                self.set_timer(self.hint_period - since, self._resume_hints)
         if self.reads is not None:
             self.reads.start()
+
+    def crash(self) -> None:
+        super().crash()
+        self.reliable.crash()
 
     def on_recover(self) -> None:
         self._service_timer = None
@@ -267,6 +279,7 @@ class PartitionServer(MulticastReplica):
         if self.reads is not None:
             self.reads.on_recover()
         super().on_recover()
+        self.reliable.recover()
         # The execution queue and gather buffers are stable; whatever was
         # ready to run before the crash can run again now.
         self._pump()
@@ -411,16 +424,12 @@ class PartitionServer(MulticastReplica):
 
     def on_app_message(self, sender: str, message: Any) -> None:
         if isinstance(message, ReliableMsg):
-            # Always ack (duplicates included) so every sender replica
-            # stops retransmitting; dispatch the payload once per uid.
+            # Acked on every copy, so that every sending replica stops.
             self.send(sender, ReliableAck(message.uid))
-            if message.uid in self._reliable_seen:
-                return
-            self._reliable_seen.add(message.uid)
             self.on_app_message(sender, message.payload)
         elif isinstance(message, ReliableAck):
-            self._outbox.pop((sender, message.uid), None)
-            if self.draining and not self._outbox:
+            self.reliable.ack(sender, message.uid)
+            if self.draining and not self.reliable:
                 self._maybe_announce_drain()
         elif isinstance(message, VarTransfer):
             self._on_var_transfer(message)
@@ -517,7 +526,7 @@ class PartitionServer(MulticastReplica):
                     key = (payload.command.uid, payload.attempt)
                     self._attempts.pop(key, None)
                     if multi:
-                        self._closed.setdefault(key, False)
+                        self._close(key)
                     if self.admission is not None:
                         self.admission.release(key[0])
                 elif self._gate_refused or barrier:
@@ -551,6 +560,14 @@ class PartitionServer(MulticastReplica):
             )
             object.__setattr__(payload, "sched", sig)
         return sig
+
+    def _close(self, key: tuple) -> None:
+        uid, attempt = key
+        self._closed[uid] = self._closed.get(uid, 0) | 1 << attempt
+
+    def _is_closed(self, key: tuple) -> bool:
+        uid, attempt = key
+        return self._closed.get(uid, 0) >> attempt & 1 == 1
 
     def _attempt(self, key: tuple) -> _Attempt:
         """The record of attempt ``key``, created at first mention."""
@@ -912,10 +929,18 @@ class PartitionServer(MulticastReplica):
         """The gather of this attempt is over and will not execute: its
         sources may still ship, so bounce what arrived and leave the
         tombstone that bounces the rest — their heads unblock with the
-        variables unchanged."""
+        variables unchanged.  A source that reported ``TransferFailed``
+        ships nothing and gets no entry."""
         key = (payload.command.uid, payload.attempt)
-        self._closed[key] = True
-        for transfer in self._attempts[key].transfers.values():
+        rec = self._attempts[key]
+        self._close(key)
+        unbounced = tuple(
+            p for p in payload.involved()
+            if p != self.partition and p not in rec.transfers and p not in rec.failed
+        )
+        if unbounced:
+            self._unbounced[key] = unbounced
+        for transfer in rec.transfers.values():
             self._bounce(transfer)
 
     def _bounce(self, transfer: VarTransfer) -> None:
@@ -931,25 +956,41 @@ class PartitionServer(MulticastReplica):
 
     # -- transfer plumbing ------------------------------------------------------------------
 
+    # Every sender replica ships a copy, and the reliable channel may
+    # repeat one: the first copy from a partition counts, no other does.
+
     def _on_var_transfer(self, msg: VarTransfer) -> None:
-        aborted = self._closed.get(msg.key)
-        if aborted is None:
-            # setdefault: every replica of the source ships a copy.
-            self._attempt(msg.key).transfers.setdefault(msg.from_partition, msg)
-            self._pump()
-        elif aborted:
-            self._bounce(msg)  # late for a gather aborted here
-        # else: late duplicate from the source's other replica
+        if not self._is_closed(msg.key):
+            transfers = self._attempt(msg.key).transfers
+            if msg.from_partition not in transfers:
+                transfers[msg.from_partition] = msg
+                self._pump()
+        elif self._strike(msg.key, msg.from_partition):
+            self._bounce(msg)  # late for a gather aborted here: home, once
 
     def _on_var_return(self, msg: VarReturn) -> None:
-        if msg.key not in self._closed:
-            self._attempt(msg.key).returns.setdefault(msg.from_partition, msg)
-            self._pump()
+        if not self._is_closed(msg.key):
+            returns = self._attempt(msg.key).returns
+            if msg.from_partition not in returns:
+                returns[msg.from_partition] = msg
+                self._pump()
 
     def _on_transfer_failed(self, msg: TransferFailed) -> None:
-        if msg.key not in self._closed:
-            self._attempt(msg.key).failed = True
-            self._pump()
+        if not self._is_closed(msg.key):
+            rec = self._attempt(msg.key)
+            if msg.from_partition not in rec.failed:
+                rec.failed = tuple(sorted((*rec.failed, msg.from_partition)))
+                self._pump()
+        else:
+            self._strike(msg.key, msg.from_partition)  # it will not ship
+
+    def _strike(self, key: tuple, partition: str) -> bool:
+        """Closed ``key`` stops waiting for ``partition``'s transfer: had it?"""
+        unbounced = self._unbounced.pop(key, ())
+        rest = tuple(p for p in unbounced if p != partition)
+        if rest:
+            self._unbounced[key] = rest
+        return len(rest) < len(unbounced)
 
     # -- create / delete -----------------------------------------------------------------------
 
@@ -1073,7 +1114,7 @@ class PartitionServer(MulticastReplica):
         re-announcement (and post-recovery duplicates) free."""
         if not self.draining or self.retired:
             return
-        if self.owned_nodes or self.in_transit or self._outbox:
+        if self.owned_nodes or self.in_transit or self.reliable:
             return
         message = self._directory.make_message(
             {self.oracle_group, self.partition},
@@ -1161,11 +1202,19 @@ class PartitionServer(MulticastReplica):
             for v in nodes[1:]:
                 self._hint_edges[(hub, v)] += 1
 
+    def _resume_hints(self) -> None:
+        self._flush_hints()
+        self.set_periodic_timer(self.hint_period, self._flush_hints)
+
     def _flush_hints(self) -> None:
-        seq = self._hint_seq
-        self._hint_seq += 1  # advance even when empty: keeps replicas in step
+        """Cut the hint of the period ending now.  Its number is the
+        period's — a function of the clock, not of the ticks this
+        replica saw — so the replicas of a partition, which cut at the
+        same instants, send each period's hint under one number and the
+        oracle counts it once, also after one of them was down."""
         if not self._hint_vertices and not self._hint_edges:
             return
+        seq = round((self.now - self._hint_origin) / self.hint_period) - 1
         hint = ExecutionHint(
             partition=self.partition,
             seq=seq,
@@ -1218,27 +1267,9 @@ class PartitionServer(MulticastReplica):
     def _send_to_partition(
         self, partition: str, message: Any, uid: Optional[str] = None
     ) -> None:
-        """Send ``message`` to every replica of ``partition``.
-
-        With a ``uid``, the message goes through the reliable channel:
-        it is wrapped in a :class:`ReliableMsg` kept in the outbox and
-        retransmitted until each destination replica acks.  Logical uids
-        are identical across this partition's replicas, so destinations
-        process each transfer once no matter which replicas sent it or
-        how often it was retransmitted.
-        """
-        if uid is None or self.retransmit_period <= 0:
-            for replica in self._directory.replicas_of(partition):
-                self.send(replica, message)
-            return
-        envelope = ReliableMsg(uid, message)
-        for replica in self._directory.replicas_of(partition):
-            self._outbox[(replica, uid)] = envelope
-            self.send(replica, envelope)
-
-    def _retransmit_outbox(self) -> None:
-        for (replica, _uid), envelope in self._outbox.items():
-            self.send(replica, envelope)
+        """Send ``message`` to every replica of ``partition``, through the
+        reliable channel when it has a ``uid`` (:mod:`repro.core.reliable`)."""
+        self.reliable.send(self._directory.replicas_of(partition), message, uid)
 
     # -- checkpointing -----------------------------------------------------------------------------------
 
@@ -1260,7 +1291,8 @@ class PartitionServer(MulticastReplica):
                 ((key, rec.capture()) for key, rec in self._attempts.items()),
                 key=repr,
             ),
-            "closed": sorted(self._closed.items(), key=repr),
+            "closed": sorted(self._closed.items()),
+            "unbounced": sorted(self._unbounced.items()),
             "plan_transfer_seen": sorted(self._plan_transfer_seen, key=repr),
             "early_plan_transfers": sorted(
                 self._early_plan_transfers.items(), key=repr
@@ -1269,11 +1301,9 @@ class PartitionServer(MulticastReplica):
             "draining": self.draining,
             "retired": self.retired,
             "drain_version": self._drain_version,
-            "reliable_seen": sorted(self._reliable_seen, key=repr),
-            "outbox": sorted(self._outbox.items(), key=repr),
+            "outbox": self.reliable.capture(),
             "hint_vertices": sorted(self._hint_vertices.items(), key=repr),
             "hint_edges": sorted(self._hint_edges.items(), key=repr),
-            "hint_seq": self._hint_seq,
             "executed_count": self.executed_count,
             "multi_partition_count": self.multi_partition_count,
         }
@@ -1300,6 +1330,7 @@ class PartitionServer(MulticastReplica):
             key: _Attempt(*captured) for key, captured in state.get("attempts", ())
         }
         self._closed = dict(state.get("closed", ()))
+        self._unbounced = dict(state.get("unbounced", ()))
         self._lane_free = [0.0] * self.lanes
         self._plan_transfer_seen = set(state.get("plan_transfer_seen", ()))
         self._early_plan_transfers = dict(state.get("early_plan_transfers", ()))
@@ -1307,11 +1338,9 @@ class PartitionServer(MulticastReplica):
         self.draining = state.get("draining", False)
         self.retired = state.get("retired", False)
         self._drain_version = state.get("drain_version", 0)
-        self._reliable_seen = set(state.get("reliable_seen", ()))
-        self._outbox = dict(state.get("outbox", ()))
+        self.reliable.install(state.get("outbox", ()))
         self._hint_vertices = Counter(dict(state.get("hint_vertices", ())))
         self._hint_edges = Counter(dict(state.get("hint_edges", ())))
-        self._hint_seq = state.get("hint_seq", 0)
         self.executed_count = state.get("executed_count", 0)
         self.multi_partition_count = state.get("multi_partition_count", 0)
         # Whatever is runnable in the adopted queue can run right away.

@@ -114,8 +114,11 @@ class SystemConfig:
     #: every N delivered instances per group (0 disables checkpoints and
     #: snapshot transfer; the Paxos logs are bounded either way).
     checkpoint_interval: int = 0
-    #: Period of the servers' reliable-channel retransmission timer
-    #: (0 disables retransmission).
+    #: The servers' reliable channel (transfers, returns, aborts, plan
+    #: moves): the longest wait between two sends of one envelope, i.e.
+    #: its retransmission back-off cap (``repro.core.reliable``).  0 turns
+    #: the channel off — bare sends, no ack — for a network that loses
+    #: nothing.
     retransmit_period: float = 0.5
     #: Target-partition selection for multi-partition commands
     #: ("most_nodes" is the paper's rule; others exist for ablations).

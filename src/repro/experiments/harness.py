@@ -265,7 +265,9 @@ def _attempt_state(replica) -> dict:
     ]
     held = {
         "pending_msgs": len(replica.pending_msgs),
-        "paxos pending": sum(not isinstance(v, LeaseGrant) for v in replica.pending),
+        "paxos pending": sum(
+            not isinstance(v, LeaseGrant) for v in replica.pending.values()
+        ),
         "paxos proposals": sum(not isinstance(v, LeaseGrant) for v in proposed),
     }
     if replica.admission is not None:
@@ -275,7 +277,7 @@ def _attempt_state(replica) -> dict:
             {
                 "queue": len(replica.queue),
                 "_attempts": len(replica._attempts),
-                "_outbox": len(replica._outbox),
+                "outbox": len(replica.reliable),
                 "in_transit": len(replica.in_transit),
                 "_early_plan_transfers": len(replica._early_plan_transfers),
             }

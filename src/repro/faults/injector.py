@@ -163,7 +163,7 @@ class ChaosInjector:
                 continue
             mid_handoff = (
                 getattr(replica, "in_transit", None)
-                or getattr(replica, "_outbox", None)
+                or len(getattr(replica, "reliable", ()))
                 or (
                     getattr(replica, "draining", False)
                     and not getattr(replica, "retired", False)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -40,6 +41,7 @@ from repro.consensus.paxos import PaxosReplica, ReplicaConfig
 from repro.consensus.rangeset import RangeSet
 from repro.multicast.messages import MulticastMessage, OrderEvent, RemoteTs, TsEvent
 from repro.sim.network import Network
+from repro.sim.rto import Retransmitter
 
 
 @dataclass
@@ -63,6 +65,83 @@ class _Pending:
         return final if final is not None else max(self.ts_from.values(), default=self.local_ts)
 
 
+class _Stamps:
+    """This group's timestamps of the multi-group messages it a-delivered,
+    by message key (``MulticastMessage.key``).  A stream's numbers are
+    dense, so its timestamps are a packed array indexed by number (8 bytes
+    each; 0 = none); a message without a number, or one a-delivered late
+    below its stream's last :meth:`prune` mark, is kept in a dict.
+
+    :meth:`prune` drops what was already kept at its previous call —
+    two-generation retention, run at checkpoints."""
+
+    def __init__(self):
+        #: stream -> [first number in the array, array of timestamps]
+        self._streams: dict[tuple, list] = {}
+        self._other: dict = {}
+        #: At the last prune: where each stream's array ended, and the
+        #: keys of ``_other`` — what the next prune drops.
+        self._marks: dict[tuple, int] = {}
+        self._old: set = set()
+
+    def __len__(self) -> int:
+        arrays = sum(len(a) - a.count(0) for _, a in self._streams.values())
+        return arrays + len(self._other)
+
+    def __setitem__(self, key, ts: int) -> None:
+        if type(key) is tuple and key[1] >= self._marks.get(key[0], 0):
+            stream, n = key
+            entry = self._streams.get(stream)
+            if entry is None:
+                entry = self._streams[stream] = [0, array("q")]
+            stamps = entry[1]
+            index = n - entry[0]
+            if index >= len(stamps):
+                stamps.extend(bytes(8 * (index + 1 - len(stamps))))
+            stamps[index] = ts
+        else:
+            self._other[key] = ts
+
+    def get(self, key) -> Optional[int]:
+        if type(key) is tuple:
+            entry = self._streams.get(key[0])
+            if entry is not None and 0 <= key[1] - entry[0] < len(entry[1]):
+                ts = entry[1][key[1] - entry[0]]
+                if ts:
+                    return ts
+        return self._other.get(key)
+
+    def prune(self) -> None:
+        for stream, entry in self._streams.items():
+            mark = self._marks.get(stream, entry[0])
+            del entry[1][: mark - entry[0]]
+            entry[0] = mark
+        self._marks = {s: first + len(a) for s, (first, a) in self._streams.items()}
+        for key in self._old:
+            self._other.pop(key, None)
+        self._old = set(self._other)
+
+    def capture(self) -> dict:
+        return {
+            "streams": sorted(
+                ((s, first, a.tolist()) for s, (first, a) in self._streams.items()),
+                key=repr,
+            ),
+            "other": sorted(self._other.items(), key=repr),
+            "marks": sorted(self._marks.items(), key=repr),
+            "old": sorted(self._old, key=repr),
+        }
+
+    def install(self, state: dict) -> None:
+        self._streams = {
+            stream: [first, array("q", stamps)]
+            for stream, first, stamps in state.get("streams", ())
+        }
+        self._other = dict(state.get("other", ()))
+        self._marks = dict(state.get("marks", ()))
+        self._old = set(state.get("old", ()))
+
+
 class MulticastReplica(PaxosReplica):
     """A Paxos replica that additionally runs the group's Skeen machine.
 
@@ -77,16 +156,17 @@ class MulticastReplica(PaxosReplica):
         self.pending_msgs: dict[str, _Pending] = {}
         #: Keys (``MulticastMessage.key``) of the messages a-delivered.
         self.adelivered_uids = RangeSet()
-        self._adelivered_ts: dict[str, int] = {}
-        #: Retained-timestamp keys already present at the last checkpoint
-        #: (pruned at the next one — two-generation retention).
-        self._adelivered_ts_prev: set[str] = set()
+        #: This group's timestamp of each multi-group message it
+        #: a-delivered, to answer a peer group's probe (:meth:`submit`).
+        self._adelivered_ts = _Stamps()
         self.adelivered_count = 0
         #: dests -> how many numbered messages this *group* has sent there.
         self._sent: dict[tuple, int] = {}
         self._early_ts_store: dict[str, dict[str, int]] = {}
         self._directory: Optional["GroupDirectory"] = None
-        self._retransmit_timer_armed = False
+        #: The leader times each multi-group message it announced a
+        #: timestamp for, until every destination's timestamp is known.
+        self._ts_probes = Retransmitter(self, self._probe_stalled, "remote_ts")
 
     # -- wiring ---------------------------------------------------------------
 
@@ -103,15 +183,16 @@ class MulticastReplica(PaxosReplica):
         self._sent[dests] = n + 1
         return n
 
-    def start(self) -> None:
-        super().start()
-        if not self._retransmit_timer_armed:
-            self._retransmit_timer_armed = True
-            self.set_periodic_timer(0.25, self._retransmit_stalled)
+    def crash(self) -> None:
+        super().crash()
+        self._ts_probes.clear()
 
-    def on_recover(self) -> None:
-        self._retransmit_timer_armed = False
-        super().on_recover()
+    def on_leadership(self) -> None:
+        """A new leader takes over the stalled messages of the group."""
+        super().on_leadership()
+        for entry in self.pending_msgs.values():
+            if not entry.message.is_single_group and entry.final_ts is None:
+                self._ts_probes.arm(entry.message.uid)
 
     # -- checkpointing --------------------------------------------------------
 
@@ -124,9 +205,7 @@ class MulticastReplica(PaxosReplica):
         the interval instead of growing with every multi-group message.
         Pruning happens at a log watermark, so replicas prune in step."""
         super().on_checkpoint(watermark)
-        for uid in self._adelivered_ts_prev:
-            self._adelivered_ts.pop(uid, None)
-        self._adelivered_ts_prev = set(self._adelivered_ts)
+        self._adelivered_ts.prune()
 
     def capture_app_state(self) -> dict:
         state = super().capture_app_state()
@@ -140,8 +219,7 @@ class MulticastReplica(PaxosReplica):
                 for uid, entry in sorted(self.pending_msgs.items())
             ],
             "adelivered_uids": self.adelivered_uids.capture(),
-            "adelivered_ts": sorted(self._adelivered_ts.items()),
-            "adelivered_ts_prev": sorted(self._adelivered_ts_prev),
+            "adelivered_ts": self._adelivered_ts.capture(),
             "adelivered_count": self.adelivered_count,
             "sent": sorted(self._sent.items()),
             "early_ts": [
@@ -160,8 +238,7 @@ class MulticastReplica(PaxosReplica):
             for uid, message, local_ts, ts_from in state.get("pending", ())
         }
         self.adelivered_uids.install(state.get("adelivered_uids", {}))
-        self._adelivered_ts = dict(state.get("adelivered_ts", ()))
-        self._adelivered_ts_prev = set(state.get("adelivered_ts_prev", ()))
+        self._adelivered_ts.install(state.get("adelivered_ts", {}))
         self.adelivered_count = state.get("adelivered_count", 0)
         self._sent = dict(state.get("sent", ()))
         self._early_ts_store = {
@@ -222,6 +299,8 @@ class MulticastReplica(PaxosReplica):
             return
         entry.ts_from[event.from_group] = event.ts
         self.clock = max(self.clock, event.ts)
+        if entry.final_ts is not None:
+            self._ts_probes.done(event.msg_uid)
         self._try_adeliver()
 
     def _send_ts(self, entry: _Pending) -> None:
@@ -234,12 +313,14 @@ class MulticastReplica(PaxosReplica):
                 entry.ts_from[from_group] = ts
                 self.clock = max(self.clock, ts)
         self._announce_ts(msg, entry.ts_from[self.group])
+        if self.is_leader and entry.final_ts is None:
+            self._ts_probes.arm(msg.uid)
 
     def _announce_ts(self, msg: MulticastMessage, ts: int) -> None:
         """This group's timestamp for ``msg`` to every replica of its
         other destination groups.  Only the current leader sends
-        (followers would duplicate); the periodic retransmitter covers
-        leader crashes."""
+        (followers would duplicate); a new leader times what is still
+        missing (:meth:`on_leadership`)."""
         if not self.is_leader or self._directory is None:
             return
         notice = RemoteTs(msg.uid, self.group, ts, msg.key)
@@ -248,36 +329,34 @@ class MulticastReplica(PaxosReplica):
                 for replica in self._directory.replicas_of(dest_group):
                     self.send(replica, notice)
 
-    def _retransmit_stalled(self) -> None:
-        """Leader re-ships state for messages still missing remote
-        timestamps.
-
-        Two failure modes are covered: the RemoteTs itself was lost
-        (leader crash, message loss), and — worse — a destination group
-        never received the OrderEvent at all, so it will never produce a
-        timestamp and the min-pending gate wedges *every* group.  The
-        leader therefore re-sends both its own RemoteTs and the original
-        OrderEvent to the groups whose timestamps are missing (uid-dedup
-        in their logs makes this idempotent).
-        """
-        if not self.is_leader or self._directory is None:
-            return
-        for entry in self.pending_msgs.values():
-            msg = entry.message
-            if msg.is_single_group or entry.final_ts is not None:
-                continue
-            if self.group not in entry.ts_from:
-                continue
-            notice = RemoteTs(
-                msg.uid, self.group, entry.ts_from[self.group], msg.key
-            )
-            order = Submit(OrderEvent(msg))
-            for dest_group in msg.dests:
-                if dest_group != self.group:
-                    for replica in self._directory.replicas_of(dest_group):
-                        self.send(replica, notice)
-                        if dest_group not in entry.ts_from:
-                            self.send(replica, order)
+    def _probe_stalled(self, uid: str) -> bool:
+        """A message still missing a destination's timestamp after its
+        timeout.  Either a ``RemoteTs`` was lost, or — worse — a
+        destination group never received the OrderEvent at all, so it
+        will never produce a timestamp and the min-pending gate wedges
+        *every* group.  The leader therefore re-sends its own RemoteTs to
+        the other destinations and the OrderEvent to those whose
+        timestamp is missing (uid dedup in their logs makes this
+        idempotent; one that already a-delivered the message answers the
+        OrderEvent as a probe, see :meth:`submit`)."""
+        entry = self.pending_msgs.get(uid)
+        if (
+            entry is None
+            or entry.final_ts is not None
+            or not self.is_leader
+            or self._directory is None
+        ):
+            return False
+        msg = entry.message
+        notice = RemoteTs(msg.uid, self.group, entry.ts_from[self.group], msg.key)
+        order = Submit(OrderEvent(msg))
+        for dest_group in msg.dests:
+            if dest_group != self.group:
+                for replica in self._directory.replicas_of(dest_group):
+                    self.send(replica, notice)
+                    if dest_group not in entry.ts_from:
+                        self.send(replica, order)
+        return True
 
     def submit(self, value: Any) -> None:
         if isinstance(value, OrderEvent) and value.message.key in self.adelivered_uids:
@@ -288,7 +367,7 @@ class MulticastReplica(PaxosReplica):
             # dropped the pending entry).  Staying silent wedges that
             # peer's min-pending gate forever — answer from the retained
             # timestamp instead.
-            ts = self._adelivered_ts.get(value.message.uid)
+            ts = self._adelivered_ts.get(value.message.key)
             if ts is not None:
                 self._announce_ts(value.message, ts)
             return
@@ -328,7 +407,7 @@ class MulticastReplica(PaxosReplica):
                 # RemoteTs was lost will probe with a duplicate
                 # OrderEvent after we dropped the pending entry, and we
                 # must still be able to answer (see :meth:`submit`).
-                self._adelivered_ts[head.message.uid] = head.ts_from[self.group]
+                self._adelivered_ts[head.message.key] = head.ts_from[self.group]
             self.adelivered_count += 1
             self.adeliver(head.message)
 

@@ -19,6 +19,7 @@ from repro.sim.latency import (
 from repro.sim.network import Network, NetworkPartitionError
 from repro.sim.randomness import SeedSequenceFactory, zipf_cdf, ZipfGenerator
 from repro.sim.monitor import Counter, Gauge, Histogram, TimeSeries, Monitor
+from repro.sim.rto import Retransmitter
 
 __all__ = [
     "Event",
@@ -40,4 +41,5 @@ __all__ = [
     "Histogram",
     "TimeSeries",
     "Monitor",
+    "Retransmitter",
 ]

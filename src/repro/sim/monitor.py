@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from typing import Iterable, Optional
 
 
@@ -75,14 +76,16 @@ class Histogram:
 
     Raw storage keeps percentile computation exact, which matters for the
     p95 whiskers in Fig 4 and the CDFs in Fig 5.  Experiments are small
-    enough (≤ a few million samples) that exactness is affordable.
+    enough (≤ a few million samples) that exactness is affordable, the
+    more so as the samples are packed doubles (8 bytes each, not a float
+    object and a pointer).
     """
 
     def __init__(self, name: str, labels: Optional[dict] = None):
         self.name = name
         self.labels = dict(labels or {})
-        self._samples: list[float] = []
-        self._sorted: Optional[list[float]] = None
+        self._samples = array("d")
+        self._sorted: Optional[array] = None
 
     def observe(self, value: float) -> None:
         self._samples.append(value)
@@ -103,9 +106,9 @@ class Histogram:
     def count(self) -> int:
         return len(self._samples)
 
-    def _ensure_sorted(self) -> list[float]:
+    def _ensure_sorted(self) -> array:
         if self._sorted is None:
-            self._sorted = sorted(self._samples)
+            self._sorted = array("d", sorted(self._samples))
         return self._sorted
 
     def mean(self) -> float:

@@ -386,7 +386,7 @@ class AppStateMachine:
         change a variable, build a new value from what ``store.get``
         returned and ``store.put`` it (``{**row, "n": row["n"] + 1}``,
         or ``row = row.copy()`` edited until its ``put``;
-        ``timeline + (entry,)``, ``followers | {user}``); never mutate
+        ``(entry,) + timeline``, ``followers | {user}``); never mutate
         the returned object or anything reachable from it.  Keep
         nested collections as tuples / frozensets so a stray
         ``.append`` fails loudly.  Raise ``KeyError`` / ``ValueError``

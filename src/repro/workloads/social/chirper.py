@@ -2,8 +2,9 @@
 
 Each user is one state variable (and one workload-graph node) holding
 their profile: follower/following frozensets and a bounded timeline
-tuple — immutable once stored, so every change builds a new profile
-(the :meth:`AppStateMachine.execute` contract).  Posting
+tuple, newest entry first — immutable once stored, so every change
+builds a new profile (the :meth:`AppStateMachine.execute` contract), and
+a timeline read returns the stored tuple itself.  Posting
 writes the message to the timeline of every follower — a potentially
 multi-partition command; reading the timeline touches only the user's
 own node; follow/unfollow touch two nodes.
@@ -14,7 +15,8 @@ Operations (the follower list for a post is frozen into the command by
 the workload generator, so ``vars(C)`` is static):
 
 * ``("post", user, text, followers_tuple)``
-* ``("timeline", user)`` -> list of (author, text) newest first
+* ``("timeline", user)`` -> the stored tuple of (author, text), newest
+  first
 * ``("follow", follower, followee)``
 * ``("unfollow", follower, followee)``
 """
@@ -116,7 +118,7 @@ class ChirperApp(AppStateMachine):
             profile = store.get_or_none(user_var(command.args[0]))
             if profile is None:
                 return None
-            return list(reversed(profile["timeline"]))
+            return profile["timeline"]  # immutable: the stored tuple itself
         if op == "follow":
             return self._follow(command, store, add=True)
         if op == "unfollow":
@@ -146,7 +148,7 @@ class ChirperApp(AppStateMachine):
             if var not in store:
                 continue  # follower deleted since the command was issued
             profile = store.get(var)
-            timeline = (profile["timeline"] + (entry,))[-TIMELINE_LIMIT:]
+            timeline = ((entry,) + profile["timeline"])[:TIMELINE_LIMIT]
             store.put(var, {**profile, "timeline": timeline})
             delivered += 1
         return delivered

@@ -28,6 +28,10 @@ class SocialGraph:
     def __init__(self) -> None:
         self.following: dict[int, set[int]] = {}
         self.followers: dict[int, set[int]] = {}
+        #: user -> its followers as a sorted tuple, built when first asked
+        #: for and dropped when they change: every post of the user shares
+        #: the one tuple (and every command and history entry holding it).
+        self._follower_tuples: dict[int, tuple] = {}
 
     def add_user(self, user: int) -> None:
         self.following.setdefault(user, set())
@@ -40,10 +44,20 @@ class SocialGraph:
         self.add_user(followee)
         self.following[follower].add(followee)
         self.followers[followee].add(follower)
+        self._follower_tuples.pop(followee, None)
 
     def remove_follow(self, follower: int, followee: int) -> None:
         self.following.get(follower, set()).discard(followee)
         self.followers.get(followee, set()).discard(follower)
+        self._follower_tuples.pop(followee, None)
+
+    def follower_tuple(self, user: int) -> tuple:
+        """The followers of ``user``, sorted, as a shared tuple."""
+        followers = self._follower_tuples.get(user)
+        if followers is None:
+            followers = tuple(sorted(self.followers.get(user, ())))
+            self._follower_tuples[user] = followers
+        return followers
 
     @property
     def num_users(self) -> int:

@@ -74,6 +74,8 @@ class ChirperWorkload(Workload):
             self._ranked = sorted(graph.users())
             self.rng.shuffle(self._ranked)
         self._zipf = ZipfGenerator(len(self._ranked), rho, self.rng)
+        #: user -> the ``(user,)`` arguments of its timeline reads, shared.
+        self._timeline_args: dict[int, tuple] = {}
         self._issued: dict[str, int] = {}
         self._event_started = False
         self._celebrity_created = False
@@ -91,7 +93,7 @@ class ChirperWorkload(Workload):
         return f"{client.name}:{seq}"
 
     def _post_command(self, uid: str, user: int) -> Command:
-        followers = tuple(sorted(self.graph.followers.get(user, ())))
+        followers = self.graph.follower_tuple(user)
         text = f"chirp #{uid[:40]}"
         self.stats["post"] += 1
         return Command(uid, "post", (user, text, followers))
@@ -135,7 +137,10 @@ class ChirperWorkload(Workload):
             return self._follow_command(uid)
         user = self._pick_user()
         self.stats["timeline"] += 1
-        return Command(uid, "timeline", (user,))
+        args = self._timeline_args.get(user)
+        if args is None:
+            args = self._timeline_args[user] = (user,)
+        return Command(uid, "timeline", args)
 
     def _follow_command(self, uid: str) -> Command:
         """Follow (or, half the time, unfollow an existing edge) between

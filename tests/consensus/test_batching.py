@@ -129,7 +129,7 @@ class TestAcceptorsCutOff:
             (pytest.approx(0.002 + BATCH_DELAY), 2, ("c2",)),
         ]
         assert len(leader.proposals) == 3
-        assert [c.uid for c in leader.pending] == ["c3", "c4", "c5"]
+        assert [c.uid for c in leader.pending.values()] == ["c3", "c4", "c5"]
 
         for acceptor in group.acceptors:
             acceptor.recover()

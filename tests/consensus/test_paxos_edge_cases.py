@@ -170,7 +170,7 @@ class TestRecoveredValues:
 class TestLeadsTwice:
     """A value whose Accepts never reached a quorum must not stay marked
     "proposed" at a replica that lost the leadership: its next reign (or
-    ``_forward_pending``) has to submit it again."""
+    its forward to the new leader) has to submit it again."""
 
     def lose_the_accepts(self, sim, net, group, leader):
         for acc in group.acceptor_names:
@@ -200,7 +200,7 @@ class TestLeadsTwice:
         net.heal_all()
         first.recover()
         assert "orphan" not in first.proposed_uids
-        assert list(first.pending) == [Cmd("orphan")]
+        assert list(first.pending.values()) == [Cmd("orphan")]
         self.second_reign(sim, group)
 
     def test_deposed_with_accepts_in_flight(self):
@@ -211,7 +211,7 @@ class TestLeadsTwice:
         sim.run(until=2.0)
         assert second.is_leader and second.next_deliver == 0
         # Healed, the heartbeat of ballot 1 deposes rep0; rep1 dies before
-        # rep0's catch-up tick could forward the value to it.
+        # rep0's forward timer could send the value to it.
         net.heal_all()
         sim.run(until=sim.now + 0.15)
         assert first.ballot == 1 and not first.proposals
@@ -223,7 +223,7 @@ class TestDecisionLearntByAnotherPath:
     """A leader whose ``Accepted`` replies are lost learns the decision
     from a peer (``Decision`` / ``LearnReply``) or from the acceptors on
     recovery.  Its own proposal for the instance then has nothing left to
-    win; kept, the heartbeat retransmits its ``Accept`` for ever
+    win; kept, its timer re-sends the ``Accept`` for ever
     (``tests/faults/test_chaos_cell.py`` is where that was seen)."""
 
     def propose_and_lose_the_replies(self):
@@ -238,7 +238,7 @@ class TestDecisionLearntByAnotherPath:
 
     def assert_no_proposer_state(self, leader):
         assert not leader.proposals
-        assert not leader._proposal_time and not leader._accept_votes
+        assert not leader._accepts and not leader._accept_votes
 
     def test_the_chosen_value_closes_the_proposal(self):
         sim, group, leader, peer = self.propose_and_lose_the_replies()
@@ -252,12 +252,12 @@ class TestDecisionLearntByAnotherPath:
         sim, group, leader, peer = self.propose_and_lose_the_replies()
         peer.send(leader.name, Decision(0, Batch((Cmd("theirs"),))))
         sim.run(until=0.02)
-        self.assert_no_proposer_state(leader)
         assert group.delivered_log(0) == [Cmd("theirs")]
-        # ours lost instance 0 to a higher ballot: free to be proposed
-        # again, by whoever leads at the next catch-up tick
-        assert list(leader.pending) == [Cmd("mine")]
-        assert "mine" not in leader.proposed_uids
+        # ours lost instance 0 to a higher ballot: back in pending and, as
+        # the slot it held in the window is free, proposed again at once
+        assert list(leader.proposals) == [1] and 0 not in leader._accepts
+        assert leader.proposals[1][1] == Batch((Cmd("mine"),))
+        assert not leader.pending and set(leader._accept_votes) == {1}
 
 
 class TestChaosAgreement:

@@ -76,7 +76,7 @@ class TestOneConstructionPath:
         for partition in system.partition_names:
             for server in system.servers(partition):
                 assert type(server) is server_class
-                assert server.retransmit_period == 0
+                assert not server.reliable.enabled
                 assert server.admission.bound == 8
                 assert server.admission.headroom == 3
                 assert server.service_time == 0.002 and server.lanes == 2
@@ -368,7 +368,7 @@ class TestDSSMRAbortedGather:
         system.run(until=3.0)
         for server in system.servers("p1"):
             assert server.owned_nodes == {"x", "y"} and server.store.get("x") == 7
-            assert server._closed[("c:2", 0)] is False  # nothing left to bounce
+            assert server._is_closed(("c:2", 0)) and not server._unbounced
             assert server.executed_count == 0  # answered RETRY, not run
         for server in system.servers("p0"):
             assert server.owned_nodes == {"z"}

@@ -6,9 +6,9 @@ a drained deployment holds as many entries in every container of
 — the dedup sets are ranges per stream
 (:class:`~repro.consensus.rangeset.RangeSet`) — and what a checkpoint
 ships of the two layers is as large.  Two things are exempt by name:
-``_adelivered_ts`` (dropping a timestamp needs an ack from the peer
-group: ROADMAP item 1) and the plain uids of repartitioning plans (one
-per plan and group, not per command).
+``_adelivered_ts`` (packed 8 bytes per message, but dropping a
+timestamp needs an ack from the peer group) and the plain uids of
+repartitioning plans (one per plan and group, not per command).
 
 The weekly CI job runs this file with ``GROWTH_COMMANDS=20000``.
 """
@@ -121,7 +121,11 @@ def checkpoint_sizes(system):
 
 @pytest.mark.parametrize("mode", ["dynastar", "ssmr", "dssmr"])
 def test_twice_the_commands_leave_as_many_entries_and_as_large_a_checkpoint(mode):
-    short, long = drained(mode, COMMANDS), drained(mode, 2 * COMMANDS)
+    # DS-SMR has moved every node to one partition by the end of the short
+    # run, so twice the commands order in that group alone and add few
+    # members elsewhere (x1.76 at 2 000 commands): its long run is longer.
+    long_factor = 3 if mode == "dssmr" else 2
+    short, long = drained(mode, COMMANDS), drained(mode, long_factor * COMMANDS)
     (held_short, plain_short), (held_long, plain_long) = entries(short), entries(long)
     assert held_short.keys() == held_long.keys()
     grew = {
@@ -210,7 +214,8 @@ class TestLateDuplicates:
         # to every replica of the other group — which drops the answer.
         sent, delivered = self.replay(system, seen["multi"])
         assert sent == {"RemoteTs": len(system.servers("p1"))} and not delivered
-        assert seen["multi"].message.uid in system.servers("p0")[0]._adelivered_ts
+        stamps = system.servers("p0")[0]._adelivered_ts
+        assert stamps.get(seen["multi"].message.key) is not None
 
 
 def test_what_the_oracle_forwards_is_numbered_alike_by_its_replicas():

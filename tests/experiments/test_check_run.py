@@ -13,6 +13,7 @@ from repro.core.server import _Attempt
 from repro.experiments.harness import check_run
 from repro.sim import ConstantLatency
 from repro.smr import Command, History, KeyValueApp
+from repro.smr.command import ReplyStatus
 from repro.smr.linearizability import Operation
 
 N_KEYS = 8
@@ -94,13 +95,24 @@ def miscount_results(system, history):
     system.clients[0].completed += 1
 
 
+def answer_a_command_twice(system, history):
+    """The client takes a second OK for its last command, a read, and
+    books it as it booked the first."""
+    client = system.clients[0]
+    last = history.operations[-1]
+    assert last.command.uid == "c:r"
+    client.results.record(last.command.uid, ReplyStatus.OK, last.result)
+    history.record(last)
+    client.completed += 1
+
+
 def leave_an_attempt(system, history):
     system.servers("p1")[0]._attempts[("c:t", 0)] = _Attempt()
 
 
 def leave_an_outbox_entry(system, history):
     server = system.servers("p1")[0]
-    server._outbox[("p0/rep0", "vt:c:t:0:p1")] = ReliableMsg("vt:c:t:0:p1", None)
+    server.reliable.outbox[("p0/rep0", "vt:c:t:0:p1")] = ReliableMsg("vt:c:t:0:p1", None)
 
 
 def leave_a_node_in_transit(system, history):
@@ -124,7 +136,7 @@ def leave_a_paxos_proposal(system, history):
 
 
 def leave_a_paxos_submission(system, history):
-    system.servers("p0")[0].pending.append(object())
+    system.servers("p0")[0].pending["c:lost"] = object()
 
 
 def leave_an_admission_slot(system, history):
@@ -156,8 +168,9 @@ def set_the_clock_past_a_pending_event(system, history):
         (hold_a_variable_twice, "variable 'k3' present in two partitions"),
         (leave_a_client_waiting, "client0 stuck"),
         (miscount_results, "client0 holds 11 results for 12 completed + 0 failed"),
+        (answer_a_command_twice, "client0 holds 11 results for 12 completed + 0 failed"),
         (leave_an_attempt, "p1/rep0 still holds per-attempt state: _attempts 1"),
-        (leave_an_outbox_entry, "p1/rep0 still holds per-attempt state: _outbox 1"),
+        (leave_an_outbox_entry, "p1/rep0 still holds per-attempt state: outbox 1"),
         (leave_a_node_in_transit, "p1/rep0 still holds per-attempt state: in_transit 1"),
         (leave_a_queued_command, "p0/rep0 still holds per-attempt state: queue 1"),
         (
@@ -199,7 +212,8 @@ def test_lease_renewal_in_the_paxos_pipeline_is_not_a_leftover():
     caught with one in flight whenever its end lands on a renewal."""
     system, history = drained()
     leader = system.servers("p0")[0]
-    leader.pending.append(LeaseGrant("lease:p0/rep0:9:10.0", leader.name, 10.0, 11.0))
+    grant = LeaseGrant("lease:p0/rep0:9:10.0", leader.name, 10.0, 11.0)
+    leader.pending[grant.uid] = grant
     assert check_run(system, history) == []
 
 

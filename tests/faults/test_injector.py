@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.messages import ReliableMsg
 from repro.faults import ChaosConfig, ChaosInjector, FaultSchedule, generate_for_system
 
 from tests.faults.conftest import build_chaos_system
@@ -206,6 +207,23 @@ class TestReconfigFaults:
         )
         system.run(until=2.0)
         assert not victim.crashed
+
+    def test_crash_mid_split_hits_a_replica_whose_only_handoff_state_is_its_outbox(self):
+        system = build_chaos_system()
+        system.start()
+        victim = system.servers("p0")[0]
+        peer = system.servers("p1")[0].name
+        # An envelope the destination never acked; no timer, so it stays.
+        victim.reliable.outbox[(peer, "ghost")] = ReliableMsg("ghost", None)
+        schedule = FaultSchedule().at(0.5, "crash_mid_split", "p0")
+        ChaosInjector(system, schedule).arm()
+        system.run(until=0.49)
+        assert not victim.in_transit and not victim.draining
+        system.run(until=1.0)
+        assert victim.crashed
+        assert all(
+            not r.crashed for r in system.servers("p0") if r is not victim
+        )
 
     def test_lose_cutover_msgs_bursts_only_in_flight(self):
         system = build_chaos_system()

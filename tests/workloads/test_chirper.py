@@ -58,7 +58,7 @@ class TestChirperSemantics:
         self.app.execute(Command("c:0", "post", (0, "first", (1,))), self.store)
         self.app.execute(Command("c:1", "post", (0, "second", (1,))), self.store)
         result = self.app.execute(Command("c:2", "timeline", (1,)), self.store)
-        assert result == [(0, "second"), (0, "first")]
+        assert result == ((0, "second"), (0, "first"))
 
     def test_timeline_bounded(self):
         from repro.workloads.social.chirper import TIMELINE_LIMIT
@@ -67,7 +67,9 @@ class TestChirperSemantics:
             self.app.execute(
                 Command(f"c:{i}", "post", (0, f"m{i}", (1,))), self.store
             )
-        assert len(self.store.get(user_var(1))["timeline"]) == TIMELINE_LIMIT
+        timeline = self.store.get(user_var(1))["timeline"]
+        assert len(timeline) == TIMELINE_LIMIT
+        assert timeline[0] == (0, f"m{TIMELINE_LIMIT + 9}")  # the newest kept
 
     def test_140_char_limit(self):
         with pytest.raises(ValueError):
@@ -242,8 +244,8 @@ class TestChirperEndToEnd:
         )
         system.run(until=20.0)
         assert client.completed == 3
-        assert client.results["c:1"][1] == [(0, "hello world")]
-        assert client.results["c:2"][1] == []
+        assert client.results["c:1"][1] == ((0, "hello world"),)
+        assert client.results["c:2"][1] == ()
 
     def test_celebrity_really_joins_and_is_followed_e2e(self):
         """The oracle names a created variable through the app
