@@ -215,9 +215,11 @@ class PaxosReplica(Actor):
         self._batch_timer = None
         #: Volatile loss recovery (``repro.sim.rto``): the leader times
         #: each Accept until its quorum, a follower each buffered
-        #: submission until its delivery.
+        #: submission until its delivery, and every replica its one gap
+        #: (keyed by ``next_deliver``) until delivery passes it.
         self._accepts = Retransmitter(self, self._resend_accept, "accept")
         self._forwards = Retransmitter(self, self._forward, "forward")
+        self._gaps = Retransmitter(self, self._learn_gap, "learn")
 
         # Learner state
         self.decided: dict[int, Any] = {}
@@ -227,8 +229,6 @@ class PaxosReplica(Actor):
         self.values_delivered = 0
         self.delivered_uids = RangeSet()
         self._peer_max_decided = -1
-        #: Frontier for which a gap repair was already requested.
-        self._gap_requested = -1
 
         # Failure detection
         self._last_leader_contact = 0.0
@@ -287,6 +287,7 @@ class PaxosReplica(Actor):
         self._batch_timer = None
         self._accepts.clear()
         self._forwards.clear()
+        self._gaps.clear()
 
     def on_recover(self) -> None:
         """Rebuild volatile state after a crash (crash-recovery, §2.1).
@@ -470,6 +471,7 @@ class PaxosReplica(Actor):
             self._flush_pending()  # the instance's slot in the window is free
 
     def _deliver_ready(self) -> None:
+        gap = self.next_deliver
         while self.next_deliver in self.decided:
             batch = self.decided[self.next_deliver]
             self.next_deliver += 1
@@ -478,15 +480,25 @@ class PaxosReplica(Actor):
             for v in values:
                 self._deliver_once(v)
             self._maybe_checkpoint()
+        if self.next_deliver != gap:
+            self._gaps.done(gap)
 
     def _repair_gap(self, sender: str, instance: int) -> None:
         """A Decision beyond the delivery frontier means an earlier one was
-        lost (or overtaken): ask its sender for the gap at once, once per
-        gap, instead of lagging until the next catch-up tick."""
+        lost (or overtaken): ask its sender for the gap at once and time
+        the gap (:meth:`_learn_gap`) until delivery passes it."""
         low = self.next_deliver
-        if low < instance and low != self._gap_requested and self._fetching is None:
-            self._gap_requested = low
+        if low < instance and low not in self._gaps and self._fetching is None:
+            self._gaps.arm(low)
             self.send(sender, LearnRequest(low, instance - 1))
+
+    def _learn_gap(self, low: int) -> bool:
+        """A gap still open after its timeout (the request or its answers
+        were lost, or the sender crashed): ask every peer for everything
+        from the gap to the highest decision known."""
+        high = max(self._peer_max_decided, self.max_decided)
+        self.send_all(self.peers, LearnRequest(low, high))
+        return True
 
     def _deliver_once(self, value: Any) -> None:
         if isinstance(value, NoOp):
@@ -745,6 +757,9 @@ class PaxosReplica(Actor):
     # -- catch-up --------------------------------------------------------------------
 
     def _catchup_tick(self) -> None:
+        """The backstop for any open gap, timed by :meth:`_learn_gap` or
+        not, and for a peer heartbeat showing decisions this replica never
+        heard of (its Decisions were lost, or it was down)."""
         behind = max(self._peer_max_decided, self.max_decided)
         if (
             self._fetching is None
@@ -913,6 +928,7 @@ class PaxosReplica(Actor):
         ask every peer replica for an offer and poll until one answers
         with a usable watermark."""
         self._snapshot_epoch += 1
+        self._gaps.clear()  # the snapshot closes them
         self._fetching = SnapshotFetch(
             epoch=self._snapshot_epoch,
             chunker=AdaptiveChunker(

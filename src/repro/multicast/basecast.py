@@ -39,7 +39,7 @@ from repro.consensus.group import GroupConfig, PaxosGroup
 from repro.consensus.messages import Submit
 from repro.consensus.paxos import PaxosReplica, ReplicaConfig
 from repro.consensus.rangeset import RangeSet
-from repro.multicast.messages import MulticastMessage, OrderEvent, RemoteTs, TsEvent
+from repro.multicast.messages import MulticastMessage, OrderEvent, RemoteTs, TsEvent, TsProbe
 from repro.sim.network import Network
 from repro.sim.rto import Retransmitter
 
@@ -157,7 +157,7 @@ class MulticastReplica(PaxosReplica):
         #: Keys (``MulticastMessage.key``) of the messages a-delivered.
         self.adelivered_uids = RangeSet()
         #: This group's timestamp of each multi-group message it
-        #: a-delivered, to answer a peer group's probe (:meth:`submit`).
+        #: a-delivered, to answer a peer group's probe (:meth:`_answer_probe`).
         self._adelivered_ts = _Stamps()
         self.adelivered_count = 0
         #: dests -> how many numbered messages this *group* has sent there.
@@ -198,8 +198,8 @@ class MulticastReplica(PaxosReplica):
 
     def on_checkpoint(self, watermark: int) -> None:
         """Checkpoint-aware timestamp retention: `_adelivered_ts` entries
-        exist only to re-answer duplicate-OrderEvent probes from peer
-        groups whose copy of our RemoteTs was lost.  Such probes arrive
+        exist only to answer the probes (:class:`TsProbe`) of peer groups
+        whose copy of our RemoteTs was lost.  Such probes arrive
         within retransmission timescales, so entries that have survived a
         full checkpoint interval are dropped — memory stays bounded by
         the interval instead of growing with every multi-group message.
@@ -335,10 +335,8 @@ class MulticastReplica(PaxosReplica):
         destination group never received the OrderEvent at all, so it
         will never produce a timestamp and the min-pending gate wedges
         *every* group.  The leader therefore re-sends its own RemoteTs to
-        the other destinations and the OrderEvent to those whose
-        timestamp is missing (uid dedup in their logs makes this
-        idempotent; one that already a-delivered the message answers the
-        OrderEvent as a probe, see :meth:`submit`)."""
+        the other destinations and a :class:`TsProbe` to every replica of
+        those whose timestamp is missing (:meth:`_answer_probe`)."""
         entry = self.pending_msgs.get(uid)
         if (
             entry is None
@@ -349,29 +347,30 @@ class MulticastReplica(PaxosReplica):
             return False
         msg = entry.message
         notice = RemoteTs(msg.uid, self.group, entry.ts_from[self.group], msg.key)
-        order = Submit(OrderEvent(msg))
+        probe = TsProbe(msg)
         for dest_group in msg.dests:
             if dest_group != self.group:
                 for replica in self._directory.replicas_of(dest_group):
                     self.send(replica, notice)
                     if dest_group not in entry.ts_from:
-                        self.send(replica, order)
+                        self.send(replica, probe)
         return True
 
-    def submit(self, value: Any) -> None:
-        if isinstance(value, OrderEvent) and value.message.key in self.adelivered_uids:
-            # The Paxos layer would silently dedup this re-submitted
-            # OrderEvent.  But a duplicate Order for a message we already
-            # a-delivered is a probe: some peer group is still pending on
-            # our timestamp (its copies of our RemoteTs were lost after we
-            # dropped the pending entry).  Staying silent wedges that
-            # peer's min-pending gate forever — answer from the retained
-            # timestamp instead.
-            ts = self._adelivered_ts.get(value.message.key)
-            if ts is not None:
-                self._announce_ts(value.message, ts)
+    def _answer_probe(self, sender: str, msg: MulticastMessage) -> None:
+        """A replica that knows this group's timestamp for ``msg`` (pending,
+        or a-delivered and retained) answers the prober: it is the
+        leader's too (DESIGN.md §5).  Otherwise it submits ``msg``."""
+        entry = self.pending_msgs.get(msg.uid)
+        if entry is not None:
+            ts = entry.ts_from[self.group]
+        elif msg.key in self.adelivered_uids:
+            ts = self._adelivered_ts.get(msg.key)
+            if ts is None:
+                return  # pruned two checkpoints after: answered long ago
+        else:
+            self.submit(OrderEvent(msg))
             return
-        super().submit(value)
+        self.send(sender, RemoteTs(msg.uid, self.group, ts, msg.key))
 
     # -- replica-to-replica timestamps -------------------------------------------
 
@@ -384,6 +383,8 @@ class MulticastReplica(PaxosReplica):
             )
             if event.uid not in self.delivered_uids:
                 self.submit(event)
+        elif isinstance(message, TsProbe):
+            self._answer_probe(sender, message.message)
         else:
             self.on_app_message(sender, message)
 
@@ -404,9 +405,8 @@ class MulticastReplica(PaxosReplica):
             self.adelivered_uids.add(head.message.key)
             if not head.message.is_single_group:
                 # Keep our timestamp: a peer group whose copy of our
-                # RemoteTs was lost will probe with a duplicate
-                # OrderEvent after we dropped the pending entry, and we
-                # must still be able to answer (see :meth:`submit`).
+                # RemoteTs was lost may probe after we dropped the
+                # pending entry, and we must still be able to answer.
                 self._adelivered_ts[head.message.key] = head.ts_from[self.group]
             self.adelivered_count += 1
             self.adeliver(head.message)

@@ -97,3 +97,11 @@ class RemoteTs:
     from_group: str
     ts: int
     msg_key: Hashable
+
+
+@dataclass(frozen=True, slots=True)
+class TsProbe:
+    """A leader asks a replica of a group for that group's timestamp of
+    ``message`` (``MulticastReplica._answer_probe``)."""
+
+    message: MulticastMessage

@@ -24,7 +24,7 @@ from repro.consensus.rangeset import RangeSet
 from repro.core.client import ScriptedWorkload
 from repro.experiments.harness import build_chirper_system, make_social_graph
 from repro.multicast.basecast import MulticastReplica
-from repro.multicast.messages import OrderEvent, TsEvent
+from repro.multicast.messages import OrderEvent, TsEvent, TsProbe
 from repro.sim.actors import Actor
 from repro.workloads.social import ChirperWorkload
 
@@ -181,9 +181,10 @@ class TestLateDuplicates:
         return before_run
 
     @staticmethod
-    def replay(system, event):
-        """Submit ``event`` to every replica of p0 again; the messages
-        sent because of it, by type, and whether anything was delivered."""
+    def replay(system, message, sender="late"):
+        """Hand ``message`` from ``sender`` to every replica of p0; the
+        messages sent because of it, by type, and whether anything was
+        delivered."""
         replicas = system.servers("p0")
         before = [(r.next_deliver, r.values_delivered, r.adelivered_count) for r in replicas]
         sent = Counter()
@@ -193,7 +194,7 @@ class TestLateDuplicates:
 
         with tapped_sends(system, count):
             for replica in replicas:
-                replica.on_message("late", Submit(event))
+                replica.on_message(sender, message)
             system.run(until=system.sim.now + 1.0)
         after = [(r.next_deliver, r.values_delivered, r.adelivered_count) for r in replicas]
         for background in ("Heartbeat", "Frontier"):
@@ -206,14 +207,16 @@ class TestLateDuplicates:
         assert seen.keys() == {"single", "multi", "ts"}
         assert seen["multi"].message.n is not None and seen["single"].message.n is not None
         assert type(seen["ts"].uid) is tuple
-        # Nothing is proposed, ordered or delivered for any of the three.
-        assert self.replay(system, seen["single"]) == ({}, False)
-        assert self.replay(system, seen["ts"]) == ({}, False)
-        # The multi-group duplicate is a probe (a peer may still wait for
-        # this group's timestamp): the leader answers from _adelivered_ts,
-        # to every replica of the other group — which drops the answer.
-        sent, delivered = self.replay(system, seen["multi"])
-        assert sent == {"RemoteTs": len(system.servers("p1"))} and not delivered
+        # Nothing is sent, proposed, ordered or delivered for any of the three.
+        assert self.replay(system, Submit(seen["single"])) == ({}, False)
+        assert self.replay(system, Submit(seen["ts"])) == ({}, False)
+        assert self.replay(system, Submit(seen["multi"])) == ({}, False)
+        # A peer group may still wait for this group's timestamp of the
+        # multi-group message: every replica answers its probe from
+        # _adelivered_ts, to the prober alone — which drops the answer.
+        prober = system.servers("p1")[0].name
+        sent, delivered = self.replay(system, TsProbe(seen["multi"].message), prober)
+        assert sent == {"RemoteTs": len(system.servers("p0"))} and not delivered
         stamps = system.servers("p0")[0]._adelivered_ts
         assert stamps.get(seen["multi"].message.key) is not None
 

@@ -1,10 +1,11 @@
 """Loss recovery driven by evidence (``repro.sim.rto``, DESIGN.md §5).
 
-Four sites re-send, each with one timer per outstanding item that the
+Five sites re-send, each with one timer per outstanding item that the
 evidence of success cancels: the Paxos leader's Accept (until its quorum),
-a follower's buffered submission (until its delivery), BaseCast's
-timestamp announcement (until every destination's timestamp is known)
-and the reliable outbox (until the ack).  Each test below loses exactly
+a follower's buffered submission (until its delivery), a replica's gap in
+its log (until delivery passes it), BaseCast's timestamp announcement
+(until every destination's timestamp is known) and the reliable outbox
+(until the ack).  Each test below loses exactly
 the message one site exists for, on the hop-budget rig with no client
 timeout — nothing but that site can complete the command — after a
 warm-up that taught every estimate the rig's round trips.  The command
@@ -15,8 +16,8 @@ fires none.
 
 import pytest
 
-from repro.consensus.messages import Accept, Accepted, Submit
-from repro.core.client import CallbackWorkload
+from repro.consensus.messages import Accept, Accepted, Decision, LearnRequest, Submit
+from repro.core.client import CallbackWorkload, ScriptedWorkload
 from repro.core.messages import ReliableMsg, VarTransfer
 from repro.multicast.messages import RemoteTs
 from repro.sim.rto import RTO_FLOOR
@@ -63,12 +64,16 @@ def run_losing(probe, lose, count=1, **config):
     assert client.done and client.completed == len(WARM_UP) + 1
     op = history.operations[-1]
     assert op.command is probe
-    fired = {
+    return op.returned_at - op.invoked_at, expiries(system)
+
+
+def expiries(system):
+    """The timer expiries of a run, by site."""
+    return {
         key[len("retransmits{site="):-1]: n
         for key, n in system.monitor.counters().items()
         if key.startswith("retransmits")
     }
-    return op.returned_at - op.invoked_at, fired
 
 
 @pytest.mark.parametrize(
@@ -101,11 +106,144 @@ def test_one_lost_message_costs_a_few_rto_floors(probe, lose, count, site, confi
     assert latency < 5 * RTO_FLOOR, (latency, fired)
 
 
+def test_a_lost_decision_and_the_request_for_it_cost_a_few_rto_floors():
+    """A follower misses a Decision and then the LearnRequest that the
+    next Decision made it send.  The gap it timed (site ``learn``) expires
+    after one RTO and asks every peer; before, it waited for the 0.2 s
+    catch-up tick.  On a constant-latency link nothing else opens a gap,
+    so the warm-up loses one Decision whose LearnRequest gets through,
+    which teaches the estimate how long a gap takes to close."""
+    system = rig()
+    follower = system.servers("p0")[1]
+    commands = iter([*WARM_UP, SUM])
+    issued, lost, caught_up = [], [], []
+
+    def next_command(client):
+        command = next(commands, None)
+        issued.append(command)
+        return command
+
+    client = system.add_client(CallbackWorkload(next_command))
+    send = system.net.send
+
+    def lossy(src, dst, message, size=1):
+        to_follower = isinstance(message, Decision) and dst == follower.name
+        if (
+            (to_follower and not lost and len(issued) > 10)
+            or (to_follower and len(lost) == 1 and issued[-1] is SUM)
+            or (isinstance(message, LearnRequest) and len(lost) == 2)
+        ):
+            lost.append((system.sim.now, message))
+        else:
+            send(src, dst, message, size)
+
+    deliver = follower.deliver_value
+
+    def deliver_value(value):
+        if len(lost) == 3 and not caught_up and follower.next_deliver > lost[1][1].instance:
+            caught_up.append(system.sim.now)
+        deliver(value)
+
+    system.net.send = lossy
+    follower.deliver_value = deliver_value
+    system.run(until=3.0)
+    assert [type(message) for _, message in lost] == [Decision, Decision, LearnRequest]
+    assert client.done and client.completed == len(WARM_UP) + 1
+    assert follower._gaps.srtt is not None and expiries(system)["learn"] == 1
+    assert caught_up[0] - lost[1][0] < 5 * RTO_FLOOR, (caught_up, lost)
+
+
+def probes_after_warm_up(fault, *commands):
+    """Run the warm-up on one client, then ``fault(system)`` (which
+    returns what it lost), then each command on a client of its own, all
+    issued at once.  Returns each command's latency, what was lost and
+    the timer expiries by site."""
+    system = rig()
+    system.add_client(ScriptedWorkload(list(WARM_UP)))
+    system.run(until=1.0)
+    lost = fault(system)
+    history = History()
+    clients = [
+        system.add_client(ScriptedWorkload([command]), history=history)
+        for command in commands
+    ]
+    for client in clients:
+        client.start()
+    system.run(until=3.0)
+    assert all(client.done and client.completed == 1 for client in clients)
+    latencies = [op.returned_at - op.invoked_at for op in history.operations]
+    return latencies, lost, expiries(system)
+
+
+def drop(system, lose, count=None):
+    """From now on lose (the first ``count`` of) the messages that
+    ``lose(src, dst, message)`` picks; returns the list of the lost."""
+    send, lost = system.net.send, []
+
+    def lossy(src, dst, message, size=1):
+        if (count is None or len(lost) < count) and lose(src, dst, message):
+            lost.append(message)
+        else:
+            send(src, dst, message, size)
+
+    system.net.send = lossy
+    return lost
+
+
+class TestProbeStalls:
+    """A leader missing a group's timestamp probes every replica of that
+    group (:class:`~repro.multicast.messages.TsProbe`), and any replica
+    that knows the timestamp answers.  The probe was a duplicate
+    ``OrderEvent``, which only a leader answered, and only for a message
+    it had a-delivered: both stalls below lasted until the run ended."""
+
+    def test_a_follower_answers_when_its_leader_cannot_hear(self):
+        """The leaders of p0 and p1 are cut from each other and p0's
+        follower is down: p1's timestamp reaches no replica of p0, and
+        p0's probe reaches only p1's follower."""
+
+        def cut_leaders_and_crash_a_follower(system):
+            leaders = {system.servers(p)[0].name for p in ("p0", "p1")}
+            system.servers("p0")[1].crash()
+            return drop(system, lambda src, dst, message: {src, dst} == leaders)
+
+        latencies, lost, fired = probes_after_warm_up(
+            cut_leaders_and_crash_a_follower, SUM
+        )
+        assert lost and fired["remote_ts"] >= 1
+        assert latencies[0] < 5 * RTO_FLOOR, (latencies, fired)
+
+    def test_a_message_pending_at_the_receiver_is_answered(self):
+        """Two concurrent two-partition commands, ordered ``pb`` before
+        ``pa`` in both groups.  p0 loses p1's timestamp of ``pb`` and p1
+        loses p0's of ``pa``: ``pb`` heads p0's queue and ``pa`` p1's,
+        each group's probe is for a message the other has pending, where
+        Paxos uid dedup dropped it."""
+        lose = {("p1", "pb"), ("p0", "pa")}
+
+        def lose_each_head_timestamp(system):
+            return drop(
+                system,
+                lambda src, dst, message: isinstance(message, RemoteTs)
+                and (message.from_group, message.msg_uid.split(":")[1]) in lose,
+                count=4,
+            )
+
+        latencies, lost, fired = probes_after_warm_up(
+            lose_each_head_timestamp,
+            Command("pb", "sum", ("k0", "k1")),
+            Command("pa", "sum", ("k0", "k1")),
+        )
+        assert len(lost) == 4 and fired["remote_ts"] >= 2
+        assert max(latencies) < 5 * RTO_FLOOR, (latencies, fired)
+
+
 def retransmitters(system):
     for group in system.directory.groups.values():
         for replica in group.replicas:
             yield replica._accepts
             yield replica._forwards
+            yield replica._gaps
             yield replica._ts_probes
             if hasattr(replica, "reliable"):
                 yield replica.reliable._timers
@@ -118,7 +256,7 @@ def test_a_run_that_loses_nothing_arms_timers_and_fires_none():
     armed = {}
     for timer in timers:
         armed[timer.site] = armed.get(timer.site, 0) + timer.arms
-    assert set(armed) == {"accept", "forward", "remote_ts", "outbox"}
+    assert set(armed) == {"accept", "forward", "learn", "remote_ts", "outbox"}
     assert all(armed.values()), armed
     assert sum(timer.retransmits for timer in timers) == 0
     assert not any(name.startswith("retransmits") for name in system.monitor.counters())

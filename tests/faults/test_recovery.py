@@ -163,7 +163,7 @@ class TestReplicaRecovery:
         pending entry, and never re-answer the peer group's timestamp
         probes — the peer's min-pending gate then wedged both partitions
         and the shipped variable was lost.  The a-delivered timestamp log
-        must keep answering duplicate OrderEvent probes."""
+        must keep answering the peer's timestamp probes (``TsProbe``)."""
         system = build_chaos_system(
             n_keys=8,
             n_partitions=2,
