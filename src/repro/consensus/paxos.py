@@ -215,11 +215,13 @@ class PaxosReplica(Actor):
         self._batch_timer = None
         #: Volatile loss recovery (``repro.sim.rto``): the leader times
         #: each Accept until its quorum, a follower each buffered
-        #: submission until its delivery, and every replica its one gap
-        #: (keyed by ``next_deliver``) until delivery passes it.
+        #: submission until its delivery, every replica its one gap
+        #: (keyed by ``next_deliver``) until delivery passes it, and a
+        #: candidate its Prepare (keyed by ballot) until a quorum promised.
         self._accepts = Retransmitter(self, self._resend_accept, "accept")
         self._forwards = Retransmitter(self, self._forward, "forward")
         self._gaps = Retransmitter(self, self._learn_gap, "learn")
+        self._prepares = Retransmitter(self, self._resend_prepare, "prepare")
 
         # Learner state
         self.decided: dict[int, Any] = {}
@@ -230,8 +232,11 @@ class PaxosReplica(Actor):
         self.delivered_uids = RangeSet()
         self._peer_max_decided = -1
 
-        # Failure detection
+        # Failure detection: the leader is suspected ``_suspect_after``
+        # (``leader_timeout`` plus this replica's jitter) past the last
+        # contact with it.
         self._last_leader_contact = 0.0
+        self._suspect_after = self.config.leader_timeout
         self._started = False
 
         # Crash recovery (volatile; rebuilt by on_recover)
@@ -277,9 +282,8 @@ class PaxosReplica(Actor):
             self._peer_frontiers.setdefault(peer, (0, self.now))
         self.set_periodic_timer(self.config.heartbeat_period, self._heartbeat_tick)
         jitter = self.rng.uniform(0, 0.1 * self.config.leader_timeout)
-        self.set_periodic_timer(
-            self.config.leader_timeout + jitter, self._leader_check_tick
-        )
+        self._suspect_after = self.config.leader_timeout + jitter
+        self.set_timer(self._suspect_after, self._leader_check_tick)
         self.set_periodic_timer(self.config.catchup_period, self._catchup_tick)
 
     def crash(self) -> None:
@@ -288,6 +292,7 @@ class PaxosReplica(Actor):
         self._accepts.clear()
         self._forwards.clear()
         self._gaps.clear()
+        self._prepares.clear()
 
     def on_recover(self) -> None:
         """Rebuild volatile state after a crash (crash-recovery, §2.1).
@@ -562,15 +567,23 @@ class PaxosReplica(Actor):
             self._peer_max_decided = max(self._peer_max_decided, msg.max_decided)
 
     def _leader_check_tick(self) -> None:
+        """The failure detector's deadline, ``_suspect_after`` past the
+        last contact with the leader.  If no contact came since it was
+        armed, the leader is suspected and this replica claims the next
+        ballot it leads; otherwise the timer moves to the new deadline
+        (a leader re-arms one period ahead).  A poll of that period,
+        which this replaced, suspected up to twice as late."""
         if self.is_leader:
-            return
-        if self.now - self._last_leader_contact < self.config.leader_timeout:
-            return
-        # Leader silent: claim the next ballot this replica leads.
-        ballot = self.ballot + 1
-        while self.leader_of(ballot) != self.name:
-            ballot += 1
-        self._start_phase1(ballot)
+            deadline = self.now + self._suspect_after
+        else:
+            deadline = self._last_leader_contact + self._suspect_after
+            if self.now >= deadline - 1e-9:  # this instant, float rounding aside
+                ballot = self.ballot + 1
+                while self.leader_of(ballot) != self.name:
+                    ballot += 1
+                self._start_phase1(ballot)
+                deadline = self.now + self._suspect_after
+        self.set_timer(deadline - self.now, self._leader_check_tick)
 
     def _adopt_ballot(self, ballot: int) -> None:
         """Step down to follower state under a higher ballot."""
@@ -588,6 +601,7 @@ class PaxosReplica(Actor):
         acceptors' copy alone)."""
         self.phase1_done = False
         self._promises.clear()
+        self._prepares.clear()
         latest_first = sorted(self.proposals, reverse=True)
         self._requeue(*(self.proposals[instance][1] for instance in latest_first))
         self.proposals.clear()
@@ -649,6 +663,23 @@ class PaxosReplica(Actor):
         self._last_leader_contact = self.now
         for acceptor in self.acceptors:
             self.send(acceptor, Prepare(ballot, self.next_deliver))
+        # Never timed a Prepare: start from what it timed as a follower —
+        # submit to delivery holds the leader's acceptor round trip.
+        if self._forwards.srtt is not None:
+            self._prepares.seed(self._forwards.srtt)
+        self._prepares.arm(ballot)
+
+    def _resend_prepare(self, ballot: int) -> bool:
+        """A Prepare without a quorum of promises after its timeout (the
+        Prepare or a Promise was lost): send it again, at the same
+        ballot, to the acceptors that have not promised."""
+        if ballot != self.ballot or self.phase1_done:
+            return False
+        prepare = Prepare(ballot, self.next_deliver)
+        for acceptor in self.acceptors:
+            if acceptor not in self._promises:
+                self.send(acceptor, prepare)
+        return True
 
     def _on_promise(self, sender: str, msg: Promise) -> None:
         if msg.ballot != self.ballot or self.phase1_done:
@@ -659,6 +690,11 @@ class PaxosReplica(Actor):
         if len(self._promises) < self._quorum():
             return
         self.phase1_done = True
+        # The Prepare's round trip is the Accept's too: a new leader's
+        # first Accept need not wait the estimator's cap.
+        self._prepares.done(self.ballot)
+        if self._prepares.srtt is not None:
+            self._accepts.seed(self._prepares.srtt)
         self.tracer.record(
             "leader-elected", self.now,
             group=self.group, leader=self.name, ballot=self.ballot,

@@ -32,6 +32,7 @@ from repro.core.messages import (
     OracleQuery,
     Prophecy,
     ProphecyStatus,
+    ReplyQuery,
     ServerBusy,
 )
 from repro.core.oracle import choose_target
@@ -41,6 +42,7 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.actors import Actor
 from repro.sim.monitor import Monitor
 from repro.sim.randomness import stable_hash
+from repro.sim.rto import Retransmitter
 from repro.smr.command import Command, CommandKind, Reply, ReplyStatus
 from repro.smr.linearizability import History, Operation
 from repro.smr.statemachine import AppStateMachine
@@ -144,6 +146,12 @@ class DynaStarClient(Actor):
     tells the servers that every earlier one is done with.
     ``request_timeout=None`` (default) disables timeouts,
     preserving the reliable-network behaviour.
+
+    A timed client also repairs a lost reply without a new attempt: each
+    dispatched attempt is timed until its first reply (site ``reply`` of
+    :mod:`repro.sim.rto`, capped at ``request_timeout``), and on expiry
+    every replica of its partitions gets a ``ReplyQuery``; one whose
+    client table holds the command as executed sends its outcome again.
     """
 
     MAX_ATTEMPTS = 100
@@ -271,6 +279,14 @@ class DynaStarClient(Actor):
         #: uid -> message, for the current command: an attempt is sent once
         #: per ``Prophecy`` copy, and a uid sent again keeps its number.
         self._built: dict[str, MulticastMessage] = {}
+        #: Dispatched attempts awaiting their first reply, and the
+        #: partitions of the latest one (timed clients only).
+        self._replies = (
+            Retransmitter(self, self._query_reply, "reply", cap=request_timeout)
+            if request_timeout is not None
+            else None
+        )
+        self._involved: tuple = ()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -355,6 +371,8 @@ class DynaStarClient(Actor):
             self.tracer.event(
                 self._current.uid, "timeout", self.now, attempt=self._attempt
             )
+        if self._replies is not None:
+            self._replies.forget(self._attempt)  # no sample (Karn)
         self._attempt += 1
         if self._attempt >= self.max_attempts:
             self._give_up("timed out")
@@ -402,6 +420,8 @@ class DynaStarClient(Actor):
         ):
             return
         self._cancel_timeout()
+        if self._replies is not None:
+            self._replies.forget(self._attempt)
         self.busy_rejections += 1
         self.monitor.counter("admission", event="client_busy").inc()
         if self.tracer.enabled:
@@ -578,6 +598,9 @@ class DynaStarClient(Actor):
                 command, self.name, self._attempt, target, locations, self._seq
             )
         self._amcast(f"x:{command.uid}:a{self._attempt}", involved, payload)
+        if self._replies is not None:
+            self._involved = involved
+            self._replies.arm(self._attempt)
 
     # -- replies -----------------------------------------------------------------
 
@@ -619,10 +642,25 @@ class DynaStarClient(Actor):
             return
         self._dispatch(prophecy.locations, prophecy.target)
 
+    def _query_reply(self, attempt: int) -> bool:
+        """A dispatched attempt still unanswered after its timeout: its
+        replies may be lost while the command executed, so ask every
+        replica of its partitions for the outcome (``ReplyQuery``).  A
+        command that nobody executed waits for the full retry."""
+        command = self._current
+        if command is None or attempt != self._attempt:
+            return False
+        query = ReplyQuery(command.uid, self.name, self._seq, attempt)
+        for partition in self._involved:
+            self.send_all(self.directory.replicas_of(partition), query)
+        return True
+
     def _on_reply(self, reply: Reply) -> None:
         command = self._current
         if command is None or reply.uid != command.uid:
             return
+        if self._replies is not None:
+            self._replies.done(reply.attempt)
         if self.breaker is not None:
             # Any real server answer — OK, NOK, even a protocol RETRY —
             # means the partition is alive and admitting; close up.
@@ -664,6 +702,8 @@ class DynaStarClient(Actor):
 
     def _complete(self, status: ReplyStatus, result: Any) -> None:
         self._cancel_timeout()
+        if self._replies is not None:
+            self._replies.clear()
         if self._retry_timer is not None:
             # A late reply can land mid-backoff; the queued retry must
             # not fire against the *next* command's attempt counter.

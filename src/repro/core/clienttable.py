@@ -14,7 +14,8 @@ command ever executed, a partition server therefore keeps
   a-delivered command runs is thus a function of node state at a log
   position, and the replicas of a partition cannot disagree about it;
 * ``client -> (seq, status, result)``, that client's newest command only:
-  it feeds replies and nothing else;
+  it feeds replies — to a repeat, and to a client's ``ReplyQuery`` — and
+  nothing else;
 * ``node -> {idem_key: (status, result)}`` for commands with an explicit
   ``Command.idem_key``, whose resubmission under a fresh uid may come
   *after* a later command of the client: the one table here that grows
@@ -57,15 +58,20 @@ class ClientTable:
                     if outcome is not None:
                         return outcome
             return None
-        if top == seq and self.answered(client, seq):
-            return self._newest[client][1:]
-        return ()
+        return (self.outcome_of(client, seq) if top == seq else None) or ()
 
     def answered(self, client: str, seq: int) -> bool:
         """Whether ``seq`` is the newest command of ``client`` known
         executed (a retry of it is answered, not run)."""
         newest = self._newest.get(client)
         return newest is not None and newest[0] == seq
+
+    def outcome_of(self, client: str, seq: int) -> Optional[tuple]:
+        """``(status, result)`` of command ``seq`` of ``client`` if it is
+        that client's newest known executed, else None: the answer to a
+        ``ReplyQuery``, which a replica that has not executed ``seq`` (or
+        whose client has moved past it) ignores."""
+        return self._newest[client][1:] if self.answered(client, seq) else None
 
     def record(self, payload, nodes, status, result) -> None:
         """``payload`` executed (here, or — consuming its VarReturn — at

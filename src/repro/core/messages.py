@@ -218,6 +218,18 @@ class ServerBusy:
 
 
 @dataclass(frozen=True, slots=True)
+class ReplyQuery:
+    """Client -> every replica of an attempt's partitions: no reply came
+    in time.  A replica whose client table holds command ``seq`` as this
+    client's newest sends its outcome again; nothing is ordered or run."""
+
+    uid: str  # command uid
+    client: str
+    seq: int
+    attempt: int
+
+
+@dataclass(frozen=True, slots=True)
 class VarTransfer:
     """Source partition -> target partition: borrowed variables for a
     multi-partition command.

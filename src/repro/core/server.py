@@ -54,6 +54,7 @@ from repro.core.messages import (
     PlanTransfer,
     ReliableAck,
     ReliableMsg,
+    ReplyQuery,
     TransferFailed,
     VarReturn,
     VarTransfer,
@@ -439,6 +440,11 @@ class PartitionServer(MulticastReplica):
             self._on_transfer_failed(message)
         elif isinstance(message, PlanTransfer):
             self._on_plan_transfer(message)
+        elif isinstance(message, ReplyQuery):  # a lost reply: re-send, run nothing
+            outcome = self.clients.outcome_of(message.client, message.seq)
+            if outcome is not None:
+                reply = Reply(message.uid, *outcome, message.attempt, self.partition)
+                self.send(sender, reply)
         elif self.reads is not None:
             self.reads.on_message(message)  # read probes, feed requests
 
@@ -848,9 +854,7 @@ class PartitionServer(MulticastReplica):
             self.monitor.counter("multi_partition_commands").inc()
             exchanged = sum(len(t.vars) for t in received.values()) + returned_objects
             self.monitor.counter("objects_exchanged").inc(exchanged)
-            self._pseries("objects").record(
-                self.now, exchanged
-            )
+            self._pseries("objects").record(self.now, exchanged)
         return True
 
     def _global_as_source(self, payload: GlobalCommand, rec: _Attempt) -> bool:
@@ -878,9 +882,7 @@ class PartitionServer(MulticastReplica):
             )
             rec.sent = True
             if self._records_metrics:
-                self._pseries("objects").record(
-                    self.now, len(pairs)
-                )
+                self._pseries("objects").record(self.now, len(pairs))
 
         # Wait for our variables to come home (or an abort bounce, which
         # also arrives as a VarReturn).  Consumed here, at the command's
@@ -1073,9 +1075,7 @@ class PartitionServer(MulticastReplica):
                     nodes_out += 1
         if self._records_metrics:
             self.monitor.counter("plan_objects_moved").inc(moved_out_objects)
-            self._pseries("objects").record(
-                self.now, moved_out_objects
-            )
+            self._pseries("objects").record(self.now, moved_out_objects)
             if self.audit.enabled:
                 if nodes_out or nodes_in:
                     self.audit.record(

@@ -110,6 +110,12 @@ class Retransmitter:
         if item is not None:
             item[0].cancel()
 
+    def seed(self, sample: float) -> None:
+        """Take ``sample``, a round trip measured on another kind of item
+        of this actor, as the first measurement, unless there is one."""
+        if self.srtt is None:
+            self._observe(sample)
+
     def clear(self) -> None:
         """Stop timing everything (a crash, the end of a leadership)."""
         for event, _, _ in self._items.values():

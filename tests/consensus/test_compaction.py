@@ -126,6 +126,10 @@ class TestCheckpointAndTruncate:
         sim.run(until=5.0)
         for replica in group.replicas:
             assert replica.log_floor == replica.next_deliver == 17
+        # The step widens one heartbeat gap at the slow replica to 0.499 s,
+        # under ``leader_timeout``: slow is not read as a crash (DESIGN.md
+        # §5, leader suspicion; a 0.45 s step is, and changes the ballot).
+        assert [replica.ballot for replica in group.replicas] == [0, 0, 0]
 
     def test_no_checkpointing_when_interval_is_zero(self):
         """Interval 0: no checkpoint is taken and no snapshot is ever

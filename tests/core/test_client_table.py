@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.clienttable import ClientTable
-from repro.core.messages import ExecCommand, GlobalCommand, PartitionPlan
+from repro.core.messages import ExecCommand, GlobalCommand, PartitionPlan, ReplyQuery
 from repro.multicast.messages import MulticastMessage
 from repro.sim import ConstantLatency
 from repro.smr import Command, KeyValueApp
@@ -246,6 +246,72 @@ class TestReplicasDecideAlike:
         assert lagging.clients.capture() == ahead.clients.capture()
         assert values(system, "z") == [32, 32]
         assert sorted(r.uid for r in probe.replies) == ["probe:1"] * 2 + ["probe:2"] * 2
+        assert_clean(system)
+
+
+class TestReplyQuery:
+    """A timed client that heard no reply asks every replica of the
+    attempt's partitions (``ReplyQuery``).  Only a replica whose table
+    holds exactly ``(client, seq)`` as that client's newest executed
+    command answers, with the outcome it recorded; nothing is ordered or
+    executed, and everyone else stays silent."""
+
+    def ask(self, system, probe, partition, seq):
+        """Query every replica of ``partition`` about ``probe:seq``;
+        returns ``(replica, status, result)`` of each answer."""
+        since = len(probe.replies)
+        for server in system.servers(partition):
+            probe.send(server.name, ReplyQuery(f"probe:{seq}", "probe", seq, 7))
+        settle(system)
+        answered = probe.replies[since:]
+        assert all(r.uid == f"probe:{seq}" and r.attempt == 7 for r in answered)
+        return sorted((r.partition, r.status, r.result) for r in answered)
+
+    def test_only_the_newest_executed_command_is_answered(self):
+        system, probe = build()
+        adeliver(system, exec_of("probe", 1, "write", "x", 1), ("p0",))
+        adeliver(system, exec_of("probe", 2, "transfer", "x", "y", 5), ("p0",))
+        settle(system)
+        (_, status, result), _ = answers(probe)[-2:]
+        before, stores = executed(system), values(system, "x")
+        assert self.ask(system, probe, "p0", 3) == []  # not executed
+        assert self.ask(system, probe, "p0", 1) == []  # the client moved past it
+        assert self.ask(system, probe, "p0", 2) == [("p0", status, result)] * 2
+        assert executed(system) == before and values(system, "x") == stores
+        assert all(not s.queue and not s._attempts for s in system.servers("p0"))
+        assert_clean(system)
+
+    def test_a_lagging_replica_answers_nothing(self):
+        system, probe = build()
+        ahead, lagging = system.servers("p0")
+        first = exec_of("probe", 1, "write", "x", 1)
+        adeliver(system, first, ("p0",), replicas=(0,))
+        settle(system)
+        outcome = ("p0", ReplyStatus.OK, 10)  # a write returns the old value
+        assert self.ask(system, probe, "p0", 1) == [outcome]
+        assert self.ask(system, probe, "p0", 2) == []
+        assert ahead.executed_count == 1 and lagging.executed_count == 0
+        lagging.adeliver(MulticastMessage("late", ("p0",), first))
+        settle(system)
+        assert self.ask(system, probe, "p0", 1) == [outcome] * 2
+
+    def test_a_source_answers_with_the_targets_outcome(self):
+        """Multi-partition: the target recorded the outcome when it ran
+        the command, each source when it consumed the ``VarReturn``."""
+        system, probe = build()
+        adeliver(
+            system,
+            GlobalCommand(
+                Command("probe:1", "transfer", ("x", "z", 4)), "probe", 0, "p1",
+                (("x", "p0"), ("z", "p1")), seq=1,
+            ),
+            ("p0", "p1"),
+        )
+        settle(system)
+        (_, status, result), _ = answers(probe)
+        assert status == ReplyStatus.OK
+        assert self.ask(system, probe, "p0", 1) == [("p0", status, result)] * 2
+        assert self.ask(system, probe, "p1", 1) == [("p1", status, result)] * 2
         assert_clean(system)
 
 

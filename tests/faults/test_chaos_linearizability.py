@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.core.client import ScriptedWorkload
+from repro.core.messages import ReplyQuery
 from repro.faults import ChaosConfig, ChaosInjector, FaultSchedule, generate_for_system
 from repro.smr import Command, History
 
@@ -85,6 +86,10 @@ class TestLossyNetwork:
 
 
 def chaos_fingerprint(seed, chaos_seed):
+    """Run three scripted clients under a generated chaos schedule.
+    Returns the run's fingerprint and the system, whose clients share one
+    ``History``; ``queries_answered`` counts the ``ReplyQuery`` a replica
+    answered from its client table."""
     system = build_chaos_system(
         n_keys=8,
         n_partitions=2,
@@ -92,15 +97,25 @@ def chaos_fingerprint(seed, chaos_seed):
         loss_probability=0.02,
         client_timeout=0.25,
         client_timeout_cap=2.0,
+        # Spreads each client's eight commands over the faults; back to
+        # back, all of them finish in 60 ms, before the first fault.
+        client_think_time=1.0,
     )
     config = ChaosConfig(duration=8.0, start_after=0.5)
     schedule = generate_for_system(system, config, seed=chaos_seed)
     injector = ChaosInjector(system, schedule).arm()
+    history = History()
     clients = [
-        system.add_client(ScriptedWorkload(cmds)) for cmds in mixed_scripts()
+        system.add_client(ScriptedWorkload(cmds), history=history)
+        for cmds in mixed_scripts()
     ]
+    answered = []
+    for partition in system.partition_names:
+        for server in system.servers(partition):
+            server.on_app_message = count_answers(system, server.on_app_message, answered)
     system.run(until=120.0)
     return {
+        "queries_answered": len(answered),
         "applied": list(injector.applied),
         "results": [dict(c.results) for c in clients],
         "completed": [c.completed for c in clients],
@@ -112,6 +127,19 @@ def chaos_fingerprint(seed, chaos_seed):
             for p in system.partition_names
         },
     }, system
+
+
+def count_answers(system, handle, answered):
+    """``handle`` (a server's ``on_app_message``), noting in ``answered``
+    every ``ReplyQuery`` whose handling sent a message."""
+
+    def counting(sender, message):
+        sent = system.net.messages_sent
+        handle(sender, message)
+        if isinstance(message, ReplyQuery) and system.net.messages_sent > sent:
+            answered.append(message.uid)
+
+    return counting
 
 
 class TestChaosReplay:
@@ -133,11 +161,13 @@ class TestRandomizedChaos:
     def test_randomized_schedule_run_stays_consistent(self, chaos_seed):
         """A full randomized chaos run (crashes + recoveries, cuts,
         bursts, spikes) with client timeouts: every client finishes, no
-        variable is lost, surviving replicas agree."""
+        variable is lost, surviving replicas agree, and the history —
+        replies served from a client table included — is linearizable."""
         fingerprint, system = chaos_fingerprint(seed=9, chaos_seed=chaos_seed)
         assert sum(fingerprint["completed"]) > 0
+        assert fingerprint["queries_answered"] >= 1
         assert all(not r.crashed for p in system.partition_names for r in system.servers(p))
-        assert_clean(system)
+        assert_clean(system, system.clients[0].history)
         merged = system.all_store_variables()
         assert set(merged) == {f"k{i}" for i in range(8)}
 
