@@ -23,6 +23,7 @@ import random
 from repro.compartment import CompartmentConfig
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import ScriptedWorkload
+from repro.elastic import ElasticConfig
 from repro.experiments.harness import check_run, export_run_artifacts
 from repro.sim import ConstantLatency
 from repro.smr import Command, History, KeyValueApp
@@ -52,11 +53,10 @@ def run_elastic(args) -> None:
             latency=ConstantLatency(0.001),
             repartition_enabled=False,
             elastic_enabled=True,
-            elastic_split_factor=1.5,
-            elastic_eval_interval=100,
-            elastic_cooldown=200,
-            max_partitions=4,
-            min_partitions=2,
+            elastic=ElasticConfig(
+                split_factor=1.5, eval_interval=100, cooldown=200,
+                max_partitions=4, min_partitions=2,
+            ),
             hint_period=0.25,
             idempotency_keys=True,
             tracing=args.trace is not None or args.obs is not None,

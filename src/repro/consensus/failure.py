@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.sim.events import Simulator
 from repro.consensus.group import PaxosGroup
 
@@ -17,13 +15,6 @@ def crash_leader_at(sim: Simulator, group: PaxosGroup, time: float) -> None:
             leader.crash()
 
     sim.schedule_at(time, do_crash)
-
-
-def crash_replica_at(
-    sim: Simulator, group: PaxosGroup, index: int, time: float
-) -> None:
-    """Crash replica ``index`` of ``group`` at virtual time ``time``."""
-    sim.schedule_at(time, group.replicas[index].crash)
 
 
 def crash_acceptor_at(
@@ -40,46 +31,3 @@ def crash_minority_acceptors_at(
     minority = (len(group.acceptors) - 1) // 2
     for index in range(minority):
         crash_acceptor_at(sim, group, index, time)
-
-
-def recover_replica_at(
-    sim: Simulator, group: PaxosGroup, index: int, time: float
-) -> None:
-    """Recover replica ``index`` of ``group`` at virtual time ``time``."""
-    sim.schedule_at(time, group.replicas[index].recover)
-
-
-def recover_acceptor_at(
-    sim: Simulator, group: PaxosGroup, index: int, time: float
-) -> None:
-    """Recover acceptor ``index`` of ``group`` at virtual time ``time``."""
-    sim.schedule_at(time, group.acceptors[index].recover)
-
-
-def crash_leader_then_recover(
-    sim: Simulator, group: PaxosGroup, at: float, recover_at: float
-) -> None:
-    """Crash the current leader at ``at`` and recover that same replica at
-    ``recover_at`` (whichever replica happens to lead when the crash fires)."""
-    if recover_at <= at:
-        raise ValueError("recover_at must be after the crash time")
-    crashed: list = []
-
-    def do_crash() -> None:
-        leader = group.leader
-        if leader is not None:
-            leader.crash()
-            crashed.append(leader)
-
-    def do_recover() -> None:
-        for replica in crashed:
-            replica.recover()
-
-    sim.schedule_at(at, do_crash)
-    sim.schedule_at(recover_at, do_recover)
-
-
-def schedule_crashes(sim: Simulator, crashes: Iterable[tuple[float, object]]) -> None:
-    """Schedule ``actor.crash()`` for each (time, actor) pair."""
-    for time, actor in crashes:
-        sim.schedule_at(time, actor.crash)

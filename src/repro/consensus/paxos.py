@@ -24,7 +24,8 @@ from repro.recovery.checkpoint import (
     assemble_sections,
     flatten_sections,
 )
-from repro.recovery.transfer import AdaptiveChunker, SnapshotFetch
+from repro.recovery import transfer
+from repro.recovery.transfer import SnapshotFetch
 from repro.sim.actors import Actor
 from repro.sim.rto import Retransmitter
 from repro.consensus.rangeset import RangeSet
@@ -57,6 +58,12 @@ class Batch:
     values: tuple
 
 
+#: A peer whose last frontier report is older than this stops holding
+#: the log above this replica's newest checkpoint (it comes back through
+#: a snapshot).  Without checkpoints it holds the log forever.
+WATERMARK_TTL = 2.0
+
+
 @dataclass
 class ReplicaConfig:
     """Tuning knobs for a Paxos replica."""
@@ -76,39 +83,23 @@ class ReplicaConfig:
     #: with them snapshot transfer; the logs are bounded either way — see
     #: :meth:`PaxosReplica._stable_floor`).
     checkpoint_interval: int = 0
-    #: A peer whose last frontier report is older than this stops holding
-    #: the log above this replica's newest checkpoint (it comes back
-    #: through a snapshot).  Without checkpoints it holds the log forever.
-    watermark_ttl: float = 2.0
-    #: Snapshot transfer: per-request retransmission timeout, consecutive
-    #: timeouts before the provider is presumed dead, and chunk sizing.
-    snapshot_retry: float = 0.3
-    snapshot_giveup: int = 4
-    snapshot_chunk_init: int = 8
-    snapshot_chunk_max: int = 128
 
     def __post_init__(self) -> None:
-        # The pipelining/batching knobs are load-bearing for liveness: a
-        # zero or negative window/batch silently wedges `_flush_pending`
-        # instead of failing loudly at configuration time.
-        if not isinstance(self.window, int) or isinstance(self.window, bool) or self.window < 1:
-            raise ValueError(f"window must be a positive int, got {self.window!r}")
-        if (
-            not isinstance(self.max_batch, int)
-            or isinstance(self.max_batch, bool)
-            or self.max_batch < 1
+        # Load-bearing for liveness: a zero or negative window/batch
+        # silently wedges `_flush_pending`, and a zero period re-arms its
+        # timer at the same instant forever, instead of failing loudly
+        # at configuration time.
+        for name in ("window", "max_batch"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
+        for name in (
+            "batch_delay", "heartbeat_period", "leader_timeout",
+            "catchup_period", "recovery_retry", "recovery_retry_cap",
         ):
-            raise ValueError(
-                f"max_batch must be a positive int, got {self.max_batch!r}"
-            )
-        if (
-            isinstance(self.batch_delay, bool)
-            or not isinstance(self.batch_delay, (int, float))
-            or self.batch_delay <= 0
-        ):
-            raise ValueError(
-                f"batch_delay must be positive, got {self.batch_delay!r}"
-            )
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 class Acceptor(Actor):
@@ -894,12 +885,12 @@ class PaxosReplica(Actor):
         instances below the minimum of the reported frontiers, so nobody
         will ask for them again.  A reported frontier is a lower bound
         (``next_deliver`` survives a crash and never goes back), so a
-        silent peer holds the floor where it stood; past ``watermark_ttl``
+        silent peer holds the floor where it stood; past ``WATERMARK_TTL``
         no higher than this replica's newest checkpoint, through which
         it then comes back.  Without checkpoints that watermark is 0 and
         a silent peer pins the log, like a crashed replica always did."""
         floor = self.next_deliver
-        horizon = self.now - self.config.watermark_ttl
+        horizon = self.now - WATERMARK_TTL
         for frontier, heard_at in self._peer_frontiers.values():
             if heard_at < horizon:
                 frontier = max(frontier, self.checkpoint_watermark)
@@ -965,13 +956,7 @@ class PaxosReplica(Actor):
         with a usable watermark."""
         self._snapshot_epoch += 1
         self._gaps.clear()  # the snapshot closes them
-        self._fetching = SnapshotFetch(
-            epoch=self._snapshot_epoch,
-            chunker=AdaptiveChunker(
-                initial=self.config.snapshot_chunk_init,
-                max_count=self.config.snapshot_chunk_max,
-            ),
-        )
+        self._fetching = SnapshotFetch(epoch=self._snapshot_epoch)
         self.tracer.begin(
             self.snapshot_trace_id, "snapshot-transfer", self.now,
             group=self.group, replica=self.name, behind=min_watermark,
@@ -985,7 +970,7 @@ class PaxosReplica(Actor):
         epoch = fetch.epoch
         offset = fetch.offset
         self.set_timer(
-            self.config.snapshot_retry,
+            transfer.SNAPSHOT_RETRY,
             lambda: self._snapshot_retry_tick(epoch, offset),
         )
 
@@ -1001,7 +986,7 @@ class PaxosReplica(Actor):
             self.send_all(self.peers, SnapshotRequest(epoch))
             self._arm_snapshot_timer(fetch)
             return
-        if fetch.timeouts >= self.config.snapshot_giveup:
+        if fetch.timeouts >= transfer.SNAPSHOT_GIVEUP:
             # Provider presumed crashed mid-transfer: abandon the download
             # and re-discover from scratch under a new epoch.
             self.tracer.event_on(

@@ -35,10 +35,12 @@ from typing import Callable, Optional
 
 from repro.core.messages import ServerBusy
 
-#: Expiry for admission slots whose answer never materialized, and the
-#: burst capacity of a client's rate limiter: fixed here, beside their
-#: consumers — no deployment ever set either.
+#: Expiry for admission slots whose answer never materialized, the
+#: Retry-After hint every ``ServerBusy`` carries, and the burst capacity
+#: of a client's rate limiter: fixed here, beside their consumers — no
+#: deployment ever set more than one value of any of them.
 ADMISSION_TTL = 30.0
+ADMISSION_RETRY_AFTER = 0.05
 CLIENT_RATE_BURST = 4.0
 
 #: Admission outcomes (:meth:`AdmissionController.offer`).
@@ -78,19 +80,12 @@ class IngressGate:
         settled: Callable[[object], bool],
         priority: Callable[[object], bool],
         bound: Optional[int] = None,
-        headroom: Optional[int] = None,
-        retry_after: float = 0.05,
     ):
         self.actor = actor
         self.gated = gated
         self.settled = settled
         self.priority = priority
-        self.retry_after = retry_after
-        self.controller = (
-            AdmissionController(bound, headroom, retry_after)
-            if bound is not None
-            else None
-        )
+        self.controller = AdmissionController(bound) if bound is not None else None
 
     def admit(self, sender: Optional[str], msg, retiring: bool = False) -> bool:
         """Whether ``sender``'s submission of multicast message ``msg``
@@ -166,7 +161,7 @@ class IngressGate:
                 uid=uid,
                 attempt=payload.attempt,
                 partition=actor.group,
-                retry_after=self.retry_after,
+                retry_after=ADMISSION_RETRY_AFTER,
                 reason=reason,
             ),
         )
@@ -189,7 +184,7 @@ class AdmissionController:
         self,
         bound: int,
         headroom: Optional[int] = None,
-        retry_after: float = 0.05,
+        retry_after: float = ADMISSION_RETRY_AFTER,
         ttl: float = ADMISSION_TTL,
     ):
         if not isinstance(bound, int) or bound < 1:

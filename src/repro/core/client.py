@@ -47,6 +47,10 @@ from repro.smr.command import Command, CommandKind, Reply, ReplyStatus
 from repro.smr.linearizability import History, Operation
 from repro.smr.statemachine import AppStateMachine
 
+#: How long a tripped circuit breaker stays open before its first probe
+#: (doubling on a failed probe): the one value any deployment used.
+CLIENT_BREAKER_COOLDOWN = 0.5
+
 
 class Outcomes(Mapping):
     """uid -> ``(status, result)`` of every command a client finished.
@@ -176,9 +180,7 @@ class DynaStarClient(Actor):
         retry_jitter: float = 0.0,
         rate_limit: Optional[float] = None,
         retry_budget: Optional[float] = None,
-        retry_budget_ratio: float = 0.2,
         breaker_threshold: Optional[int] = None,
-        breaker_cooldown: float = 1.0,
         think_time: Optional[float] = None,
         idempotency_keys: bool = False,
         learners_of=None,
@@ -226,12 +228,12 @@ class DynaStarClient(Actor):
             else None
         )
         self.retry_budget = (
-            RetryBudget(retry_budget, retry_budget_ratio)
+            RetryBudget(retry_budget)
             if retry_budget is not None
             else None
         )
         self.breaker = (
-            CircuitBreaker(breaker_threshold, breaker_cooldown, rng=self.rng)
+            CircuitBreaker(breaker_threshold, CLIENT_BREAKER_COOLDOWN, rng=self.rng)
             if breaker_threshold is not None
             else None
         )

@@ -115,8 +115,6 @@ class OracleReplica(MulticastReplica):
         target_policy: str = "most_nodes",
         graph_decay: float = 0.5,
         admission_bound: Optional[int] = None,
-        admission_headroom: Optional[int] = None,
-        admission_retry_after: float = 0.05,
         audit: Optional[AuditLog] = None,
         elastic: Optional[ElasticConfig] = None,
         on_provision=None,
@@ -156,8 +154,6 @@ class OracleReplica(MulticastReplica):
             or query.command.uid in self._done_deletes,
             lambda query: query.command.kind != CommandKind.ACCESS,
             admission_bound,
-            admission_headroom,
-            admission_retry_after,
         )
         self.admission = self.ingress.controller
 

@@ -132,8 +132,6 @@ class PartitionServer(MulticastReplica):
         lanes: int = 1,
         retransmit_period: float = 0.5,
         admission_bound: Optional[int] = None,
-        admission_headroom: Optional[int] = None,
-        admission_retry_after: float = 0.05,
         audit: Optional[AuditLog] = None,
         compartment: Optional[CompartmentConfig] = None,
         learner_names: tuple = (),
@@ -180,8 +178,6 @@ class PartitionServer(MulticastReplica):
             self._past_refusing,
             lambda payload: isinstance(payload, GlobalCommand),
             admission_bound,
-            admission_headroom,
-            admission_retry_after,
         )
         #: Its admission controller (queue-based load leveling); None
         #: disables it.  Volatile by design — not checkpointed; the TTL

@@ -90,23 +90,15 @@ class SystemConfig:
     #: admitted-but-unanswered commands, replying ``ServerBusy`` instead
     #: of queueing without limit.
     admission_bound: Optional[int] = None
-    #: Extra slots reserved for multi-partition commands on top of
-    #: ``admission_bound`` (None = bound // 4): singles shed first.
-    admission_headroom: Optional[int] = None
-    #: Retry-After hint carried on every ``ServerBusy``.
-    admission_retry_after: float = 0.05
     #: Oracle-side admission bound (None disables).
     oracle_admission_bound: Optional[int] = None
     #: Client token-bucket rate limit in commands/second (None disables).
     client_rate_limit: Optional[float] = None
-    #: Client retry budget: initial balance (None disables) and the
-    #: fraction of fresh commands earned back as retry tokens.
+    #: Client retry budget: initial balance (None disables).
     client_retry_budget: Optional[float] = None
-    client_retry_budget_ratio: float = 0.2
     #: Client circuit breaker: consecutive busy/timeout signals before
-    #: tripping (None disables) and cooldown before half-opening.
+    #: tripping (None disables).
     client_breaker_threshold: Optional[int] = None
-    client_breaker_cooldown: float = 1.0
     #: Mean think time between a client's commands (None = back-to-back
     #: closed loop).  The ``overload_burst`` fault divides it.
     client_think_time: Optional[float] = None
@@ -143,12 +135,8 @@ class SystemConfig:
     #: only).  Off by default — the fixed-partition behaviour (and its
     #: seeded traces) is unchanged.
     elastic_enabled: bool = False
-    elastic_split_factor: float = 1.6
-    elastic_merge_factor: float = 0.25
-    elastic_eval_interval: int = 400
-    elastic_cooldown: int = 1200
-    max_partitions: int = 8
-    min_partitions: int = 1
+    #: The split/merge policy ``elastic_enabled`` switches on.
+    elastic: ElasticConfig = field(default_factory=ElasticConfig)
     #: Stamp client commands with idempotency keys so give-up-and-resubmit
     #: retries (fresh uid) are still recognised by the servers.
     idempotency_keys: bool = False
@@ -180,6 +168,8 @@ class DynaStarSystem:
             raise ValueError(f"unknown mode {cfg.mode!r}")
         if cfg.execution_lanes < 1:
             raise ValueError("execution_lanes must be >= 1")
+        if cfg.hint_period <= 0:
+            raise ValueError(f"hint_period must be positive, got {cfg.hint_period!r}")
         if cfg.compartment.enabled and cfg.elastic_enabled:
             # Mid-run provisioned groups would need their own stage
             # actors; that wiring does not exist yet, so fail loudly
@@ -235,22 +225,9 @@ class DynaStarSystem:
                 self._attach_compartment_stages(name)
             self.directory.submit_router = self._route_submit
 
-        self._elastic_config: Optional[ElasticConfig] = (
-            ElasticConfig(
-                split_factor=cfg.elastic_split_factor,
-                merge_factor=cfg.elastic_merge_factor,
-                eval_interval=cfg.elastic_eval_interval,
-                cooldown=cfg.elastic_cooldown,
-                max_partitions=cfg.max_partitions,
-                min_partitions=cfg.min_partitions,
-            )
-            if cfg.elastic_enabled and cfg.mode == "dynastar"
-            else None
-        )
+        elastic = cfg.elastic if cfg.elastic_enabled and cfg.mode == "dynastar" else None
         self.elastic: Optional[ElasticityController] = (
-            ElasticityController(self)
-            if self._elastic_config is not None
-            else None
+            ElasticityController(self) if elastic is not None else None
         )
 
         def oracle_factory(**kwargs):
@@ -270,9 +247,7 @@ class DynaStarSystem:
                 target_policy=cfg.target_policy,
                 graph_decay=cfg.graph_decay,
                 admission_bound=cfg.oracle_admission_bound,
-                admission_headroom=cfg.admission_headroom,
-                admission_retry_after=cfg.admission_retry_after,
-                elastic=self._elastic_config,
+                elastic=elastic,
                 on_provision=(
                     self.elastic.provision if self.elastic is not None else None
                 ),
@@ -379,8 +354,6 @@ class DynaStarSystem:
                 lanes=cfg.execution_lanes,
                 retransmit_period=cfg.retransmit_period,
                 admission_bound=cfg.admission_bound,
-                admission_headroom=cfg.admission_headroom,
-                admission_retry_after=cfg.admission_retry_after,
                 compartment=cfg.compartment if cfg.compartment.enabled else None,
                 learner_names=self._learner_names_of(kwargs["group"]),
                 **kwargs,
@@ -475,9 +448,7 @@ class DynaStarSystem:
             retry_jitter=cfg.client_retry_jitter,
             rate_limit=cfg.client_rate_limit,
             retry_budget=cfg.client_retry_budget,
-            retry_budget_ratio=cfg.client_retry_budget_ratio,
             breaker_threshold=cfg.client_breaker_threshold,
-            breaker_cooldown=cfg.client_breaker_cooldown,
             think_time=cfg.client_think_time,
             idempotency_keys=cfg.idempotency_keys,
             learners_of=(

@@ -16,6 +16,9 @@ from typing import Any, Mapping, Optional
 
 from repro.partitioning import WorkloadGraph, partition_graph
 
+#: Never split a partition holding fewer graph nodes than this.
+MIN_SPLIT_NODES = 4
+
 
 @dataclass(frozen=True)
 class ElasticConfig:
@@ -43,8 +46,6 @@ class ElasticConfig:
     #: Topology bounds.
     max_partitions: int = 8
     min_partitions: int = 1
-    #: Never split a partition holding fewer graph nodes than this.
-    min_split_nodes: int = 4
 
     def __post_init__(self):
         if self.split_factor <= 1.0:
@@ -57,8 +58,6 @@ class ElasticConfig:
             raise ValueError("eval_interval must be >= 1, cooldown >= 0")
         if self.min_partitions < 1 or self.max_partitions < self.min_partitions:
             raise ValueError("need 1 <= min_partitions <= max_partitions")
-        if self.min_split_nodes < 2:
-            raise ValueError("min_split_nodes must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def decide_reconfig(
         )
         if (
             weight > config.split_factor * fair
-            and node_counts.get(name, 0) >= config.min_split_nodes
+            and node_counts.get(name, 0) >= MIN_SPLIT_NODES
         ):
             return ElasticDecision("split", source=name)
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from repro.core import DynaStarSystem, SystemConfig
 from repro.core.client import Workload
+from repro.elastic import ElasticConfig
 from repro.faults import FaultSchedule
 from repro.faults.injector import ChaosInjector
 from repro.obs import audit as audit_mod
@@ -104,14 +105,12 @@ class ElasticScenario:
     service_time: float = 0.001
     think_time: float = 0.02
     hint_period: float = 0.25
-    #: Elastic policy knobs — scaled to the run length so the split
-    #: fires within phase 1 and the merge within phase 2.
-    eval_interval: int = 150
-    cooldown: int = 300
-    split_factor: float = 1.5
-    merge_factor: float = 0.25
-    max_partitions: int = 4
-    min_partitions: int = 2
+    #: Elastic policy — scaled to the run length so the split fires
+    #: within phase 1 and the merge within phase 2.
+    policy: ElasticConfig = ElasticConfig(
+        split_factor=1.5, merge_factor=0.25, eval_interval=150, cooldown=300,
+        max_partitions=4, min_partitions=2,
+    )
     elastic: bool = True
     idempotency_keys: bool = True
     chaos: bool = False
@@ -140,12 +139,7 @@ class ElasticScenario:
                 # in the exported artifacts (pure observer: trace-neutral).
                 health_sample_period=0.5,
                 elastic_enabled=self.elastic,
-                elastic_split_factor=self.split_factor,
-                elastic_merge_factor=self.merge_factor,
-                elastic_eval_interval=self.eval_interval,
-                elastic_cooldown=self.cooldown,
-                max_partitions=self.max_partitions,
-                min_partitions=self.min_partitions,
+                elastic=self.policy,
                 idempotency_keys=self.idempotency_keys,
                 tracing=self.tracing,
             ),

@@ -105,7 +105,6 @@ class FlashCrowdConfig:
                 oracle_admission_bound=self.admission_bound,
                 client_retry_budget=self.retry_budget,
                 client_breaker_threshold=self.breaker_threshold,
-                client_breaker_cooldown=0.5,
                 client_rate_limit=self.rate_limit,
                 client_think_time=self.think_time,
                 tracing=self.tracing,

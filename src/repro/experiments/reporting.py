@@ -53,45 +53,6 @@ def render_series(series: list[tuple], label: str, unit: str = "", width: int = 
     return f"{label:<28} peak={peak:>9.1f}{unit}  {bars}"
 
 
-def render_latency_breakdown(breakdown: dict, slowest: int = 3) -> str:
-    """Render a ``repro.obs.analyze.stage_breakdown`` dict (as carried on
-    :attr:`RunResult.stage_breakdown` for traced runs) — critical-path
-    attribution first, since those shares sum to the end-to-end latency."""
-    if not breakdown or not breakdown.get("traces"):
-        return "latency breakdown: (no completed traces)"
-    e2e = breakdown["end_to_end"]
-    ms = 1e3
-    lines = [
-        f"latency breakdown over {breakdown['traces']} traces "
-        f"(end-to-end mean={e2e['mean'] * ms:.2f} ms  "
-        f"p50={e2e['p50'] * ms:.2f}  p95={e2e['p95'] * ms:.2f}  "
-        f"p99={e2e['p99'] * ms:.2f})",
-        render_table(
-            [
-                {**row, "mean": row["mean"] * ms, "p50": row["p50"] * ms,
-                 "p95": row["p95"] * ms, "total": row["total"] * ms}
-                for row in breakdown["critical"]
-            ],
-            [
-                ("stage", "stage", 0),
-                ("count", "traces", 0),
-                ("mean", "mean ms", 3),
-                ("p50", "p50 ms", 3),
-                ("p95", "p95 ms", 3),
-                ("total", "total ms", 1),
-            ],
-            title="critical-path attribution (shares sum to end-to-end)",
-        ),
-    ]
-    for row in breakdown["slowest"][:slowest]:
-        worst = max(row["critical"], key=row["critical"].get, default="?")
-        lines.append(
-            f"  slow trace {row['trace']}: {row['latency'] * ms:.2f} ms, "
-            f"mostly {worst}"
-        )
-    return "\n".join(lines)
-
-
 def render_fig2(result: dict) -> str:
     lines = [
         "Figure 2 — repartitioning impact (TPC-C, random initial placement)",

@@ -9,12 +9,26 @@ congested links fall back to small chunks (fast retransmission, little
 wasted work per loss).  The adjustment is multiplicative with a
 smoothing clamp (at most doubling or halving per step) so one outlier
 RTT cannot whipsaw the transfer.
+
+The simulated network delays a message by its link's latency alone
+(``Network.send``'s ``size`` is only counted), so here a chunk's round
+trip does not depend on its size: on a LAN every round trip is under
+``target_rtt`` and doubles the chunk, up to ``SNAPSHOT_CHUNK_MAX``, and
+only a timeout (:meth:`AdaptiveChunker.shrink`) halves it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Optional
+
+#: A recovering replica's snapshot fetch: per-request retransmission
+#: timeout (virtual seconds), consecutive timeouts before the provider
+#: is presumed dead, and the first and largest chunk (in items).
+SNAPSHOT_RETRY = 0.3
+SNAPSHOT_GIVEUP = 4
+SNAPSHOT_CHUNK_INIT = 8
+SNAPSHOT_CHUNK_MAX = 128
 
 
 class AdaptiveChunker:
@@ -28,9 +42,9 @@ class AdaptiveChunker:
 
     def __init__(
         self,
-        initial: int = 8,
+        initial: int = SNAPSHOT_CHUNK_INIT,
         min_count: int = 1,
-        max_count: int = 128,
+        max_count: int = SNAPSHOT_CHUNK_MAX,
         target_rtt: float = 0.05,
     ):
         if not min_count <= initial <= max_count:
@@ -68,7 +82,11 @@ class SnapshotFetch:
     """
 
     epoch: int
-    chunker: AdaptiveChunker
+    chunker: AdaptiveChunker = field(
+        default_factory=lambda: AdaptiveChunker(
+            SNAPSHOT_CHUNK_INIT, max_count=SNAPSHOT_CHUNK_MAX
+        )
+    )
     provider: Optional[str] = None
     snapshot_id: str = ""
     watermark: int = -1

@@ -134,9 +134,6 @@ class Network:
     def actor(self, name: str) -> Actor:
         return self._actors[name]
 
-    def has_actor(self, name: str) -> bool:
-        return name in self._actors
-
     @property
     def actor_names(self) -> list[str]:
         return list(self._actors)

@@ -306,16 +306,6 @@ class AppStateMachine:
         """
         return frozenset()
 
-    def write_variables_of(self, command: Command) -> frozenset:
-        """``variables_of`` minus the declared read-only entries.
-
-        An entry that a command both reads and writes must stay out of
-        ``read_variables_of`` (writes win — conservative).
-        """
-        return frozenset(self.variables_of(command)) - frozenset(
-            self.read_variables_of(command)
-        )
-
     def conflict_free_variables_of(self, command: Command) -> frozenset:
         """Entries of ``variables_of`` to exclude from the conflict
         footprint entirely (P-SMR-style declared conflict relations).

@@ -73,9 +73,6 @@ class SocialGraph:
     def in_degree(self, user: int) -> int:
         return len(self.followers[user])
 
-    def max_in_degree(self) -> int:
-        return max((len(f) for f in self.followers.values()), default=0)
-
     def users_by_popularity(self) -> list[int]:
         """Users sorted most-followed first (rank 1 = top celebrity)."""
         return sorted(self.followers, key=lambda u: -len(self.followers[u]))

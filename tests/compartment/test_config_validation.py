@@ -1,14 +1,17 @@
 """Field validation for the liveness-critical configuration knobs.
 
-A zero window or batch size silently wedges the Paxos pending queue,
-and a non-positive lease duration makes every lease dead on arrival —
-both must fail loudly at construction time, not hang at runtime.
+A zero window or batch size silently wedges the Paxos pending queue, a
+zero timer period re-arms its timer at the same instant forever, and a
+non-positive lease duration makes every lease dead on arrival — all
+must fail loudly at construction time, not hang at runtime.
 """
 
 import pytest
 
 from repro.compartment import CompartmentConfig
 from repro.consensus.paxos import ReplicaConfig
+from repro.core import DynaStarSystem, SystemConfig
+from repro.smr import KeyValueApp
 
 
 class TestReplicaConfigValidation:
@@ -26,6 +29,28 @@ class TestReplicaConfigValidation:
     def test_bad_batch_delay_rejected(self, value):
         with pytest.raises(ValueError, match="batch_delay must be positive"):
             ReplicaConfig(batch_delay=value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.1])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "heartbeat_period",
+            "catchup_period",
+            "leader_timeout",
+            "recovery_retry",
+            "recovery_retry_cap",
+            "hint_period",
+        ],
+    )
+    def test_non_positive_period_rejected(self, field, value):
+        # At 0 the run never leaves the instant it was armed at, or (the
+        # recovery retry) doubles a zero delay until 2 ** attempts
+        # overflows.  Only constructed, never run.
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            if field == "hint_period":
+                DynaStarSystem(KeyValueApp({}), SystemConfig(hint_period=value))
+            else:
+                ReplicaConfig(**{field: value})
 
     def test_error_message_names_offending_value(self):
         with pytest.raises(ValueError, match=r"got 0"):

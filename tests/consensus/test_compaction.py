@@ -7,13 +7,13 @@ its delivery frontier once per heartbeat period, the minimum is the floor,
 replicas drop ``decided`` below it and acceptors ``accepted`` below the
 floor the leader's next Accept (or, idle, its heartbeat) carries.
 ``checkpoint_interval`` only decides whether a replica that was silent
-past ``watermark_ttl`` may be cut off and sent to a snapshot.
+past ``WATERMARK_TTL`` may be cut off and sent to a snapshot.
 """
 
 import random
 from dataclasses import dataclass
 
-from repro.consensus import GroupConfig, PaxosGroup
+from repro.consensus import GroupConfig, PaxosGroup, paxos
 from repro.consensus.messages import (
     Accept,
     LogTruncated,
@@ -186,7 +186,7 @@ class TestSnapshotRecoveryBare:
         submit_all(group, [Cmd(f"c{i}") for i in range(20)])
         survivor = group.replicas[0]
         sim.run(until=1.0)
-        # Silent, but not yet for watermark_ttl: the victim holds the floor.
+        # Silent, but not yet for WATERMARK_TTL: the victim holds the floor.
         assert survivor.next_deliver == 20 and survivor.log_floor == 0
         sim.run(until=2.5)
         # Past the TTL the group truncated to its checkpoint, beyond the
@@ -352,8 +352,9 @@ class TestBoundedWithoutCheckpoints:
 class TestSilentPeerWithCheckpoints:
     """(d) ``checkpoint_interval > 0``: slow is not silent."""
 
-    def test_slow_but_reporting_peer_is_never_cut_off(self):
-        cfg = ReplicaConfig(checkpoint_interval=4, max_batch=1, watermark_ttl=0.2)
+    def test_slow_but_reporting_peer_is_never_cut_off(self, monkeypatch):
+        monkeypatch.setattr(paxos, "WATERMARK_TTL", 0.2)
+        cfg = ReplicaConfig(checkpoint_interval=4, max_batch=1)
         sim, net, group = make_group(replica_config=cfg)
         leader, slow = group.replicas
         seen = sent_messages(net)
@@ -373,8 +374,11 @@ class TestSilentPeerWithCheckpoints:
         assert not any(isinstance(m, LogTruncated) for _, _, m in seen)
         assert group.delivered_log(0) == group.delivered_log(1)
 
-    def test_silent_peer_is_cut_off_after_the_ttl_and_returns_by_snapshot(self):
-        cfg = ReplicaConfig(checkpoint_interval=4, max_batch=1, watermark_ttl=0.5)
+    def test_silent_peer_is_cut_off_after_the_ttl_and_returns_by_snapshot(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(paxos, "WATERMARK_TTL", 0.5)
+        cfg = ReplicaConfig(checkpoint_interval=4, max_batch=1)
         sim, net, group = make_group(replica_config=cfg)
         leader, victim = group.replicas
         sim.schedule_at(0.25, victim.crash)

@@ -67,8 +67,7 @@ class TestOneConstructionPath:
             SystemConfig(
                 n_partitions=2,
                 retransmit_period=0,
-                admission_bound=8,
-                admission_headroom=3,
+                admission_bound=12,
                 service_time=0.002,
                 execution_lanes=2,
             ),
@@ -77,7 +76,7 @@ class TestOneConstructionPath:
             for server in system.servers(partition):
                 assert type(server) is server_class
                 assert not server.reliable.enabled
-                assert server.admission.bound == 8
+                assert server.admission.bound == 12
                 assert server.admission.headroom == 3
                 assert server.service_time == 0.002 and server.lanes == 2
                 assert not server.sends_hints

@@ -5,7 +5,8 @@ real simulated deployment.
 
 import pytest
 
-from repro.core import DynaStarSystem, SystemConfig
+from repro.core import DynaStarSystem, SystemConfig, admission
+from repro.core import client as client_mod
 from repro.core.client import ScriptedWorkload, Workload
 from repro.sim import ConstantLatency
 from repro.smr import Command, KeyValueApp
@@ -73,13 +74,10 @@ class TestGiveUp:
         assert system.monitor.labeled_counters("client")["gave_up"] == 2
 
     def test_retry_budget_exhaustion_gives_up_early(self):
-        # Budget of 1: the first command spends the only retry token and
-        # gives up on the second timeout, well before max_attempts.
-        system = overload_system(
-            client_timeout=0.1,
-            client_retry_budget=1.0,
-            client_retry_budget_ratio=0.0,
-        )
+        # Budget of 1: the first command spends the only retry token
+        # (its own deposit is a fifth of one) and gives up on the second
+        # timeout, well before max_attempts.
+        system = overload_system(client_timeout=0.1, client_retry_budget=1.0)
         workload = RecordingWorkload([Command("b:0", "read", ("k0",))])
         client = system.add_client(workload, max_attempts=50)
         system.start()
@@ -92,15 +90,17 @@ class TestGiveUp:
 
 
 class TestBackpressure:
+    @pytest.fixture(autouse=True)
+    def fast_busy_retry(self, monkeypatch):
+        monkeypatch.setattr(admission, "ADMISSION_RETRY_AFTER", 0.01)
+
     def build_saturated(self, n_clients=4, **extra):
-        # bound=1 with no headroom on busy partitions: concurrent
+        # bound=1 on busy partitions: concurrent single-partition
         # clients are refused with ServerBusy and must back off.
         system = overload_system(
             service_time=0.02,
             client_timeout=0.5,
             admission_bound=1,
-            admission_headroom=0,
-            admission_retry_after=0.01,
             **extra,
         )
         clients = []
@@ -150,7 +150,6 @@ class TestCircuitBreaker:
             client_timeout=0.1,
             client_timeout_cap=0.2,
             client_breaker_threshold=2,
-            client_breaker_cooldown=0.5,
         )
         workload = RecordingWorkload([Command("cb:0", "read", ("k0",))])
         client = system.add_client(workload, max_attempts=100)
@@ -170,12 +169,12 @@ class TestCircuitBreaker:
         assert status == ReplyStatus.OK
         assert client.gave_up == 0
 
-    def test_open_breaker_stops_issuing(self):
+    def test_open_breaker_stops_issuing(self, monkeypatch):
+        monkeypatch.setattr(client_mod, "CLIENT_BREAKER_COOLDOWN", 10.0)
         system = overload_system(
             client_timeout=0.1,
             client_timeout_cap=0.1,
             client_breaker_threshold=1,
-            client_breaker_cooldown=10.0,
         )
         client = system.add_client(
             RecordingWorkload([Command("ob:0", "read", ("k0",))]),
@@ -198,9 +197,11 @@ class TestKnobValidation:
             {"client_rate_limit": -5.0},
             {"client_retry_budget": -1.0},
             {"client_breaker_threshold": 0},
-            {"client_breaker_threshold": 2, "client_breaker_cooldown": 0.0},
-            {"client_breaker_threshold": 2, "client_breaker_cooldown": -1.0},
             {"client_think_time": 0.0},
+            {"client_timeout": 0.0},
+            {"client_backoff": 0.5},
+            {"client_retry_jitter": 1.0},
+            {"client_max_attempts": 0},
         ],
     )
     def test_bad_client_knobs_fail_at_build_time(self, kwargs):
@@ -212,10 +213,9 @@ class TestKnobValidation:
         "kwargs",
         [
             {"admission_bound": 0},
-            {"admission_bound": 4, "admission_headroom": -1},
-            {"admission_bound": 4, "admission_retry_after": 0.0},
-            {"admission_bound": 4, "admission_retry_after": -1.0},
             {"oracle_admission_bound": -2},
+            {"mode": "bogus"},
+            {"placement": "nowhere"},
         ],
     )
     def test_bad_server_knobs_fail_at_build_time(self, kwargs):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.compartment.messages import ProxyBatch
 from repro.consensus.messages import Submit
-from repro.core import DynaStarSystem, SystemConfig
+from repro.core import DynaStarSystem, SystemConfig, admission
 from repro.core.messages import (
     ExecCommand,
     ExecutionHint,
@@ -39,8 +39,7 @@ def build(mode):
         SystemConfig(
             n_partitions=2, seed=1, latency=ConstantLatency(0.001),
             placement={"x": 0, "y": 1}, repartition_enabled=False,
-            admission_bound=bound, admission_headroom=1,
-            oracle_admission_bound=bound, admission_retry_after=0.07,
+            admission_bound=bound, oracle_admission_bound=bound,
         ),
     )
     system.run(until=0.5)
@@ -92,7 +91,8 @@ def cases():
 
 
 @pytest.mark.parametrize("route, state, mode", list(cases()))
-def test_gate_truth_table(route, state, mode):
+def test_gate_truth_table(route, state, mode, monkeypatch):
+    monkeypatch.setattr(admission, "ADMISSION_RETRY_AFTER", 0.07)
     system = build(mode)
     replica = (
         system.oracle_replicas()[0] if route == "oracle" else system.servers("p0")[0]

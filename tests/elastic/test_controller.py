@@ -2,6 +2,7 @@
 system, and the monitor bookkeeping both feed."""
 
 from repro.core import DynaStarSystem, SystemConfig
+from repro.elastic import ElasticConfig
 from repro.sim import ConstantLatency
 from repro.smr import KeyValueApp
 
@@ -96,7 +97,7 @@ class TestWiring:
 
     def test_oracle_replicas_share_elastic_config(self):
         system = build_elastic_system(
-            elastic_split_factor=2.0, elastic_eval_interval=123
+            elastic=ElasticConfig(split_factor=2.0, eval_interval=123)
         )
         for replica in system.oracle_replicas():
             assert replica.elastic is not None

@@ -43,7 +43,6 @@ class TestElasticConfig:
             {"cooldown": -1},
             {"min_partitions": 0},
             {"min_partitions": 5, "max_partitions": 4},
-            {"min_split_nodes": 1},
         ],
     )
     def test_invalid_raises(self, kwargs):
@@ -59,7 +58,7 @@ class TestElasticConfig:
 CFG = ElasticConfig(
     split_factor=1.5, merge_factor=0.25,
     eval_interval=10, cooldown=10,
-    max_partitions=4, min_partitions=1, min_split_nodes=2,
+    max_partitions=4, min_partitions=1,
 )
 
 
@@ -101,7 +100,7 @@ class TestDecide:
         assert decision is not None and decision.kind == "split"
 
     def test_max_partitions_blocks_split(self):
-        cfg = ElasticConfig(max_partitions=2, min_split_nodes=2)
+        cfg = ElasticConfig(max_partitions=2)
         assert (
             decide_reconfig(
                 {"p0": 99.0, "p1": 1.0}, {"p0": 8, "p1": 8},
@@ -118,7 +117,7 @@ class TestDecide:
     def test_min_partitions_blocks_merge(self):
         # Split is vetoed by node count, merge by the partition floor:
         # the hot-but-unsplittable topology stays as it is.
-        cfg = ElasticConfig(min_partitions=2, min_split_nodes=4)
+        cfg = ElasticConfig(min_partitions=2)
         assert (
             decide_reconfig(
                 {"p0": 99.0, "p1": 0.0}, {"p0": 2, "p1": 8},

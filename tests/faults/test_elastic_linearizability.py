@@ -7,6 +7,7 @@ retire online — including with the three reconfiguration fault kinds
 import pytest
 
 from repro.core.client import ScriptedWorkload
+from repro.elastic import ElasticConfig
 from repro.faults import ChaosInjector, FaultSchedule
 from repro.smr import Command, History
 
@@ -30,12 +31,10 @@ def build_elastic_system(**extra):
         client_timeout_cap=2.0,
         audit=True,
         elastic_enabled=True,
-        elastic_split_factor=1.3,
-        elastic_merge_factor=0.3,
-        elastic_eval_interval=30,
-        elastic_cooldown=50,
-        max_partitions=4,
-        min_partitions=1,
+        elastic=ElasticConfig(
+            split_factor=1.3, merge_factor=0.3, eval_interval=30, cooldown=50,
+            max_partitions=4, min_partitions=1,
+        ),
         idempotency_keys=True,
         **extra,
     )

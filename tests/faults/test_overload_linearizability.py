@@ -2,6 +2,9 @@
 exactly once while the system sheds load, trips breakers, and rides an
 ``overload_burst`` that overlaps crash and loss faults."""
 
+import pytest
+
+from repro.core import admission
 from repro.core.client import ScriptedWorkload
 from repro.faults import ChaosInjector, FaultSchedule
 from repro.smr import Command, History
@@ -11,9 +14,15 @@ from tests.faults.conftest import build_chaos_system
 from tests.faults.test_chaos_linearizability import mixed_scripts
 
 
+@pytest.fixture
+def fast_busy_retry(monkeypatch):
+    """Refused clients come back after 10 ms, not the default 50 ms."""
+    monkeypatch.setattr(admission, "ADMISSION_RETRY_AFTER", 0.01)
+
+
 def saturated_system(**extra):
     """A deployment whose admission gate is guaranteed to push back:
-    bound 1 with no headroom, slow service, several concurrent clients."""
+    bound 1, slow service, several concurrent clients."""
     return build_chaos_system(
         n_keys=8,
         n_partitions=2,
@@ -22,12 +31,11 @@ def saturated_system(**extra):
         client_timeout=0.3,
         client_timeout_cap=2.0,
         admission_bound=1,
-        admission_headroom=0,
-        admission_retry_after=0.01,
         **extra,
     )
 
 
+@pytest.mark.usefixtures("fast_busy_retry")
 class TestSheddingSafety:
     def test_linearizable_with_admission_shedding(self):
         # Unlimited retries (no budget): every command eventually lands,
@@ -54,10 +62,7 @@ class TestSheddingSafety:
         # command was refused *before* ordering, so it must never have
         # half-executed: transfer sums are conserved and replicas agree
         # no matter how many clients gave up.
-        system = saturated_system(
-            client_retry_budget=2.0,
-            client_retry_budget_ratio=0.1,
-        )
+        system = saturated_system(client_retry_budget=2.0)
         n_keys = 8
         clients = []
         for c in range(3):
@@ -79,6 +84,7 @@ class TestSheddingSafety:
 
 
 class TestOverloadBurstWithChaos:
+    @pytest.mark.usefixtures("fast_busy_retry")
     def test_burst_overlapping_crash_and_loss_stays_linearizable(self):
         # A flash crowd (10x arrival rate) overlaps a leader crash and a
         # loss burst.  Clients keep generous retry allowances, so every
@@ -91,9 +97,7 @@ class TestOverloadBurstWithChaos:
             client_timeout=0.3,
             client_timeout_cap=2.0,
             admission_bound=4,
-            admission_retry_after=0.01,
             client_breaker_threshold=8,
-            client_breaker_cooldown=0.5,
             client_think_time=0.05,
         )
         schedule = (

@@ -16,6 +16,7 @@ import io
 from repro.consensus.paxos import ReplicaConfig
 from repro.core.client import ScriptedWorkload
 from repro.faults import ChaosInjector, FaultSchedule
+from repro.recovery import transfer
 from repro.smr import Command, History
 
 from tests.core.conftest import (
@@ -91,14 +92,14 @@ class TestSnapshotRecovery:
         assert len(system.all_store_variables()) == 8
         assert_clean(system, history)
 
-    def test_requester_crash_mid_transfer_then_clean_retry(self):
+    def test_requester_crash_mid_transfer_then_clean_retry(self, monkeypatch):
         """The downloading replica dies mid-transfer and recovers again:
         the half-fetched snapshot is discarded with the crash and the
         second recovery restarts the fetch from scratch.  One item per
         chunk stretches the transfer window so the fault lands inside it."""
-        replica_cfg = ReplicaConfig(
-            checkpoint_interval=4, snapshot_chunk_init=1, snapshot_chunk_max=1
-        )
+        monkeypatch.setattr(transfer, "SNAPSHOT_CHUNK_INIT", 1)
+        monkeypatch.setattr(transfer, "SNAPSHOT_CHUNK_MAX", 1)
+        replica_cfg = ReplicaConfig(checkpoint_interval=4)
         system = build_chaos_system(
             n_keys=8, n_partitions=2, seed=3, tracing=True, replica=replica_cfg
         )
@@ -136,17 +137,15 @@ class TestSnapshotRecovery:
         assert len(system.all_store_variables()) == 8
         assert_clean(system, history)
 
-    def test_provider_crash_forces_rediscovery_from_another_peer(self):
+    def test_provider_crash_forces_rediscovery_from_another_peer(self, monkeypatch):
         """With three replicas, the peer serving the snapshot crashes
         mid-transfer; the requester times out, abandons the provider, and
         completes the download from the remaining live replica."""
-        replica_cfg = ReplicaConfig(
-            checkpoint_interval=4,
-            snapshot_chunk_init=1,
-            snapshot_chunk_max=1,
-            snapshot_retry=0.1,
-            snapshot_giveup=2,
-        )
+        monkeypatch.setattr(transfer, "SNAPSHOT_CHUNK_INIT", 1)
+        monkeypatch.setattr(transfer, "SNAPSHOT_CHUNK_MAX", 1)
+        monkeypatch.setattr(transfer, "SNAPSHOT_RETRY", 0.1)
+        monkeypatch.setattr(transfer, "SNAPSHOT_GIVEUP", 2)
+        replica_cfg = ReplicaConfig(checkpoint_interval=4)
         system = build_chaos_system(
             n_keys=8,
             n_partitions=2,

@@ -288,4 +288,61 @@ def test_knobs_nobody_set_stay_constants():
 
     fields = {field.name for field in dataclasses.fields(SystemConfig)}
     assert not fields & {"admission_ttl", "client_rate_burst", "client_breaker_jitter"}
-    assert len(fields) <= 48  # a simplification PR adds no option
+    assert len(fields) <= 39  # a simplification PR adds no option
+
+
+def test_config_fields_nobody_set_twice_stay_constants():
+    """A config field names a consumer that needs a second value; the
+    sixteen that no workload, experiment or benchmark set to more than
+    one are module constants beside their consumers (or, the elastic
+    bounds, live on only in the nested ``ElasticConfig``) and must not
+    come back, neither as fields nor under their old names."""
+    import dataclasses
+    import re
+
+    from repro.compartment import CompartmentConfig
+    from repro.consensus.paxos import ReplicaConfig
+    from repro.core import SystemConfig
+    from repro.elastic import ElasticConfig
+
+    removed = {
+        SystemConfig: {
+            "admission_headroom", "admission_retry_after",
+            "client_retry_budget_ratio", "client_breaker_cooldown",
+            "elastic_split_factor", "elastic_merge_factor",
+            "elastic_eval_interval", "elastic_cooldown",
+            "max_partitions", "min_partitions",
+        },
+        ReplicaConfig: {
+            "watermark_ttl", "snapshot_retry", "snapshot_giveup",
+            "snapshot_chunk_init", "snapshot_chunk_max",
+        },
+        ElasticConfig: {"min_split_nodes"},
+    }
+    fields = {
+        cls: {field.name for field in dataclasses.fields(cls)}
+        for cls in (SystemConfig, ReplicaConfig, CompartmentConfig, ElasticConfig)
+    }
+    assert sum(len(names) for names in fields.values()) <= 65
+    assert {cls: names & fields[cls] for cls, names in removed.items()} == {
+        cls: set() for cls in removed
+    }
+
+    gone = set().union(*removed.values()) - {"max_partitions", "min_partitions"}
+    assert len(gone) == 14
+    word = re.compile(r"\b(" + "|".join(sorted(gone)) + r")\b")
+    found = sorted(
+        (match, str(path.relative_to(REPO_ROOT)))
+        for root in ("src", "tests", "examples", "benchmarks")
+        for path in (REPO_ROOT / root).rglob("*.py")
+        if path != Path(__file__)
+        for match in word.findall(path.read_text())
+    )
+    assert found == []
+    quoted = sorted(
+        (match, doc)
+        for doc in ("README.md", "DESIGN.md")
+        for span in re.findall(r"`([^`\n]+)`", (REPO_ROOT / doc).read_text())
+        for match in word.findall(span)
+    )
+    assert quoted == []
